@@ -11,8 +11,8 @@ from .closedform import (PowerLawParams, RegimeTag, constant_qft_delta_weight,
                          powerlaw_qft_boundary, powerlaw_qft_closed, regime_of)
 from .errors import (AliasingError, BoundaryRegimeError, ConvergenceError,
                      CutAmbiguityError, InversionDomainError,
-                     LimitFailureError, MembershipError, PoleError,
-                     TruncationError)
+                     LimitFailureError, MembershipError, NonFiniteError,
+                     PoleError, TruncationError)
 from .inversion import (EpsilonSchedule, InversionResult, inverse_ft,
                         q1_slice, roundtrip)
 from .qcore import (CutoffReal, QParam, as_qparam, q_exp, q_exp_complex,
@@ -52,6 +52,7 @@ __all__ = [
     "InversionResult",
     "LimitFailureError",
     "MembershipError",
+    "NonFiniteError",
     "MembershipReport",
     "PlaneTag",
     "PoleError",

@@ -15,14 +15,11 @@ Conventions shared by every subcommand:
     parsing a file and re-emitting it is byte-identical.
   - JSON payloads are one object with keys config, results, diagnostics
     in that order; non-finite floats are encoded as null.
-  - QFT_THREADS (integer >= 1) caps worker threads. Output bytes do not
-    depend on it.
 """
 
 import argparse
 import json
 import math
-import os
 import sys
 
 import numpy as np
@@ -515,19 +512,6 @@ def _build_parser():
 
 
 def main(argv=None):
-    raw_threads = os.environ.get("QFT_THREADS")
-    if raw_threads is not None:
-        try:
-            n_threads = int(raw_threads)
-        except ValueError:
-            _note(f"error: QFT_THREADS must be an integer >= 1, "
-                  f"got {raw_threads!r}")
-            return 1
-        if n_threads < 1:
-            _note(f"error: QFT_THREADS must be an integer >= 1, "
-                  f"got {raw_threads!r}")
-            return 1
-
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

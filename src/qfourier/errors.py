@@ -29,12 +29,19 @@ class ConvergenceError(RuntimeError):
     """Iteration or subdivision budget exhausted before reaching tolerance.
 
     Carries the best available estimate so callers can degrade gracefully.
+    A batch over many rows (one integral per k) raises the error of its
+    lowest failing row and names that row in row.
     """
 
-    def __init__(self, message, value=None, err=None):
+    def __init__(self, message, value=None, err=None, row=None):
         super().__init__(message)
         self.value = value
         self.err = err
+        self.row = row
+
+
+class NonFiniteError(RuntimeError):
+    """An integrand produced NaN or inf where a finite value is required."""
 
 
 class TruncationError(RuntimeError):

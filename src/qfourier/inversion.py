@@ -35,6 +35,10 @@ _JUMP_WINDOW = 0.05
 # imaginary part above this (relative) fraction draws a warning
 _IMAG_RESIDUE_TOL = 1e-6
 
+# x rows per block in inverse_ft: 64 rows of the 2451-point window grid
+# are a 2.5 MB kernel array
+_X_BLOCK = 64
+
 
 @dataclass(frozen=True)
 class EpsilonSchedule:
@@ -87,13 +91,9 @@ def _require_classical_member(f: FunctionSpec):
 
 
 def _eval_slices(f, k_grid, sched, cfg):
-    out = []
-    for eps in sched.eps_list:
-        row = np.empty(k_grid.size, dtype=complex)
-        for i, k in enumerate(k_grid):
-            row[i], _ = qft_real_line(f, 1.0 + eps, float(k), cfg)
-        out.append(row)
-    return out
+    # one batched call per slice: every k of the grid in lockstep
+    return [qft_real_line(f, 1.0 + eps, k_grid, cfg)[0]
+            for eps in sched.eps_list]
 
 
 def _check_trend(slices, eps_list):
@@ -163,8 +163,15 @@ def inverse_ft(G, k_grid, x_grid) -> np.ndarray:
         raise AliasingError(
             f"x extent {extent:g} exceeds the Nyquist bound "
             f"pi/dk = {math.pi / float(np.max(dk)):g}; refine k_grid")
-    vals = np.trapezoid(G[None, :] * np.exp(-1j * np.outer(x, k)),
-                        k, axis=1) / (2.0 * math.pi)
+    # a block of x rows at a time keeps the |x| x |k| kernel array small;
+    # each row still integrates along the whole k grid, so the bits do not
+    # depend on the block size
+    vals = np.empty(x.size, dtype=complex)
+    for i in range(0, x.size, _X_BLOCK):
+        xb = x[i:i + _X_BLOCK]
+        vals[i:i + _X_BLOCK] = np.trapezoid(
+            G[None, :] * np.exp(-1j * np.outer(xb, k)), k, axis=1) \
+            / (2.0 * math.pi)
     residue = float(np.max(np.abs(vals.imag))) \
         / (1.0 + float(np.max(np.abs(vals.real))))
     if residue > _IMAG_RESIDUE_TOL:

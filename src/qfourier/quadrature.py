@@ -5,6 +5,12 @@ queue. The integrand is called on numpy arrays of nodes and must return a
 matching array; values may be complex. Results are deterministic: the queue
 is tie-broken by insertion order and the final sum runs in left-endpoint
 order, so identical inputs give identical bits regardless of scheduling.
+
+Many independent integrals (rows) run in lockstep: every row keeps its own
+queue, tolerance test and summation order, and each round bisects the worst
+panel of every unconverged row with one integrand call for all of them. A
+row's value therefore has the bits it would have on its own, and a single
+integral is simply the one-row case.
 """
 
 from __future__ import annotations
@@ -38,34 +44,64 @@ _W_K = np.concatenate([_WGK[:7], _WGK[7:8], _WGK[6::-1]])
 _w_g_full = np.zeros(15)
 _w_g_full[1:14:2] = np.concatenate([_WG[:3], _WG[3:4], _WG[2::-1]])
 _W_G = _w_g_full
+_W_KG = np.stack([_W_K, _W_G])
 
-_EPS = np.finfo(float).eps
+_EPS = float(np.finfo(float).eps)
+
+# Rows advance together in blocks of at most this many. Every live row holds
+# its own queue, so the block bounds peak memory; 128 rows already make each
+# integrand call a few thousand nodes wide.
+_BLOCK_ROWS = 128
 
 
-def gk15_panel(func, a: float, b: float):
-    """One (7,15) panel on [a, b]; returns (kronrod_value, err_estimate).
+def gk15_panel(func, a, b, rows=None):
+    """(7,15) panels on [a, b]; returns (kronrod_value, err_estimate).
 
+    a and b are scalars, or 1-d arrays of panel ends whose nodes all go to
+    one call: func(x), or func(x, rows), with x of shape a.shape + (15,).
     Error follows the QUADPACK sharpening: |K-G| rescaled by the integrand's
     deviation from its panel mean, floored at the rounding level.
     """
+    scalar = np.ndim(a) == 0 and np.ndim(b) == 0
+    a = np.array(a, dtype=float, ndmin=1)
+    b = np.array(b, dtype=float, ndmin=1)
     c = 0.5 * (a + b)
     h = 0.5 * (b - a)
-    y = np.asarray(func(c + h * _NODES))
-    resk = h * np.sum(_W_K * y)
-    resg = h * np.sum(_W_G * y)
-    resabs = h * float(np.sum(_W_K * np.abs(y)))
+    x = c[:, None] + h[:, None] * _NODES
+    y = np.asarray(func(x[0] if scalar else x) if rows is None
+                   else func(x, rows)).reshape(-1, 15)
+    # each sum runs along one panel's 15 nodes, in the same order for one
+    # panel as for many
+    kg = h[:, None] * np.add.reduce(y[:, None, :] * _W_KG, axis=-1)
+    resk, resg = kg[:, 0], kg[:, 1]
+    resabs = h * np.add.reduce(_W_K * np.abs(y), axis=-1)
     mean = resk / (b - a)
-    resasc = h * float(np.sum(_W_K * np.abs(y - mean)))
-    diff = abs(resk - resg)
+    resasc = h * np.add.reduce(_W_K * np.abs(y - mean[:, None]), axis=-1)
+    # np.hypot rounds like the scalar abs(); np.abs on a complex array does not
+    d = resk - resg
+    diff = np.hypot(d.real, d.imag)
+    err = np.array([_sharpen(*t) for t in zip(diff.tolist(), resasc.tolist(),
+                                              resabs.tolist())])
+    if scalar:
+        return resk[0], err[0]
+    return resk, err
+
+
+def _sharpen(diff, resasc, resabs):
+    """One panel's error estimate from |K-G| and its two absolute sums.
+
+    Scalar float arithmetic: numpy's vector pow differs from libm's in the
+    last bit, and the estimate orders the bisection queue.
+    """
     err = diff
     if resasc != 0.0 and diff != 0.0:
         err = resasc * min(1.0, (200.0 * diff / resasc) ** 1.5)
     if resabs > 0.0:
         err = max(err, 50.0 * _EPS * resabs)
-    return resk, err
+    return err
 
 
-def adaptive_quad(func, a: float, b: float, *, rel_tol: float = 1e-8,
+def adaptive_quad(func, a, b, *, rel_tol: float = 1e-8,
                   abs_tol: float = 1e-12, max_subdivisions: int = 2000,
                   breakpoints=()):
     """Integrate func over [a, b]; returns (value, err_estimate).
@@ -73,88 +109,150 @@ def adaptive_quad(func, a: float, b: float, *, rel_tol: float = 1e-8,
     breakpoints seeds the initial subdivision (kinks, oscillation splits).
     Raises ConvergenceError carrying the best estimate when the subdivision
     budget is exhausted above tolerance.
+
+    With 1-d arrays a and b, one integral per row: func is called as
+    func(x, rows), where x[i] holds nodes of row rows[i]; breakpoints, when
+    given, is one sequence per row; (values, errs) arrays come back. The
+    ConvergenceError is the one the lowest failing row raises on its own,
+    with that row's index in its row attribute.
     """
-    if not b > a:
-        if b == a:
-            return 0j, 0.0
-        raise ValueError("need a < b")
-    pts = [a] + sorted({float(t) for t in breakpoints if a < t < b}) + [b]
-    if len(pts) - 1 > max_subdivisions:
-        raise ValueError("more initial breakpoints than the subdivision budget")
+    if np.ndim(a) == 0 and np.ndim(b) == 0:
+        def by_row(x, rows):
+            return np.asarray(func(x.ravel())).reshape(x.shape)
 
-    heap = []
-    counter = 0
-    total_v = 0j
-    total_e = 0.0
-    for lo, hi, v, e in _seed_panels(func, pts):
-        heapq.heappush(heap, (-e, counter, lo, hi, v, e))
-        counter += 1
-        total_v += v
-        total_e += e
+        values, errs = _lockstep(by_row, [a], [b], [breakpoints], rel_tol,
+                                 abs_tol, max_subdivisions)
+        return values[0], errs[0]
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    if a.ndim != 1 or a.shape != b.shape:
+        raise ValueError("row limits must be scalars or matching 1-d arrays")
+    if len(breakpoints) == 0:
+        breakpoints = [()] * a.size
+    elif len(breakpoints) != a.size:
+        raise ValueError("need one breakpoint sequence per row")
+    values, errs = _lockstep(func, a.tolist(), b.tolist(), breakpoints,
+                             rel_tol, abs_tol, max_subdivisions)
+    return np.array(values, dtype=complex), np.array(errs, dtype=float)
 
-    n_panels = len(pts) - 1
-    while total_e > max(abs_tol, rel_tol * abs(total_v)):
-        if n_panels + 1 > max_subdivisions:
-            value, err = _collect(heap)
-            raise ConvergenceError(
-                f"quadrature did not reach tolerance within {max_subdivisions} "
-                f"subdivisions (err~{err:.3e})", value=value, err=err)
-        prio, _, lo, hi, v, e_old = heapq.heappop(heap)
-        if prio == 0.0:
-            # a parked resolution-limit panel is popped only once nothing
-            # else carries error, so the tolerance is unreachable
-            heapq.heappush(heap, (prio, counter, lo, hi, v, e_old))
-            value, err = _collect(heap)
-            raise ConvergenceError(
-                "tolerance unreachable: remaining error sits on intervals at "
-                f"floating-point resolution (err~{err:.3e})",
-                value=value, err=err)
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            # interval at floating-point resolution; park it with lowest
-            # priority so it is never re-split, but keep its true error
-            heapq.heappush(heap, (0.0, counter, lo, hi, v, e_old))
-            counter += 1
+
+def _lockstep(func, a, b, breakpoints, rel_tol, abs_tol, max_subdivisions):
+    """Rows of [a[i], b[i]] in blocks; per-row (values, errs) lists."""
+    n = len(a)
+    values = [0j] * n
+    errs = [0.0] * n
+    for start in range(0, n, _BLOCK_ROWS):
+        stop = min(n, start + _BLOCK_ROWS)
+        pts = {}
+        for i in range(start, stop):
+            lo, hi = float(a[i]), float(b[i])
+            if not hi > lo:
+                if hi == lo:
+                    continue
+                raise ValueError("need a < b")
+            p = [lo] + sorted({float(t) for t in breakpoints[i]
+                               if lo < t < hi}) + [hi]
+            if len(p) - 1 > max_subdivisions:
+                raise ValueError(
+                    "more initial breakpoints than the subdivision budget")
+            pts[i] = p
+        if not pts:
             continue
-        v1, e1 = gk15_panel(func, lo, mid)
-        v2, e2 = gk15_panel(func, mid, hi)
-        total_v += v1 + v2 - v
-        total_e += e1 + e2 - e_old
-        heapq.heappush(heap, (-e1, counter, lo, mid, v1, e1))
-        counter += 1
-        heapq.heappush(heap, (-e2, counter, mid, hi, v2, e2))
-        counter += 1
-        n_panels += 1
-
-    return _collect(heap)
+        failures = _run_block(func, pts, values, errs, rel_tol, abs_tol,
+                              max_subdivisions)
+        if failures:
+            raise failures[min(failures)]
+    return values, errs
 
 
-def _seed_panels(func, pts):
-    """Evaluate all initial panels in one integrand call.
+def _run_block(func, pts, values, errs, rel_tol, abs_tol, max_subdivisions):
+    """Advance the rows of one block to tolerance; returns their failures.
 
-    Same per-panel arithmetic as gk15_panel, batched so heavily seeded
-    integrals (oscillation splitting) cost one vectorized evaluation.
+    Per row, the steps and their order are those of a lone heap-driven
+    bisection loop: test the tolerance, test the budget, pop the worst
+    panel, bisect it. Only the integrand calls are shared.
     """
-    if len(pts) == 2:
-        v, e = gk15_panel(func, pts[0], pts[1])
-        return [(pts[0], pts[1], v, e)]
-    los = np.asarray(pts[:-1], dtype=float)
-    his = np.asarray(pts[1:], dtype=float)
-    c = 0.5 * (los + his)
-    h = 0.5 * (his - los)
-    nodes = c[:, None] + h[:, None] * _NODES[None, :]
-    y = np.asarray(func(nodes.ravel())).reshape(len(los), 15)
-    resk = h * (y @ _W_K)
-    resg = h * (y @ _W_G)
-    resabs = h * (np.abs(y) @ _W_K)
-    mean = resk / (his - los)
-    resasc = h * (np.abs(y - mean[:, None]) @ _W_K)
-    diff = np.abs(resk - resg)
-    err = diff.copy()
-    m = (resasc != 0.0) & (diff != 0.0)
-    err[m] = resasc[m] * np.minimum(1.0, (200.0 * diff[m] / resasc[m]) ** 1.5)
-    err = np.where(resabs > 0.0, np.maximum(err, 50.0 * _EPS * resabs), err)
-    return [(los[i], his[i], resk[i], float(err[i])) for i in range(len(los))]
+    rows = list(pts)
+    edges = np.array([t for i in rows for t in pts[i]])
+    edge_rows = np.array([i for i in rows for _ in pts[i]])
+    heaps = {i: [] for i in rows}
+    # per row: [insertion counter, total value, total error, panels]
+    state = {i: [0, 0j, 0.0, len(pts[i]) - 1] for i in rows}
+    for lo, hi, i, v, e in zip(*(col.tolist() for col in
+                                 _seed_panels(func, edges, edge_rows))):
+        s = state[i]
+        heapq.heappush(heaps[i], (-e, s[0], lo, hi, v, e))
+        s[0] += 1
+        s[1] += v
+        s[2] += e
+
+    failures = {}
+    active = rows
+    while active:
+        waiting = []
+        split = []
+        for i in active:
+            heap, s = heaps[i], state[i]
+            if not s[2] > max(abs_tol, rel_tol * abs(s[1])):
+                values[i], errs[i] = _collect(heap)
+                continue
+            if s[3] + 1 > max_subdivisions:
+                value, err = _collect(heap)
+                failures[i] = ConvergenceError(
+                    f"quadrature did not reach tolerance within "
+                    f"{max_subdivisions} subdivisions (err~{err:.3e})",
+                    value=value, err=err, row=i)
+                continue
+            prio, _, lo, hi, v, e_old = heapq.heappop(heap)
+            if prio == 0.0:
+                # a parked resolution-limit panel is popped only once nothing
+                # else carries error, so the tolerance is unreachable
+                heapq.heappush(heap, (prio, s[0], lo, hi, v, e_old))
+                value, err = _collect(heap)
+                failures[i] = ConvergenceError(
+                    "tolerance unreachable: remaining error sits on intervals "
+                    f"at floating-point resolution (err~{err:.3e})",
+                    value=value, err=err, row=i)
+                continue
+            mid = 0.5 * (lo + hi)
+            if mid <= lo or mid >= hi:
+                # interval at floating-point resolution; park it with lowest
+                # priority so it is never re-split, but keep its true error
+                heapq.heappush(heap, (0.0, s[0], lo, hi, v, e_old))
+                s[0] += 1
+            else:
+                split.append((i, lo, mid, hi, v, e_old))
+            waiting.append(i)
+        if split:
+            idx, los, mids, his, _, _ = zip(*split)
+            v, e = gk15_panel(func, los + mids, mids + his,
+                              np.array(idx + idx))
+            v, e = v.tolist(), e.tolist()
+            m = len(split)
+            for j, (i, lo, mid, hi, v_old, e_old) in enumerate(split):
+                v1, v2, e1, e2 = v[j], v[j + m], e[j], e[j + m]
+                heap, s = heaps[i], state[i]
+                s[1] += v1 + v2 - v_old
+                s[2] += e1 + e2 - e_old
+                heapq.heappush(heap, (-e1, s[0], lo, mid, v1, e1))
+                heapq.heappush(heap, (-e2, s[0] + 1, mid, hi, v2, e2))
+                s[0] += 2
+                s[3] += 1
+        active = waiting
+    return failures
+
+
+def _seed_panels(func, edges, rows):
+    """Evaluate the initial panels of every row in one integrand call.
+
+    edges holds each row's seed points in turn and rows[j] names the row of
+    edges[j]; a panel spans two consecutive points of one row. Returns
+    (lo, hi, row, value, err) arrays, one entry per panel in seed order.
+    """
+    same = rows[1:] == rows[:-1]
+    lo, hi, prow = edges[:-1][same], edges[1:][same], rows[:-1][same]
+    v, e = gk15_panel(func, lo, hi, prow)
+    return lo, hi, prow, v, e
 
 
 def _collect(heap):

@@ -2,7 +2,9 @@
 
 The integrand is f(x) {1 + i(1-q) k x f(x)^(q-1)}^(1/(1-q)). Its base has
 real part >= 1 whenever x > 0 with Im k >= 0 (and symmetrically x < 0 with
-Im k <= 0), so no pole can sit on an integration path; this is asserted.
+Im k <= 0), so no pole can sit on an integration path; a node that breaks
+this raises PoleError, and a kernel value that is not finite raises
+NonFiniteError rather than being cleared.
 
 Half-plane semantics: the upper tag integrates over x > 0, the lower tag
 contributes minus the integral over x < 0, and the real_limit tags evaluate
@@ -27,7 +29,8 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import ConvergenceError, MembershipError
+from .errors import (ConvergenceError, MembershipError, NonFiniteError,
+                     PoleError)
 from .qcore import QParam, as_qparam
 from .quadrature import adaptive_quad
 
@@ -368,33 +371,49 @@ def membership_check(f: FunctionSpec, q) -> MembershipReport:
                             exponent, "; ".join(notes))
 
 
-def _kernel_integrand(f: FunctionSpec, qv: float, k: complex, reflect: bool):
-    """Vectorized integrand on a positive half-line variable u.
+def _kernel_integrand(f: FunctionSpec, qv: float, k, reflect: bool):
+    """Vectorized integrand on a positive half-line variable u, one row per k.
 
-    reflect=False evaluates at x = u, reflect=True at x = -u.
+    integrand(u, rows) evaluates u[i] with wavenumber k[rows[i]];
+    reflect=False puts the nodes at x = u, reflect=True at x = -u. A node
+    on the wrong side of the kernel's branch point raises PoleError, and a
+    kernel value that is not finite raises NonFiniteError.
     """
-    def integrand(u):
+    k = np.asarray(k, dtype=complex)
+
+    def integrand(u, rows):
         u = np.asarray(u, dtype=float)
         x = -u if reflect else u
         y = f.values(x)
-        out = np.zeros(u.shape, dtype=complex)
         m = y > 0
         if not m.any():
-            return out
-        xm = x[m]
-        ym = y[m]
-        if qv == 1.0:
-            out[m] = ym * np.exp(1j * k * xm)
-            return out
+            return np.zeros(u.shape, dtype=complex)
+        # evaluated on every node, then cleared off the support: a node
+        # outside it (y = 0, possibly at x = inf) has no kernel value
+        kr = k[rows][:, None]
         with np.errstate(over="ignore", invalid="ignore"):
-            base = 1.0 + 1j * (1.0 - qv) * k * xm * ym ** (qv - 1.0)
-            assert base.real.min() >= 1.0 - 1e-9, \
-                "kernel pole on the integration path"
-            out[m] = ym * np.exp(np.log(base) / (1.0 - qv))
-        np.nan_to_num(out, copy=False)
+            if qv == 1.0:
+                out = y * np.exp(1j * kr * x)
+            else:
+                base = 1.0 + 1j * (1.0 - qv) * kr * x * y ** (qv - 1.0)
+                _check(base.real < 1.0 - 1e-9, PoleError,
+                       "kernel pole on the integration path", qv, kr, x)
+                out = y * np.exp(np.log(base) / (1.0 - qv))
+        _check(~np.isfinite(out) & m, NonFiniteError,
+               "kernel value is not finite", qv, kr, x)
+        if not m.all():
+            out[~m] = 0.0
         return out
 
     return integrand
+
+
+def _check(bad, error, what, qv, kr, x):
+    """Raise error naming q, k and x at the first node flagged in bad."""
+    if bad.any():
+        i, j = np.unravel_index(int(np.argmax(bad)), bad.shape)
+        raise error(f"{what} at q={qv!r}, k={complex(kr[i, 0])!r}, "
+                    f"x={float(x[i, j])!r}")
 
 
 def _osc_breakpoints(A, B, freq, cap=256):
@@ -407,68 +426,161 @@ def _osc_breakpoints(A, B, freq, cap=256):
     return np.linspace(A, B, n + 1)[1:-1]
 
 
+def _in_row_order(first, second, n):
+    """(first(n), second(n)) for two batched pieces of one integral per row.
+
+    A piece called with m covers rows 0..m-1. On failure this raises what a
+    loop over the rows, each running first and then second, would meet
+    first: the lowest failing row, and the first piece when both fail there.
+    """
+    try:
+        r1 = first(n)
+    except ConvergenceError as exc:
+        second(exc.row)
+        raise
+    return r1, second(n)
+
+
 def _half_line(gfun, A, B, cfg: QuadratureConfig, *, freq, decay,
                trunc_scale):
-    """Integrate gfun over [A, B] (B possibly infinite); returns (val, err)."""
+    """Integrate gfun over [A, B] (B possibly infinite) for every row.
+
+    freq and decay are per-row arrays; returns (values, errs) arrays.
+    """
+    n = freq.size
+    rows = np.arange(n)
     cap = min(256, max(cfg.max_subdivisions // 4, 1))
+    tol = dict(rel_tol=cfg.rel_tol, abs_tol=cfg.abs_tol,
+               max_subdivisions=cfg.max_subdivisions)
+
+    def split_quad(hi, m=n):
+        # gfun over [A, hi[i]] for rows i < m, split by their oscillation
+        hi = np.broadcast_to(hi, (n,))[:m]
+        return adaptive_quad(gfun, np.full(m, A), hi, **tol, breakpoints=[
+            _osc_breakpoints(A, h, fr, cap)
+            for h, fr in zip(hi.tolist(), freq.tolist())])
+
+    def at(T):
+        g = gfun(np.full((n, 1), T), rows)[:, 0]
+        return np.hypot(g.real, g.imag)
+
     if B is not None and math.isfinite(B):
         if B <= A:
-            return 0j, 0.0
-        return adaptive_quad(gfun, A, B, rel_tol=cfg.rel_tol,
-                             abs_tol=cfg.abs_tol,
-                             max_subdivisions=cfg.max_subdivisions,
-                             breakpoints=_osc_breakpoints(A, B, freq, cap))
+            return np.zeros(n, dtype=complex), np.zeros(n)
+        return split_quad(B)
 
     if cfg.tail_cut is not None:
         T = cfg.tail_cut
         _require(T > A, f"tail_cut {T} does not exceed the lower limit {A}")
-        val, err = adaptive_quad(gfun, A, T, rel_tol=cfg.rel_tol,
-                                 abs_tol=cfg.abs_tol,
-                                 max_subdivisions=cfg.max_subdivisions,
-                                 breakpoints=_osc_breakpoints(A, T, freq, cap))
-        gT = abs(complex(gfun(np.array([T]))[0]))
-        if decay == math.inf:
+        val, err = split_quad(T)
+        gT = at(T)
+        if math.isinf(decay[0]):
             bound = gT * max(trunc_scale, 1.0)
         else:
             # remainder of a ~x^-decay tail; factor 2 covers a cut placed
             # before the prefactor settles onto its asymptote
-            bound = 2.0 * gT * T / max(decay - 1.0, 1e-3)
+            bound = 2.0 * gT * T / np.maximum(decay - 1.0, 1e-3)
         return val, err + bound
 
-    if decay == math.inf:
+    if math.isinf(decay[0]):
         # explicit cut where the remainder bound drops under abs_tol
         width = max(trunc_scale, 1.0)
         T = A + width * (math.sqrt(2.0 * math.log(1.0 / cfg.abs_tol)) + 1.5)
-        val, err = adaptive_quad(gfun, A, T, rel_tol=cfg.rel_tol,
-                                 abs_tol=cfg.abs_tol,
-                                 max_subdivisions=cfg.max_subdivisions,
-                                 breakpoints=_osc_breakpoints(A, T, freq, cap))
-        gT = abs(complex(gfun(np.array([T]))[0]))
-        return val, err + gT * width
+        val, err = split_quad(T)
+        return val, err + at(T) * width
 
     # algebraic tail: finite oscillatory part, then the compactifying map
-    amp = max((freq if freq > 0 else 0.0), 0.0)
-    X1 = A + (12.0 / amp if amp > 1e-9 else 1.0)
-    X1 = min(X1, A + 1e9)
-    X1 = max(X1, A + 1.0)
-    v1, e1 = adaptive_quad(gfun, A, X1, rel_tol=cfg.rel_tol,
-                           abs_tol=cfg.abs_tol,
-                           max_subdivisions=cfg.max_subdivisions,
-                           breakpoints=_osc_breakpoints(A, X1, freq, cap))
-    p = min(60.0, max(1.0, 2.0 / (decay - 1.0)))
+    amp = np.maximum(freq, 0.0)
+    with np.errstate(divide="ignore"):
+        X1 = A + np.where(amp > 1e-9, 12.0 / amp, 1.0)
+    X1 = np.minimum(X1, A + 1e9)
+    X1 = np.maximum(X1, A + 1.0)
+    p = np.minimum(60.0, np.maximum(1.0, 2.0 / (decay - 1.0)))
 
-    def mapped(v):
+    def mapped(v, rows):
         v = np.asarray(v, dtype=float)
+        x = np.empty_like(v)
+        jac = np.empty_like(v)
+        X1r, pr = X1[rows][:, None], p[rows]
         with np.errstate(over="ignore"):
-            x = X1 * v ** (-p)
-            jac = X1 * p * v ** (-p - 1.0)
-            out = gfun(x) * jac
+            # one scalar exponent at a time: numpy's power takes other
+            # paths for an exponent array, and the bits would move
+            exps = set(pr.tolist())
+            for pu in exps:
+                s = pr == pu if len(exps) > 1 else slice(None)
+                x[s] = X1r[s] * v[s] ** (-pu)
+                jac[s] = X1r[s] * pu * v[s] ** (-pu - 1.0)
+            out = gfun(x, rows) * jac
+        # where x or its Jacobian overflows, v sits at the v -> 0 end of a
+        # tail the map makes vanish, so the limit there is 0
         return np.nan_to_num(out, copy=False, posinf=0.0, neginf=0.0)
 
-    v2, e2 = adaptive_quad(mapped, 0.0, 1.0, rel_tol=cfg.rel_tol,
-                           abs_tol=cfg.abs_tol,
-                           max_subdivisions=cfg.max_subdivisions)
+    (v1, e1), (v2, e2) = _in_row_order(
+        lambda m: split_quad(X1, m),
+        lambda m: adaptive_quad(mapped, np.zeros(m), np.ones(m), **tol), n)
     return v1 + v2, e1 + e2
+
+
+def _qft_rows(f: FunctionSpec, q, k, positive_side: bool,
+              cfg: QuadratureConfig | None):
+    """One half-line piece of the transform for every entry of a 1-d k.
+
+    Returns (values, errs) arrays; ConvergenceError is that of the lowest
+    failing k (row), with its best estimate.
+    """
+    qp = as_qparam(q)
+    cfg = cfg if cfg is not None else QuadratureConfig()
+    report = membership_check(f, qp)
+    if not report.member:
+        raise MembershipError(
+            f"{f.kind} is outside the admissible set at q={qp.q:g}: "
+            f"{report.detail}")
+
+    n = k.size
+    lo, hi = f.support()
+    if positive_side:
+        A, B = max(lo, 0.0), hi
+    else:
+        A, B = lo, min(hi, 0.0)
+    if B <= A or n == 0:
+        return np.zeros(n, dtype=complex), np.zeros(n)
+
+    qv = qp.q
+    gamma_f = f.tail_exponent()
+    unbounded = (B == math.inf) if positive_side else (A == -math.inf)
+    decay = None
+    if unbounded:
+        decay = np.full(n, _integrand_decay(gamma_f, qv), dtype=float)
+        at_zero = k == 0
+        if at_zero.any():
+            if gamma_f is not None and gamma_f != math.inf and gamma_f <= 1.0:
+                raise ValueError(
+                    "k=0 reduces the transform to the plain integral of f, "
+                    f"which diverges for {f.kind}")
+            decay[at_zero] = gamma_f
+
+    # np.hypot rounds like the scalar abs(); np.abs on a complex array does not
+    freq = np.hypot(k.real, k.imag) * f.peak_value() ** (qv - 1.0)
+    trunc_scale = 1.0
+    if isinstance(f, Gaussian):
+        trunc_scale = f.sigma
+    elif isinstance(f, QGaussian) and f.q_g == 1.0:
+        trunc_scale = 1.0 / math.sqrt(2.0 * f.beta_g)
+
+    gfun = _kernel_integrand(f, qv, k, reflect=not positive_side)
+    if positive_side:
+        return _half_line(gfun, A, B if math.isfinite(B) else None, cfg,
+                          freq=freq, decay=decay, trunc_scale=trunc_scale)
+    hi_u = -A if math.isfinite(A) else None
+    try:
+        val, err = _half_line(gfun, -B, hi_u, cfg, freq=freq, decay=decay,
+                              trunc_scale=trunc_scale)
+    except ConvergenceError as exc:
+        if exc.value is not None:
+            raise ConvergenceError(str(exc), value=-exc.value, err=exc.err,
+                                   row=exc.row) from None
+        raise
+    return -val, err
 
 
 def qft_complex(f: FunctionSpec, q, point: HalfPlanePoint,
@@ -479,77 +591,36 @@ def qft_complex(f: FunctionSpec, q, point: HalfPlanePoint,
     and ConvergenceError (with the best estimate attached) when the
     subdivision budget runs out.
     """
-    qp = as_qparam(q)
-    cfg = cfg if cfg is not None else QuadratureConfig()
-    report = membership_check(f, qp)
-    if not report.member:
-        raise MembershipError(
-            f"{f.kind} is outside the admissible set at q={qp.q:g}: "
-            f"{report.detail}")
-
-    lo, hi = f.support()
     positive_side = point.plane in (PlaneTag.UPPER,
                                     PlaneTag.REAL_LIMIT_UPPER)
-    if positive_side:
-        A, B = max(lo, 0.0), hi
-    else:
-        A, B = lo, min(hi, 0.0)
-    if B <= A:
-        return 0j, 0.0
-
-    k = point.k
-    qv = qp.q
-    gamma_f = f.tail_exponent()
-    unbounded = (B == math.inf) if positive_side else (A == -math.inf)
-    if k == 0 and unbounded:
-        if gamma_f is not None and gamma_f != math.inf and gamma_f <= 1.0:
-            raise ValueError(
-                "k=0 reduces the transform to the plain integral of f, "
-                f"which diverges for {f.kind}")
-        decay = gamma_f
-    else:
-        decay = _integrand_decay(gamma_f, qv) if unbounded else None
-
-    freq = abs(k) * f.peak_value() ** (qv - 1.0)
-    trunc_scale = 1.0
-    if isinstance(f, Gaussian):
-        trunc_scale = f.sigma
-    elif isinstance(f, QGaussian) and f.q_g == 1.0:
-        trunc_scale = 1.0 / math.sqrt(2.0 * f.beta_g)
-
-    if positive_side:
-        gfun = _kernel_integrand(f, qv, k, reflect=False)
-        val, err = _half_line(gfun, A, B if math.isfinite(B) else None,
-                              cfg, freq=freq, decay=decay,
-                              trunc_scale=trunc_scale)
-        return val, err
-    gfun = _kernel_integrand(f, qv, k, reflect=True)
-    hi_u = -A if math.isfinite(A) else None
-    try:
-        val, err = _half_line(gfun, -B, hi_u, cfg, freq=freq, decay=decay,
-                              trunc_scale=trunc_scale)
-    except ConvergenceError as exc:
-        if exc.value is not None:
-            raise ConvergenceError(str(exc), value=-exc.value,
-                                   err=exc.err) from None
-        raise
-    return -val, err
+    val, err = _qft_rows(f, q, np.array([point.k]), positive_side, cfg)
+    return val[0], err[0]
 
 
-def qft_real_line(f: FunctionSpec, q, k: float,
-                  cfg: QuadratureConfig | None = None):
+def qft_real_line(f: FunctionSpec, q, k, cfg: QuadratureConfig | None = None):
     """Full real-axis transform at real k.
 
     The two half-plane pieces are boundary values of one sectionally
     analytic function, and the transform is their jump across the axis:
     upper minus lower, which unfolds to the integral over all of x.
-    Returns (value, err).
+    Returns (value, err). k may be a 1-d array: every k then runs in one
+    batch, values and errs come back as arrays with the bits of the
+    one-k calls, and a ConvergenceError is that of the lowest failing k.
     """
-    kv = float(k)
-    up = HalfPlanePoint(complex(kv, 0.0), PlaneTag.REAL_LIMIT_UPPER)
-    dn = HalfPlanePoint(complex(kv, 0.0), PlaneTag.REAL_LIMIT_LOWER)
-    v1, e1 = qft_complex(f, q, up, cfg)
-    v2, e2 = qft_complex(f, q, dn, cfg)
+    if np.ndim(k) == 0:
+        kv = float(k)
+        up = HalfPlanePoint(complex(kv, 0.0), PlaneTag.REAL_LIMIT_UPPER)
+        dn = HalfPlanePoint(complex(kv, 0.0), PlaneTag.REAL_LIMIT_LOWER)
+        v1, e1 = qft_complex(f, q, up, cfg)
+        v2, e2 = qft_complex(f, q, dn, cfg)
+        return v1 - v2, e1 + e2
+    kv = np.asarray(k, dtype=float)
+    _require(kv.ndim == 1, "k must be a scalar or a 1-d array")
+    _require(bool(np.all(np.isfinite(kv))), "k must be finite")
+    kc = kv.astype(complex)
+    (v1, e1), (v2, e2) = _in_row_order(
+        lambda m: _qft_rows(f, q, kc[:m], True, cfg),
+        lambda m: _qft_rows(f, q, kc[:m], False, cfg), kv.size)
     return v1 - v2, e1 + e2
 
 

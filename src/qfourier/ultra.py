@@ -23,6 +23,10 @@ from .quadrature import graded_line_nodes
 
 _TAIL_TOL = 1e-10
 
+# z rows per block in dirac_rep's evaluator: 128 rows of a 4001-point grid
+# are an 8 MB kernel array
+_CAUCHY_BLOCK = 128
+
 
 @dataclass(frozen=True)
 class ContourSpec:
@@ -166,7 +170,16 @@ def dirac_rep(f_density, t_grid) -> AnalyticRep:
             warnings.warn(
                 "evaluation within one grid spacing of the real axis; "
                 "the Cauchy kernel is nearly singular there", stacklevel=2)
-        out = pref * np.sum(wf / (grid - z[..., None]), axis=-1)
+        # a block of z rows at a time keeps the |z| x |grid| kernel array
+        # small; each row still sums along the whole grid, so the bits
+        # do not depend on the block size
+        flat = z.reshape(-1)
+        sums = np.empty(flat.shape, dtype=complex)
+        for i in range(0, flat.size, _CAUCHY_BLOCK):
+            zb = flat[i:i + _CAUCHY_BLOCK]
+            sums[i:i + _CAUCHY_BLOCK] = np.sum(wf / (grid - zb[:, None]),
+                                               axis=-1)
+        out = pref * sums.reshape(z.shape)
         return out if out.shape else complex(out)
 
     return AnalyticRep(evaluator=evaluator, growth_order=0)

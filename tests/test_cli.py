@@ -373,24 +373,3 @@ class TestDeltaCommand:
         assert main(["delta", "--q", "2.0"]) == 1
         capsys.readouterr()
 
-
-class TestThreadsEnv:
-    @pytest.mark.parametrize("raw", ["abc", "0", "-3", "1.5"])
-    def test_invalid_values_rejected(self, raw, capsys, monkeypatch):
-        monkeypatch.setenv("QFT_THREADS", raw)
-        assert main(["delta", "--q", "1.5"]) == 1
-        assert "QFT_THREADS" in capsys.readouterr().err
-
-    def test_output_bytes_independent_of_cap(self, tmp_path, capsys,
-                                             monkeypatch):
-        outs = []
-        for cap, name in (("1", "one.csv"), ("7", "seven.csv")):
-            monkeypatch.setenv("QFT_THREADS", cap)
-            out = tmp_path / name
-            rc = main(["transform", "--f", "heaviside+", "--q", "1.5",
-                       "--kmin", "1", "--kmax", "3", "--nk", "3",
-                       "--out", str(out)])
-            assert rc == 0
-            outs.append(out.read_bytes())
-        capsys.readouterr()
-        assert outs[0] == outs[1]

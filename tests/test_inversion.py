@@ -96,7 +96,8 @@ class TestQ1Slice:
 
     def test_divergent_trend_detected(self, monkeypatch):
         def fake(f, q, k, cfg=None):
-            return 1.0 / (q - 1.0) + 0j, 0.0
+            k = np.asarray(k)
+            return np.full(k.shape, 1.0 / (q - 1.0) + 0j), np.zeros(k.shape)
 
         monkeypatch.setattr(inversion, "qft_real_line", fake)
         with pytest.raises(LimitFailureError):

@@ -104,6 +104,57 @@ class TestAdaptiveQuad:
         assert e1 == e2
 
 
+class TestRows:
+    """Many integrals in lockstep: each row as it would run alone."""
+
+    @staticmethod
+    def row_integrand(w):
+        def func(x, rows):
+            return np.cos(w[rows][:, None] * x) + 1j * np.sin(x * x)
+        return func
+
+    def test_rows_are_bitwise_the_single_integrals(self):
+        # 300 rows span three blocks; the breakpoints differ per row
+        w = np.linspace(0.5, 40.0, 300)
+        bps = [np.linspace(0.0, 3.0, 2 + int(wi) // 8)[1:-1] for wi in w]
+        values, errs = adaptive_quad(self.row_integrand(w), np.zeros(300),
+                                     np.full(300, 3.0), rel_tol=1e-10,
+                                     breakpoints=bps)
+        for i in range(0, 300, 7):
+            one = self.row_integrand(w[i:i + 1])
+            v, e = adaptive_quad(lambda x: one(x[None, :], np.array([0]))[0],
+                                 0.0, 3.0, rel_tol=1e-10, breakpoints=bps[i])
+            assert (values[i], errs[i]) == (v, e)
+
+    def test_zero_width_rows(self):
+        values, errs = adaptive_quad(self.row_integrand(np.ones(2)),
+                                     np.array([1.0, 0.0]),
+                                     np.array([1.0, 2.0]))
+        assert values[0] == 0j and errs[0] == 0.0
+        assert errs[1] > 0.0
+
+    def test_lowest_failing_row_raises(self):
+        # rows 3 and up oscillate too fast for the budget
+        w = np.array([1.0, 2.0, 4.0, 60.0, 80.0])
+        func = self.row_integrand(w)
+        with pytest.raises(ConvergenceError) as info:
+            adaptive_quad(func, np.zeros(5), np.full(5, 3.0),
+                          rel_tol=1e-12, max_subdivisions=6)
+        exc = info.value
+        assert exc.row == 3
+        with pytest.raises(ConvergenceError) as alone:
+            adaptive_quad(self.row_integrand(w[3:]), np.zeros(2),
+                          np.full(2, 3.0), rel_tol=1e-12, max_subdivisions=6)
+        assert alone.value.row == 0
+        assert (str(exc), exc.value, exc.err) == \
+            (str(alone.value), alone.value.value, alone.value.err)
+
+    def test_mismatched_limits_rejected(self):
+        with pytest.raises(ValueError):
+            adaptive_quad(self.row_integrand(np.ones(2)), np.zeros(2),
+                          np.ones(3))
+
+
 class TestGradedLine:
     def test_total_weight_is_line_length(self):
         t, w = graded_line_nodes(40.0, 4096)

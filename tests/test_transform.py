@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 from scipy.integrate import quad
 
-from qfourier.errors import ConvergenceError, MembershipError
+from qfourier.errors import ConvergenceError, MembershipError, NonFiniteError
 from qfourier.transform import (
     Constant,
     Gaussian,
@@ -388,3 +388,98 @@ class TestFailureModes:
         v, err = qft_complex(Heaviside(1), 1.5, up(1.0), cfg)
         assert err > 0.5
         assert abs(v - 2j) <= err
+
+    def test_pole_guard_survives_optimized_python(self):
+        # python -O strips assert statements; the guard must still raise
+        import os
+        import subprocess
+        import sys
+
+        import qfourier
+        src = os.path.dirname(os.path.dirname(qfourier.__file__))
+        code = (
+            "import numpy as np\n"
+            "from qfourier.errors import PoleError\n"
+            "from qfourier.transform import Gaussian, _kernel_integrand\n"
+            # k = -2j on x > 0 at q = 1.5 puts the kernel's branch point
+            # exactly on the node x = 1
+            "g = _kernel_integrand(Gaussian(1.0), 1.5, np.array([-2j]), False)\n"
+            "try:\n"
+            "    g(np.array([[0.5, 1.0]]), np.array([0]))\n"
+            "except PoleError as exc:\n"
+            "    print('PoleError:', exc)\n")
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                             capture_output=True, text=True, timeout=60)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.startswith("PoleError:")
+        assert "q=1.5" in out.stdout and "x=0.5" in out.stdout
+
+    def test_non_finite_kernel_value_raises(self):
+        class Blowup(Gaussian):
+            # infinite density near the origin: the kernel value is not
+            # finite there, and it must not be cleared to 0
+            def values(self, x):
+                x = np.asarray(x, dtype=float)
+                return np.where(np.abs(x) < 0.1, np.inf, super().values(x))
+
+        with pytest.raises(NonFiniteError, match=r"q=1\.2, k=\(1\+0j\)"):
+            qft_real_line(Blowup(1.0), 1.2, 1.0)
+
+
+# one case per tail path; the lower (reflected) half-line runs in each
+# real-line call, and alone for the left step
+BATCH_CASES = [
+    pytest.param(PowerLaw(1.0, 2.0, 1.0, 2.0), 1.3, QuadratureConfig(),
+                 np.linspace(-80.0, 80.0, 41), id="powerlaw-compact"),
+    pytest.param(Gaussian(1.0), 1.2, QuadratureConfig(),
+                 np.linspace(-6.0, 6.0, 25), id="gaussian-cut"),
+    pytest.param(QGaussian(1.5, 1.0), 1.3, QuadratureConfig(),
+                 np.linspace(-6.0, 6.0, 25), id="qgaussian-map-k0"),
+    pytest.param(Gaussian(1.0), 1.4, QuadratureConfig(tail_cut=6.0),
+                 np.linspace(-6.0, 6.0, 13), id="gaussian-tail-cut"),
+    pytest.param(QGaussian(1.5, 1.0), 1.3, QuadratureConfig(tail_cut=30.0),
+                 np.linspace(-6.0, 6.0, 13), id="qgaussian-tail-cut-k0"),
+    pytest.param(Heaviside(-1), 1.4, QuadratureConfig(),
+                 np.array([-7.5, -1.0, 0.25, 3.0]), id="left-step-reflected"),
+]
+
+
+class TestBatchedK:
+    @pytest.mark.parametrize("f, q, cfg, ks", BATCH_CASES)
+    def test_array_k_is_bitwise_the_scalar_loop(self, f, q, cfg, ks):
+        values, errs = qft_real_line(f, q, ks, cfg)
+        assert values.shape == errs.shape == ks.shape
+        for k, v, e in zip(ks, values, errs):
+            v1, e1 = qft_real_line(f, q, float(k), cfg)
+            assert (v.real, v.imag, e) == (v1.real, v1.imag, e1)
+
+    @pytest.mark.parametrize("f, q, ks, budget", [
+        (QGaussian(1.5, 1.0), 1.3, [0.0, 0.5, 3.0, 12.0], 4),
+        (Gaussian(1.0), 1.2, [0.0, 0.5, 3.0, 12.0], 4),
+        (Heaviside(-1), 1.4, [0.5, 3.0, 12.0, 40.0], 4),
+        # the lower half-line fails from the first k on, the upper one
+        # only from k = 5: a loop over k meets the lower failure first
+        (Sampled([-3.0, -1.0, 0.0, 0.5], [0.0, 2.0, 1.0, 0.0]), 1.2,
+         [0.5, 2.0, 5.0, 8.0], 8),
+    ])
+    def test_budget_failure_is_the_first_failing_k(self, f, q, ks, budget):
+        cfg = QuadratureConfig(max_subdivisions=budget)
+        first = None
+        for i, k in enumerate(ks):
+            try:
+                qft_real_line(f, q, k, cfg)
+            except ConvergenceError as exc:
+                first = (i, str(exc), exc.value, exc.err)
+                break
+        assert first is not None
+        with pytest.raises(ConvergenceError) as info:
+            qft_real_line(f, q, np.array(ks), cfg)
+        exc = info.value
+        assert (exc.row, str(exc), exc.value, exc.err) == first
+
+    def test_k_array_must_be_one_dimensional_and_finite(self):
+        with pytest.raises(ValueError):
+            qft_real_line(Gaussian(1.0), 1.2, np.ones((2, 2)))
+        with pytest.raises(ValueError):
+            qft_real_line(Gaussian(1.0), 1.2, np.array([1.0, np.nan]))
