@@ -6,9 +6,9 @@ collision family), contour functionals for the delta identification, and
 the q->1 inversion pipeline.
 """
 
-from .closedform import (PowerLawParams, RegimeTag, constant_qft_delta_weight,
-                         heaviside_qft, hilhorst_lambda, hilhorst_qft,
-                         powerlaw_qft_boundary, powerlaw_qft_closed, regime_of)
+from .closedform import (RegimeTag, constant_qft_delta_weight, heaviside_qft,
+                         hilhorst_lambda, hilhorst_qft, powerlaw_qft_boundary,
+                         powerlaw_qft_closed, regime_of)
 from .errors import (AliasingError, BoundaryRegimeError, ConvergenceError,
                      CutAmbiguityError, InversionDomainError,
                      LimitFailureError, MembershipError, NonFiniteError,
@@ -57,7 +57,6 @@ __all__ = [
     "PlaneTag",
     "PoleError",
     "PowerLaw",
-    "PowerLawParams",
     "QGaussian",
     "QParam",
     "QuadratureConfig",

@@ -24,14 +24,15 @@ import sys
 
 import numpy as np
 
-from .closedform import constant_qft_delta_weight, hilhorst_lambda
+from .closedform import constant_qft_delta_weight
 from .errors import ConvergenceError
 from .inversion import EpsilonSchedule, roundtrip
 from .transform import (Constant, Gaussian, HalfPlanePoint, Heaviside,
                         PlaneTag, PowerLaw, QGaussian, QuadratureConfig,
                         membership_check, qft_complex, qft_real_line)
 from .ultra import AnalyticRep, ContourSpec, contour_apply
-from .verify import SUITE_NAMES, run_suite
+from .verify import (SUITE_NAMES, level_set_members, max_pairwise_dev,
+                     run_suite)
 
 _CSV_HEADER = "k_re,k_im,plane,q,F_re,F_im,err"
 
@@ -112,7 +113,7 @@ def _require(args, names):
         raise _Usage(f"missing required option(s): {flags}")
 
 
-def _q_list(val):
+def _float_list(val, name):
     if isinstance(val, (list, tuple)):
         items = list(val)
     elif isinstance(val, str):
@@ -120,18 +121,8 @@ def _q_list(val):
     else:
         items = [val]
     if not items:
-        raise _Usage("q list is empty")
-    return [_float(v, "q") for v in items]
-
-
-def _eps_list(val):
-    if isinstance(val, (list, tuple)):
-        items = list(val)
-    elif isinstance(val, str):
-        items = [s for s in val.split(",") if s.strip()]
-    else:
-        items = [val]
-    return tuple(_float(v, "eps") for v in items)
+        raise _Usage(f"{name} list is empty")
+    return [_float(v, name) for v in items]
 
 
 def _build_function(args):
@@ -196,7 +187,7 @@ def _csv_text(rows):
 def _cmd_transform(args):
     _require(args, ("f", "q", "kmin", "kmax", "nk"))
     f, fparams = _build_function(args)
-    q_list = _q_list(args.q)
+    q_list = _float_list(args.q, "q")
     kmin = _float(args.kmin, "kmin")
     kmax = _float(args.kmax, "kmax")
     nk = _int(args.nk, "nk")
@@ -286,7 +277,7 @@ def _cmd_invert(args):
     eps = args.eps
     extrap = args.extrapolation
     if eps is not None or extrap is not None:
-        eps_t = (_eps_list(eps) if eps is not None
+        eps_t = (_float_list(eps, "eps") if eps is not None
                  else EpsilonSchedule().eps_list)
         if extrap is None:
             extrap = "richardson" if len(eps_t) > 1 else "none"
@@ -323,14 +314,6 @@ def _parse_pairs(text):
     return pairs
 
 
-def _pairwise_dev(vals):
-    worst = 0.0
-    for i in range(len(vals)):
-        for j in range(i + 1, len(vals)):
-            worst = max(worst, abs(vals[i] - vals[j]))
-    return worst
-
-
 def _cmd_collide(args):
     _require(args, ("pairs", "q"))
     pairs = _parse_pairs(args.pairs)
@@ -344,20 +327,15 @@ def _cmd_collide(args):
         raise _Usage("collide k-grid needs nk >= 1 and kmin <= kmax")
     cfg = QuadratureConfig(rel_tol=1e-10, abs_tol=1e-13)
 
-    lams = [hilhorst_lambda(a, b, q) for a, b in pairs]
-    beta = 1.0 / (q - 1.0)
-    members = [PowerLaw(lam, beta, a, b)
-               for (a, b), lam in zip(pairs, lams)]
+    members = level_set_members(pairs, q)
     k_grid = [float(k) for k in np.linspace(kmin, kmax, nk)]
+    points = [HalfPlanePoint(complex(k, 0.0), PlaneTag.REAL_LIMIT_UPPER)
+              for k in k_grid]
     diagnostics = []
 
     def sweep(q_at):
-        worst = 0.0
-        for k in k_grid:
-            pt = HalfPlanePoint(complex(k, 0.0), PlaneTag.REAL_LIMIT_UPPER)
-            vals = [qft_complex(m, q_at, pt, cfg)[0] for m in members]
-            worst = max(worst, _pairwise_dev(vals))
-        return worst
+        return max_pairwise_dev([[qft_complex(m, q_at, pt, cfg)[0]
+                                  for pt in points] for m in members])
 
     distinct = len(set(pairs)) >= 2
     if distinct:
@@ -385,7 +363,7 @@ def _cmd_collide(args):
     config = {"command": "collide", "pairs": [list(p) for p in pairs],
               "q": q, "kmin": kmin, "kmax": kmax, "nk": nk,
               "out": args.out}
-    results = [{"lambdas": [_json_safe(l) for l in lams],
+    results = [{"lambdas": [_json_safe(m.lam) for m in members],
                 "k_grid": k_grid,
                 "max_pairwise_dev_at_q": _json_safe(dev_at_q),
                 "qprime_devs": {key: _json_safe(v)

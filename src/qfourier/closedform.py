@@ -22,7 +22,6 @@ from .special import Hyp2F1Params, hyp2f1
 from .transform import HalfPlanePoint, PlaneTag, PowerLaw
 
 __all__ = [
-    "PowerLawParams",
     "RegimeTag",
     "regime_of",
     "powerlaw_qft_closed",
@@ -32,8 +31,6 @@ __all__ = [
     "heaviside_qft",
     "constant_qft_delta_weight",
 ]
-
-PowerLawParams = PowerLaw
 
 _UPPER_TAGS = (PlaneTag.UPPER, PlaneTag.REAL_LIMIT_UPPER)
 _LOWER_TAGS = (PlaneTag.LOWER, PlaneTag.REAL_LIMIT_LOWER)

@@ -16,15 +16,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import AliasingError, InversionDomainError, LimitFailureError
-from .transform import (
-    FunctionSpec,
-    Gaussian,
-    PowerLaw,
-    QGaussian,
-    QuadratureConfig,
-    membership_check,
-    qft_real_line,
-)
+from .transform import (FunctionSpec, QuadratureConfig, membership_check,
+                        qft_real_line)
 
 __all__ = ["EpsilonSchedule", "InversionResult", "q1_slice", "inverse_ft",
            "roundtrip"]
@@ -181,40 +174,28 @@ def inverse_ft(G, k_grid, x_grid) -> np.ndarray:
     return vals.real
 
 
-def _jump_points(f: FunctionSpec):
-    if isinstance(f, PowerLaw):
-        return (f.a, f.b)
-    return ()
-
-
 def _default_x_grid(f: FunctionSpec) -> np.ndarray:
-    if isinstance(f, Gaussian):
-        return np.linspace(-6.0 * f.sigma, 6.0 * f.sigma, 241)
-    if isinstance(f, QGaussian) and f.q_g == 1.0:
-        edge = 6.0 / math.sqrt(2.0 * f.beta_g)
-        return np.linspace(-edge, edge, 241)
-    lo, hi = f.support()
-    if math.isfinite(lo) and math.isfinite(hi):
+    g = f.tail_exponent()
+    scale = f.length_scale()
+    if g == math.inf:
+        return np.linspace(-6.0 * scale, 6.0 * scale, 241)
+    if g is None:
+        lo, hi = f.support()
         return np.linspace(lo - 1.5, hi + 1.5, 401)
-    if isinstance(f, QGaussian):
-        # down to 1e-5 of the peak on the algebraic tail
-        edge = math.sqrt((1e-5 ** (1.0 - f.q_g) - 1.0)
-                         / ((f.q_g - 1.0) * f.beta_g))
-        return np.linspace(-edge, edge, 801)
-    raise ValueError("no default x grid for this function; pass x_grid")
+    # down to 1e-5 of the peak on a q-Gaussian tail of this exponent
+    edge = scale * math.sqrt(g * (1e5 ** (2.0 / g) - 1.0))
+    return np.linspace(-edge, edge, 801)
 
 
 def _default_k_max(f: FunctionSpec, eps_last: float) -> float:
-    jumps = _jump_points(f)
+    jumps = f.jump_points()
     if jumps:
         # the q = 1 + eps slice damps the content of a jump at x_j like
         # exp(-eps k^2 x_j^2 / 2); past sqrt(24/eps)/x_j only noise is left
         x_ref = max(min(abs(xj) for xj in jumps), 0.25)
         return min(4096.0, math.sqrt(24.0 / eps_last) / x_ref)
-    if isinstance(f, Gaussian):
-        return max(8.0 / f.sigma, 6.0)
-    if isinstance(f, QGaussian) and f.q_g == 1.0:
-        return max(8.0 * math.sqrt(2.0 * f.beta_g), 6.0)
+    if f.tail_exponent() == math.inf:
+        return max(8.0 / f.length_scale(), 6.0)
     return 40.0
 
 
@@ -254,7 +235,7 @@ def roundtrip(f: FunctionSpec, sched: EpsilonSchedule | None = None,
 
     truth = f.values(x)
     mask = np.ones(x.size, dtype=bool)
-    for xj in _jump_points(f):
+    for xj in f.jump_points():
         mask &= np.abs(x - xj) > _JUMP_WINDOW
     residual = float(np.max(np.abs(f_rec - truth)[mask])) \
         if mask.any() else math.inf

@@ -55,6 +55,16 @@ class FunctionSpec:
         decay, otherwise the exponent g with f ~ |x|^-g at infinity."""
         raise NotImplementedError
 
+    def length_scale(self) -> float:
+        """Width over which f falls off; sizes the super-algebraic tail cut
+        and the default inversion grids."""
+        return 1.0
+
+    def jump_points(self):
+        """x positions where f jumps; roundtrip sizes its k range by them
+        and leaves windows around them out of the residual."""
+        return ()
+
 
 def _require(cond, msg):
     if not cond:
@@ -90,6 +100,9 @@ class PowerLaw(FunctionSpec):
         return out
 
     def support(self):
+        return (self.a, self.b)
+
+    def jump_points(self):
         return (self.a, self.b)
 
     def peak_value(self):
@@ -171,6 +184,9 @@ class Gaussian(FunctionSpec):
     def tail_exponent(self):
         return math.inf
 
+    def length_scale(self):
+        return self.sigma
+
 
 @dataclass(frozen=True)
 class QGaussian(FunctionSpec):
@@ -211,6 +227,10 @@ class QGaussian(FunctionSpec):
         if self.q_g == 1.0:
             return math.inf
         return 2.0 / (self.q_g - 1.0)
+
+    def length_scale(self):
+        # the Gaussian sigma at q_g = 1
+        return 1.0 / math.sqrt(2.0 * self.beta_g)
 
 
 @dataclass(frozen=True, eq=False)
@@ -561,11 +581,7 @@ def _qft_rows(f: FunctionSpec, q, k, positive_side: bool,
 
     # np.hypot rounds like the scalar abs(); np.abs on a complex array does not
     freq = np.hypot(k.real, k.imag) * f.peak_value() ** (qv - 1.0)
-    trunc_scale = 1.0
-    if isinstance(f, Gaussian):
-        trunc_scale = f.sigma
-    elif isinstance(f, QGaussian) and f.q_g == 1.0:
-        trunc_scale = 1.0 / math.sqrt(2.0 * f.beta_g)
+    trunc_scale = f.length_scale()
 
     gfun = _kernel_integrand(f, qv, k, reflect=not positive_side)
     if positive_side:

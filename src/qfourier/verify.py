@@ -54,6 +54,24 @@ def _gauss_phi(z):
     return np.exp(-z ** 2)
 
 
+def level_set_members(pairs, q0):
+    """PowerLaw windows (lam/x)^(1/(q0-1)) on each (a, b), lam taken from
+    the window at q0; members on one 1/a - 1/b level set collide at q0."""
+    lams = [hilhorst_lambda(a, b, q0) for a, b in pairs]
+    return [PowerLaw(lam, 1.0 / (q0 - 1.0), a, b)
+            for (a, b), lam in zip(pairs, lams)]
+
+
+def max_pairwise_dev(rows):
+    """Largest |u[k] - v[k]| over every pair of rows u, v and every k."""
+    worst = 0.0
+    for i, u in enumerate(rows):
+        for v in rows[i + 1:]:
+            for a, b in zip(u, v):
+                worst = max(worst, abs(a - b))
+    return worst
+
+
 # ---------------------------------------------------------------- suites
 
 def suite_closedforms():
@@ -96,43 +114,30 @@ def suite_closedforms():
         return r < 1e-8, f"rel dev {r:.3e} (tol 1e-08)"
     checks.append(_run("boundary_collapse", boundary_collapse))
 
+    q0 = 1.5
+    windows = [(1.0, 2.0), (4.0 / 3.0, 4.0), (1.2, 3.0)]
+    probe_k = (0.5, 1.0, 2.0)
+
+    def rows(members, q):
+        return [[qft_complex(m, q, _up(k), _CFG)[0] for k in probe_k]
+                for m in members]
+
     def collision_level_set():
-        q0 = 1.5
-        members = [(1.0, 2.0), (4.0 / 3.0, 4.0), (1.2, 3.0)]
-        lams = [hilhorst_lambda(a, b, q0) for a, b in members]
+        members = level_set_members(windows, q0)
+        lams = [m.lam for m in members]
         spread = max(lams) - min(lams)
-        worst = 0.0
-        for k in (0.5, 1.0, 2.0):
-            pt = _up(k)
-            vals = [qft_complex(PowerLaw(lam, 1.0 / (q0 - 1.0), a, b),
-                                q0, pt, _CFG)[0]
-                    for (a, b), lam in zip(members, lams)]
-            shared = hilhorst_qft(lams[0], q0, pt)
-            for i in range(len(vals)):
-                worst = max(worst, abs(vals[i] - shared))
-                for j in range(i + 1, len(vals)):
-                    worst = max(worst, abs(vals[i] - vals[j]))
+        # the shared closed form joins the rows, so every member is
+        # checked against it as well as against the others
+        shared = [hilhorst_qft(lams[0], q0, _up(k)) for k in probe_k]
+        worst = max_pairwise_dev(rows(members, q0) + [shared])
         ok = worst < 1e-6 and spread < 1e-12
         return ok, (f"lambda spread {spread:.3e}, max deviation {worst:.3e}"
                     " (tol 1e-06)")
     checks.append(_run("collision_level_set", collision_level_set))
 
     def separation_off_level():
-        q0 = 1.5
-        members = [(1.0, 2.0), (4.0 / 3.0, 4.0), (1.2, 3.0)]
-        lams = [hilhorst_lambda(a, b, q0) for a, b in members]
-        sep = math.inf
-        for qp in (1.3, 1.7):
-            worst = 0.0
-            for k in (0.5, 1.0, 2.0):
-                pt = _up(k)
-                vals = [qft_complex(PowerLaw(lam, 1.0 / (q0 - 1.0), a, b),
-                                    qp, pt, _CFG)[0]
-                        for (a, b), lam in zip(members, lams)]
-                for i in range(len(vals)):
-                    for j in range(i + 1, len(vals)):
-                        worst = max(worst, abs(vals[i] - vals[j]))
-            sep = min(sep, worst)
+        members = level_set_members(windows, q0)
+        sep = min(max_pairwise_dev(rows(members, qp)) for qp in (1.3, 1.7))
         return sep > 1e-3, f"min pairwise separation {sep:.3e} (floor 1e-03)"
     checks.append(_run("separation_off_level", separation_off_level))
 

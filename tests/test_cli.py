@@ -72,6 +72,15 @@ class TestUsageErrors:
         assert rc == 1
         assert "not transformable" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, name", [
+        (["transform", "--f", "gaussian", "--q", " , ", "--kmin", "0",
+          "--kmax", "1", "--nk", "2"], "q"),
+        (["invert", "--f", "gaussian", "--eps", ""], "eps"),
+    ])
+    def test_empty_list_rejected(self, argv, name, capsys):
+        assert main(argv) == 1
+        assert f"{name} list is empty" in capsys.readouterr().err
+
 
 class TestTransformCommand:
     def test_heaviside_rows_match_closed_form(self, capsys):

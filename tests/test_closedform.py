@@ -5,7 +5,6 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from qfourier.closedform import (
-    PowerLawParams,
     RegimeTag,
     constant_qft_delta_weight,
     heaviside_qft,
@@ -242,9 +241,6 @@ class TestPowerLawClosed:
     def test_classical_q_rejected(self):
         with pytest.raises(ValueError):
             powerlaw_qft_closed(PowerLaw(1.0, 3.0, 1.0, 2.0), 1.0, up(1.0))
-
-    def test_params_alias(self):
-        assert PowerLawParams is PowerLaw
 
 
 class TestBoundaryCollapse:

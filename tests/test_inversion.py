@@ -12,9 +12,11 @@ from qfourier.inversion import EpsilonSchedule, InversionResult, inverse_ft, q1_
 from qfourier.closedform import hilhorst_lambda
 from qfourier.transform import (
     Constant,
+    FunctionSpec,
     Gaussian,
     Heaviside,
     PowerLaw,
+    QGaussian,
     QuadratureConfig,
     qft_real_line,
 )
@@ -24,6 +26,37 @@ SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 def classical_gaussian(k):
     return SQRT_2PI * np.exp(-np.asarray(k, dtype=float) ** 2 / 2.0)
+
+
+class Bell(FunctionSpec):
+    """A user's own Gaussian-shaped density, declared from FunctionSpec."""
+
+    kind = "bell"
+
+    def __init__(self, width):
+        self.width = width
+
+    def values(self, x):
+        x = np.asarray(x, dtype=float)
+        return np.exp(-x * x / (2.0 * self.width ** 2))
+
+    def support(self):
+        return (-math.inf, math.inf)
+
+    def peak_value(self):
+        return 1.0
+
+    def tail_exponent(self):
+        return math.inf
+
+    def length_scale(self):
+        return self.width
+
+
+def assert_same_roundtrip(r1, r2):
+    assert r1.x_grid.tobytes() == r2.x_grid.tobytes()
+    assert r1.f_rec.tobytes() == r2.f_rec.tobytes()
+    assert r1.residual == r2.residual
 
 
 class TestEpsilonSchedule:
@@ -243,3 +276,23 @@ class TestRoundtrip:
     def test_bad_steps(self):
         with pytest.raises(ValueError):
             roundtrip(Gaussian(1.0), k_max=1.0, dk=2.0)
+
+    def test_custom_density_gets_default_grids(self):
+        # the default grids come from the FunctionSpec methods, so a
+        # density the library does not know inverts like its twin
+        assert_same_roundtrip(roundtrip(Bell(0.7)), roundtrip(Gaussian(0.7)))
+
+    def test_qgaussian_at_q1_is_the_gaussian(self):
+        # beta_g = 1/2 is sigma = 1: same values, length scale and grids
+        assert_same_roundtrip(roundtrip(QGaussian(1.0, 0.5)),
+                              roundtrip(Gaussian(1.0)))
+
+    def test_qgaussian_algebraic_tail_grid(self):
+        # f(edge) = 1e-5: edge^2 = (1e-5^(1-q_g) - 1) / ((q_g - 1) beta_g)
+        r = roundtrip(QGaussian(1.5, 1.0))
+        edge = math.sqrt((1e-5 ** -0.5 - 1.0) / 0.5)
+        assert r.x_grid.size == 801
+        np.testing.assert_allclose([r.x_grid[0], r.x_grid[-1]],
+                                   [-edge, edge], rtol=1e-14)
+        np.testing.assert_allclose(edge, 25.108873571581736, rtol=1e-14)
+        assert r.residual < 1e-5
