@@ -30,14 +30,19 @@ class ConvergenceError(RuntimeError):
 
     Carries the best available estimate so callers can degrade gracefully.
     A batch over many rows (one integral per k) raises the error of its
-    lowest failing row and names that row in row.
+    lowest failing row and names that row in row; values, errs and the
+    failed mask then hold every row's result or best estimate.
     """
 
-    def __init__(self, message, value=None, err=None, row=None):
+    def __init__(self, message, value=None, err=None, row=None,
+                 values=None, errs=None, failed=None):
         super().__init__(message)
         self.value = value
         self.err = err
         self.row = row
+        self.values = values
+        self.errs = errs
+        self.failed = failed
 
 
 class NonFiniteError(RuntimeError):

@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import AliasingError, InversionDomainError, LimitFailureError
+from .quadrature import trapezoid_weights
 from .transform import (FunctionSpec, QuadratureConfig, membership_check,
                         qft_real_line)
 
@@ -28,9 +29,9 @@ _JUMP_WINDOW = 0.05
 # imaginary part above this (relative) fraction draws a warning
 _IMAG_RESIDUE_TOL = 1e-6
 
-# x rows per block in inverse_ft: 64 rows of the 2451-point window grid
-# are a 2.5 MB kernel array
-_X_BLOCK = 64
+# x rows per block in inverse_ft: 16 rows of the 2451-point window grid
+# are 0.3 MB real arrays
+_X_BLOCK = 16
 
 
 @dataclass(frozen=True)
@@ -156,15 +157,25 @@ def inverse_ft(G, k_grid, x_grid) -> np.ndarray:
         raise AliasingError(
             f"x extent {extent:g} exceeds the Nyquist bound "
             f"pi/dk = {math.pi / float(np.max(dk)):g}; refine k_grid")
-    # a block of x rows at a time keeps the |x| x |k| kernel array small;
-    # each row still integrates along the whole k grid, so the bits do not
-    # depend on the block size
+    # trapezoid weights folded into G once; G e^{-ikx} = (gr + i gi)(c - i s)
+    # with c, s = cos kx, sin kx, summed in real arithmetic on a block of x
+    # rows at a time. Each row is reduced once along the whole k grid by
+    # np.add.reduce, so the bits do not depend on the block size (with a
+    # BLAS matmul they do).
+    g = G * trapezoid_weights(dk)
+    gr, gi = g.real.copy(), g.imag.copy()
     vals = np.empty(x.size, dtype=complex)
     for i in range(0, x.size, _X_BLOCK):
-        xb = x[i:i + _X_BLOCK]
-        vals[i:i + _X_BLOCK] = np.trapezoid(
-            G[None, :] * np.exp(-1j * np.outer(xb, k)), k, axis=1) \
-            / (2.0 * math.pi)
+        ph = np.outer(x[i:i + _X_BLOCK], k)
+        c, s = np.cos(ph), np.sin(ph)
+        t = c * gr
+        t += s * gi
+        vals.real[i:i + _X_BLOCK] = np.add.reduce(t, axis=-1)
+        c *= gi
+        s *= gr
+        c -= s
+        vals.imag[i:i + _X_BLOCK] = np.add.reduce(c, axis=-1)
+    vals /= 2.0 * math.pi
     residue = float(np.max(np.abs(vals.imag))) \
         / (1.0 + float(np.max(np.abs(vals.real))))
     if residue > _IMAG_RESIDUE_TOL:

@@ -112,9 +112,10 @@ def adaptive_quad(func, a, b, *, rel_tol: float = 1e-8,
 
     With 1-d arrays a and b, one integral per row: func is called as
     func(x, rows), where x[i] holds nodes of row rows[i]; breakpoints, when
-    given, is one sequence per row; (values, errs) arrays come back. The
-    ConvergenceError is the one the lowest failing row raises on its own,
-    with that row's index in its row attribute.
+    given, is one sequence per row; (values, errs) arrays come back. Every
+    row runs to its end; the ConvergenceError is then the one the lowest
+    failing row raises on its own, with that row's index in its row
+    attribute, and it carries values, errs and the failed mask of all rows.
     """
     if np.ndim(a) == 0 and np.ndim(b) == 0:
         def by_row(x, rows):
@@ -137,10 +138,15 @@ def adaptive_quad(func, a, b, *, rel_tol: float = 1e-8,
 
 
 def _lockstep(func, a, b, breakpoints, rel_tol, abs_tol, max_subdivisions):
-    """Rows of [a[i], b[i]] in blocks; per-row (values, errs) lists."""
+    """Rows of [a[i], b[i]] in blocks; per-row (values, errs) lists.
+
+    A failing row keeps its best estimate; once every block has run, the
+    lowest failing row's ConvergenceError is raised with all rows attached.
+    """
     n = len(a)
     values = [0j] * n
     errs = [0.0] * n
+    failures = {}
     for start in range(0, n, _BLOCK_ROWS):
         stop = min(n, start + _BLOCK_ROWS)
         pts = {}
@@ -158,10 +164,15 @@ def _lockstep(func, a, b, breakpoints, rel_tol, abs_tol, max_subdivisions):
             pts[i] = p
         if not pts:
             continue
-        failures = _run_block(func, pts, values, errs, rel_tol, abs_tol,
-                              max_subdivisions)
-        if failures:
-            raise failures[min(failures)]
+        failures.update(_run_block(func, pts, values, errs, rel_tol,
+                                   abs_tol, max_subdivisions))
+    if failures:
+        exc = failures[min(failures)]
+        exc.values = np.array(values, dtype=complex)
+        exc.errs = np.array(errs, dtype=float)
+        exc.failed = np.zeros(n, dtype=bool)
+        exc.failed[list(failures)] = True
+        raise exc
     return values, errs
 
 
@@ -197,7 +208,7 @@ def _run_block(func, pts, values, errs, rel_tol, abs_tol, max_subdivisions):
                 values[i], errs[i] = _collect(heap)
                 continue
             if s[3] + 1 > max_subdivisions:
-                value, err = _collect(heap)
+                values[i], errs[i] = value, err = _collect(heap)
                 failures[i] = ConvergenceError(
                     f"quadrature did not reach tolerance within "
                     f"{max_subdivisions} subdivisions (err~{err:.3e})",
@@ -208,7 +219,7 @@ def _run_block(func, pts, values, errs, rel_tol, abs_tol, max_subdivisions):
                 # a parked resolution-limit panel is popped only once nothing
                 # else carries error, so the tolerance is unreachable
                 heapq.heappush(heap, (prio, s[0], lo, hi, v, e_old))
-                value, err = _collect(heap)
+                values[i], errs[i] = value, err = _collect(heap)
                 failures[i] = ConvergenceError(
                     "tolerance unreachable: remaining error sits on intervals "
                     f"at floating-point resolution (err~{err:.3e})",
@@ -263,6 +274,14 @@ def _collect(heap):
         value += v
         err += e
     return value, err
+
+
+def trapezoid_weights(h):
+    """Trapezoid weights on a grid whose consecutive spacings are h."""
+    w = np.zeros(len(h) + 1)
+    w[:-1] += 0.5 * h
+    w[1:] += 0.5 * h
+    return w
 
 
 def graded_line_nodes(T: float, n: int):

@@ -261,6 +261,11 @@ class Sampled(FunctionSpec):
     def support(self):
         return (float(self.x[0]), float(self.x[-1]))
 
+    def jump_points(self):
+        # zero outside the samples: a nonzero end sample is a jump
+        return tuple(float(x) for x, y in ((self.x[0], self.y[0]),
+                                           (self.x[-1], self.y[-1])) if y)
+
     def peak_value(self):
         return float(self.y.max())
 
@@ -446,19 +451,36 @@ def _osc_breakpoints(A, B, freq, cap=256):
     return np.linspace(A, B, n + 1)[1:-1]
 
 
-def _in_row_order(first, second, n):
-    """(first(n), second(n)) for two batched pieces of one integral per row.
+def _attempt(piece):
+    """(values, errs, failure) of one batched piece, one integral per row.
 
-    A piece called with m covers rows 0..m-1. On failure this raises what a
-    loop over the rows, each running first and then second, would meet
-    first: the lowest failing row, and the first piece when both fail there.
+    failure is the piece's ConvergenceError or None; on failure values and
+    errs still hold every row's result or best estimate.
     """
     try:
-        r1 = first(n)
+        values, errs = piece()
     except ConvergenceError as exc:
-        second(exc.row)
-        raise
-    return r1, second(n)
+        return exc.values, exc.errs, exc
+    return values, errs, None
+
+
+def _settle(values, errs, *failures):
+    """(values, errs) of pieces already summed per row, or their failure.
+
+    failures holds each piece's failure (or None) in the order a loop over
+    the rows runs them. The error raised is the one that loop meets first,
+    the lowest failing row and the earliest piece failing there, with the
+    summed value and err of that row and of every row attached.
+    """
+    if not any(failures):
+        return values, errs
+    failures = [exc for exc in failures if exc is not None]
+    row = min(exc.row for exc in failures)
+    first = next(exc for exc in failures if exc.row == row)
+    raise ConvergenceError(
+        str(first), value=complex(values[row]), err=float(errs[row]),
+        row=row, values=values, errs=errs,
+        failed=np.logical_or.reduce([exc.failed for exc in failures]))
 
 
 def _half_line(gfun, A, B, cfg: QuadratureConfig, *, freq, decay,
@@ -473,10 +495,10 @@ def _half_line(gfun, A, B, cfg: QuadratureConfig, *, freq, decay,
     tol = dict(rel_tol=cfg.rel_tol, abs_tol=cfg.abs_tol,
                max_subdivisions=cfg.max_subdivisions)
 
-    def split_quad(hi, m=n):
-        # gfun over [A, hi[i]] for rows i < m, split by their oscillation
-        hi = np.broadcast_to(hi, (n,))[:m]
-        return adaptive_quad(gfun, np.full(m, A), hi, **tol, breakpoints=[
+    def split_quad(hi):
+        # gfun over [A, hi[i]] for every row, split by its oscillation
+        hi = np.broadcast_to(hi, (n,))
+        return adaptive_quad(gfun, np.full(n, A), hi, **tol, breakpoints=[
             _osc_breakpoints(A, h, fr, cap)
             for h, fr in zip(hi.tolist(), freq.tolist())])
 
@@ -492,7 +514,7 @@ def _half_line(gfun, A, B, cfg: QuadratureConfig, *, freq, decay,
     if cfg.tail_cut is not None:
         T = cfg.tail_cut
         _require(T > A, f"tail_cut {T} does not exceed the lower limit {A}")
-        val, err = split_quad(T)
+        val, err, exc = _attempt(lambda: split_quad(T))
         gT = at(T)
         if math.isinf(decay[0]):
             bound = gT * max(trunc_scale, 1.0)
@@ -500,14 +522,14 @@ def _half_line(gfun, A, B, cfg: QuadratureConfig, *, freq, decay,
             # remainder of a ~x^-decay tail; factor 2 covers a cut placed
             # before the prefactor settles onto its asymptote
             bound = 2.0 * gT * T / np.maximum(decay - 1.0, 1e-3)
-        return val, err + bound
+        return _settle(val, err + bound, exc)
 
     if math.isinf(decay[0]):
         # explicit cut where the remainder bound drops under abs_tol
         width = max(trunc_scale, 1.0)
         T = A + width * (math.sqrt(2.0 * math.log(1.0 / cfg.abs_tol)) + 1.5)
-        val, err = split_quad(T)
-        return val, err + at(T) * width
+        val, err, exc = _attempt(lambda: split_quad(T))
+        return _settle(val, err + at(T) * width, exc)
 
     # algebraic tail: finite oscillatory part, then the compactifying map
     amp = np.maximum(freq, 0.0)
@@ -535,10 +557,10 @@ def _half_line(gfun, A, B, cfg: QuadratureConfig, *, freq, decay,
         # tail the map makes vanish, so the limit there is 0
         return np.nan_to_num(out, copy=False, posinf=0.0, neginf=0.0)
 
-    (v1, e1), (v2, e2) = _in_row_order(
-        lambda m: split_quad(X1, m),
-        lambda m: adaptive_quad(mapped, np.zeros(m), np.ones(m), **tol), n)
-    return v1 + v2, e1 + e2
+    v1, e1, exc1 = _attempt(lambda: split_quad(X1))
+    v2, e2, exc2 = _attempt(
+        lambda: adaptive_quad(mapped, np.zeros(n), np.ones(n), **tol))
+    return _settle(v1 + v2, e1 + e2, exc1, exc2)
 
 
 def _qft_rows(f: FunctionSpec, q, k, positive_side: bool,
@@ -546,7 +568,7 @@ def _qft_rows(f: FunctionSpec, q, k, positive_side: bool,
     """One half-line piece of the transform for every entry of a 1-d k.
 
     Returns (values, errs) arrays; ConvergenceError is that of the lowest
-    failing k (row), with its best estimate.
+    failing k (row), with every row's best estimate: the sum of all pieces.
     """
     qp = as_qparam(q)
     cfg = cfg if cfg is not None else QuadratureConfig()
@@ -588,15 +610,9 @@ def _qft_rows(f: FunctionSpec, q, k, positive_side: bool,
         return _half_line(gfun, A, B if math.isfinite(B) else None, cfg,
                           freq=freq, decay=decay, trunc_scale=trunc_scale)
     hi_u = -A if math.isfinite(A) else None
-    try:
-        val, err = _half_line(gfun, -B, hi_u, cfg, freq=freq, decay=decay,
-                              trunc_scale=trunc_scale)
-    except ConvergenceError as exc:
-        if exc.value is not None:
-            raise ConvergenceError(str(exc), value=-exc.value, err=exc.err,
-                                   row=exc.row) from None
-        raise
-    return -val, err
+    val, err, exc = _attempt(lambda: _half_line(
+        gfun, -B, hi_u, cfg, freq=freq, decay=decay, trunc_scale=trunc_scale))
+    return _settle(-val, err, exc)
 
 
 def qft_complex(f: FunctionSpec, q, point: HalfPlanePoint,
@@ -622,22 +638,24 @@ def qft_real_line(f: FunctionSpec, q, k, cfg: QuadratureConfig | None = None):
     Returns (value, err). k may be a 1-d array: every k then runs in one
     batch, values and errs come back as arrays with the bits of the
     one-k calls, and a ConvergenceError is that of the lowest failing k.
+    A ConvergenceError's estimate sums both sides, the one that converged
+    included; with array k it carries values, errs and failed per k.
     """
     if np.ndim(k) == 0:
         kv = float(k)
         up = HalfPlanePoint(complex(kv, 0.0), PlaneTag.REAL_LIMIT_UPPER)
         dn = HalfPlanePoint(complex(kv, 0.0), PlaneTag.REAL_LIMIT_LOWER)
-        v1, e1 = qft_complex(f, q, up, cfg)
-        v2, e2 = qft_complex(f, q, dn, cfg)
-        return v1 - v2, e1 + e2
+        v1, e1, exc1 = _attempt(lambda: qft_complex(f, q, up, cfg))
+        v2, e2, exc2 = _attempt(lambda: qft_complex(f, q, dn, cfg))
+        # on failure the values of the failing side are 1-element arrays
+        return _settle(v1 - v2, e1 + e2, exc1, exc2)
     kv = np.asarray(k, dtype=float)
     _require(kv.ndim == 1, "k must be a scalar or a 1-d array")
     _require(bool(np.all(np.isfinite(kv))), "k must be finite")
     kc = kv.astype(complex)
-    (v1, e1), (v2, e2) = _in_row_order(
-        lambda m: _qft_rows(f, q, kc[:m], True, cfg),
-        lambda m: _qft_rows(f, q, kc[:m], False, cfg), kv.size)
-    return v1 - v2, e1 + e2
+    v1, e1, exc1 = _attempt(lambda: _qft_rows(f, q, kc, True, cfg))
+    v2, e2, exc2 = _attempt(lambda: _qft_rows(f, q, kc, False, cfg))
+    return _settle(v1 - v2, e1 + e2, exc1, exc2)
 
 
 def qft_surface(f: FunctionSpec, q_list, k_grid,

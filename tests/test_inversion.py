@@ -18,6 +18,7 @@ from qfourier.transform import (
     PowerLaw,
     QGaussian,
     QuadratureConfig,
+    Sampled,
     qft_real_line,
 )
 
@@ -161,7 +162,42 @@ class TestQ1Slice:
         assert errs[0] > errs[1] > errs[2]
 
 
+def trapezoid_reference(G, k, x):
+    """inverse_ft's integral by np.trapezoid over the complex exponential."""
+    return np.trapezoid(G[None, :] * np.exp(-1j * np.outer(x, k)), k,
+                        axis=1).real / (2.0 * math.pi)
+
+
+def nonuniform_spectrum():
+    """A Hermitian spectrum on a symmetric k grid of uneven steps."""
+    rng = np.random.default_rng(11)
+    half = np.cumsum(rng.uniform(0.02, 0.06, 400))
+    k = np.concatenate([-half[::-1], [0.0], half])
+    G = np.exp(-k * k / 8.0 + 0.7j * k) + 0.3 * np.sinc(k)
+    return G, k
+
+
 class TestInverseFT:
+    def test_matches_trapezoid_reference(self):
+        G, k = nonuniform_spectrum()
+        x = np.linspace(-10.0, 10.0, 333)
+        want = trapezoid_reference(G, k, x)
+        got = inverse_ft(G, k, x)
+        np.testing.assert_allclose(got, want, rtol=0.0,
+                                   atol=1e-13 * np.max(np.abs(want)))
+
+    def test_bits_do_not_depend_on_the_block(self, monkeypatch):
+        G, k = nonuniform_spectrum()
+        x = np.linspace(-10.0, 10.0, 333)
+        vals = inverse_ft(G, k, x)
+        assert np.array_equal(inverse_ft(G, k, x), vals)
+        for i in range(0, 333, 17):
+            assert inverse_ft(G, k, [x[i]])[0] == vals[i]
+        assert np.array_equal(inverse_ft(G, k, x[3:50]), vals[3:50])
+        for block in (1, 5, 1000):
+            monkeypatch.setattr(inversion, "_X_BLOCK", block)
+            assert np.array_equal(inverse_ft(G, k, x), vals)
+
     def test_gaussian_pair(self):
         k = np.linspace(-40.0, 40.0, 1601)
         x = np.linspace(-5.0, 5.0, 201)
@@ -286,6 +322,19 @@ class TestRoundtrip:
         # beta_g = 1/2 is sigma = 1: same values, length scale and grids
         assert_same_roundtrip(roundtrip(QGaussian(1.0, 0.5)),
                               roundtrip(Gaussian(1.0)))
+
+    def test_sampled_end_jumps_size_the_k_range(self):
+        # a nonzero end sample is a jump: k_max follows it, and the residual
+        # leaves its window out (0.497 at x = 1.5 with the k_max = 40 default)
+        f = Sampled([0.5, 1.5], [1.0, 1.0])
+        assert f.jump_points() == (0.5, 1.5)
+        r = roundtrip(f, EpsilonSchedule((1e-4,), "none"))
+        assert r.residual < 1e-3
+
+    def test_sampled_jump_points_are_the_nonzero_ends(self):
+        assert Sampled([-1.0, 0.0, 2.0], [0.0, 1.0, 0.5]).jump_points() \
+            == (2.0,)
+        assert Sampled([-1.0, 0.0, 1.0], [0.0, 1.0, 0.0]).jump_points() == ()
 
     def test_qgaussian_algebraic_tail_grid(self):
         # f(edge) = 1e-5: edge^2 = (1e-5^(1-q_g) - 1) / ((q_g - 1) beta_g)

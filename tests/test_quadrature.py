@@ -149,6 +149,25 @@ class TestRows:
         assert (str(exc), exc.value, exc.err) == \
             (str(alone.value), alone.value.value, alone.value.err)
 
+    def test_failure_carries_every_row(self):
+        # row 3 fails in the first block; the later blocks still run, and
+        # every row's result or best estimate comes with the error
+        w = np.linspace(1.0, 10.0, 300)
+        w[3] = 80.0
+        func = self.row_integrand(w)
+        with pytest.raises(ConvergenceError) as info:
+            adaptive_quad(func, np.zeros(300), np.full(300, 3.0),
+                          rel_tol=1e-12, max_subdivisions=6)
+        exc = info.value
+        assert exc.row == 3
+        assert exc.failed[3] and exc.failed.dtype == bool
+        assert (exc.values[3], exc.errs[3]) == (exc.value, exc.err)
+        for i in np.flatnonzero(~exc.failed)[::9]:
+            one = self.row_integrand(w[i:i + 1])
+            v, e = adaptive_quad(lambda x: one(x[None, :], np.array([0]))[0],
+                                 0.0, 3.0, rel_tol=1e-12, max_subdivisions=6)
+            assert (exc.values[i], exc.errs[i]) == (v, e)
+
     def test_mismatched_limits_rejected(self):
         with pytest.raises(ValueError):
             adaptive_quad(self.row_integrand(np.ones(2)), np.zeros(2),

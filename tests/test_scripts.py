@@ -32,3 +32,35 @@ def test_roundtrip_demo(capsys):
                   r"on 241 points x in \[-6, 6\]", out) < 1e-3
     assert number(r"power-law window, single fine slice: residual (\S+) "
                   r"on 401 points x in \[-0\.5, 3\.5\]", out) < 1e-2
+
+
+def synthetic_run(**values):
+    return {"metrics": {name: {"value": v} for name, v in values.items()}}
+
+
+def test_bench_pairs_summary_arithmetic():
+    # the summary only, on made-up runs: no benchmark is launched
+    bench = runpy.run_path(str(SCRIPTS / "bench_pairs.py"),
+                           run_name="bench_pairs")
+    spec = {"wall_s": {"unit": "s", "better": "lower", "bound": 0.25},
+            "rate": {"unit": "1/s", "better": "higher", "bound": 0.25}}
+    parent = [synthetic_run(wall_s=w, rate=r)
+              for w, r in ((1.0, 5.0), (2.0, 5.0), (3.0, 4.0), (4.0, None))]
+    change = [synthetic_run(wall_s=w, rate=r)
+              for w, r in ((0.5, 6.0), (2.0, 4.0), (3.5, 4.0), (1.0, 9.0))]
+    out = bench["summarise"](parent, change, spec)
+    wall = out["wall_s"]
+    assert wall["parent"] == {"median": 2.5, "q1": 1.75, "q3": 3.25,
+                              "values": [1.0, 2.0, 3.0, 4.0]}
+    assert wall["change"]["median"] == 1.5
+    assert (wall["change_wins"], wall["ties"]) == (2, 1)
+    assert wall["relative_change"] == -0.4
+    assert wall["parent_iqr"] == 1.5
+    assert (wall["unit"], wall["better"], wall["bound"]) == ("s", "lower",
+                                                             0.25)
+    # higher is better; a pair with a missing value counts for neither
+    rate = out["rate"]
+    assert rate["parent"]["median"] == 5.0
+    assert (rate["change_wins"], rate["ties"]) == (1, 1)
+    assert bench["parse_seeds"]("901-903") == [901, 902, 903]
+    assert bench["parse_seeds"]("7,9") == [7, 9]

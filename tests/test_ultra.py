@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy import integrate, stats
 
+import qfourier.ultra as ultra
 from qfourier.errors import TruncationError
 from qfourier.ultra import (AnalyticRep, ContourSpec, contour_apply,
                             contour_apply_detailed, dirac_rep,
@@ -12,6 +13,29 @@ from qfourier.ultra import (AnalyticRep, ContourSpec, contour_apply,
 
 def gauss_phi(z):
     return np.exp(-z ** 2)
+
+
+def cauchy_by_complex_division(f, grid, z):
+    """The Cauchy sum as complex division, one row per point: the form the
+    evaluator's real arithmetic rewrites."""
+    h = np.diff(grid)
+    w = np.zeros_like(grid)
+    w[:-1] += 0.5 * h
+    w[1:] += 0.5 * h
+    wf = w * f(grid)
+    pref = 1.0 / (2j * math.pi)
+    return pref * np.sum(wf / (grid - z[:, None]), axis=-1)
+
+
+# sinh-spaced: the spacing grows twentyfold toward the ends
+NONUNIFORM_GRID = np.sinh(np.linspace(-3.0, 3.0, 1201))
+
+
+def random_points(n, seed, side=None):
+    """n points off the axis; side +1 or -1 picks a half-plane, None mixes."""
+    rng = np.random.default_rng(seed)
+    sign = rng.choice([-1.0, 1.0], n) if side is None else side
+    return rng.uniform(-12.0, 12.0, n) + 1j * sign * rng.uniform(0.1, 3.0, n)
 
 
 def pole_rep(q):
@@ -150,6 +174,32 @@ class TestDiracRep:
             np.testing.assert_allclose(
                 combo.evaluator(z),
                 2.0 * fa.evaluator(z) + 3.0 * ga.evaluator(z), rtol=1e-13)
+
+    @pytest.mark.parametrize("side", [1.0, -1.0])
+    @pytest.mark.parametrize("n", [1, 17, 300])
+    def test_matches_complex_division(self, n, side):
+        rep = dirac_rep(stats.norm.pdf, NONUNIFORM_GRID)
+        z = random_points(n, seed=n, side=side)
+        want = cauchy_by_complex_division(stats.norm.pdf, NONUNIFORM_GRID, z)
+        np.testing.assert_allclose(rep.evaluator(z), want, rtol=1e-13,
+                                   atol=0.0)
+
+    def test_bits_do_not_depend_on_the_block(self, monkeypatch):
+        rep = dirac_rep(stats.norm.pdf, NONUNIFORM_GRID)
+        z = random_points(300, seed=3)
+        vals = rep.evaluator(z)
+        assert np.array_equal(rep.evaluator(z), vals)
+        for i in range(0, 300, 11):
+            alone = rep.evaluator(z[i])
+            assert isinstance(alone, complex)
+            assert (alone.real, alone.imag) == (vals[i].real, vals[i].imag)
+        # a slice shifts every point's place in its block
+        assert np.array_equal(rep.evaluator(z[5:40]), vals[5:40])
+        assert np.array_equal(rep.evaluator(z.reshape(15, 20)),
+                              vals.reshape(15, 20))
+        for block in (1, 7, 1000):
+            monkeypatch.setattr(ultra, "_CAUCHY_BLOCK", block)
+            assert np.array_equal(rep.evaluator(z), vals)
 
     def test_bad_grid_rejected(self):
         with pytest.raises(ValueError):
