@@ -32,7 +32,7 @@ from .transform import (Constant, Gaussian, HalfPlanePoint, Heaviside,
                         membership_check, qft_complex, qft_real_line)
 from .ultra import AnalyticRep, ContourSpec, contour_apply
 from .verify import (SUITE_NAMES, level_set_members, max_pairwise_dev,
-                     run_suite)
+                     member_rows, run_suite)
 
 _CSV_HEADER = "k_re,k_im,plane,q,F_re,F_im,err"
 
@@ -325,17 +325,12 @@ def _cmd_collide(args):
     nk = 4 if args.nk is None else _int(args.nk, "nk")
     if nk < 1 or kmin > kmax:
         raise _Usage("collide k-grid needs nk >= 1 and kmin <= kmax")
-    cfg = QuadratureConfig(rel_tol=1e-10, abs_tol=1e-13)
-
     members = level_set_members(pairs, q)
     k_grid = [float(k) for k in np.linspace(kmin, kmax, nk)]
-    points = [HalfPlanePoint(complex(k, 0.0), PlaneTag.REAL_LIMIT_UPPER)
-              for k in k_grid]
     diagnostics = []
 
     def sweep(q_at):
-        return max_pairwise_dev([[qft_complex(m, q_at, pt, cfg)[0]
-                                  for pt in points] for m in members])
+        return max_pairwise_dev(member_rows(members, q_at, k_grid))
 
     distinct = len(set(pairs)) >= 2
     if distinct:

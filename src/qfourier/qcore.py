@@ -1,9 +1,11 @@
 """q-deformed exponentials and the two-sheeted kernel built from them.
 
-Everything downstream (quadrature engine, closed forms, contour machinery)
-goes through these three evaluators, so the branch convention is fixed here
-once: complex powers use the principal branch of the logarithm, and q = 1 is
-an exact separate code path, never a small-epsilon substitute.
+The branch convention is fixed here: complex powers use the principal
+branch of the logarithm, and q = 1 is an exact separate code path, never a
+small-epsilon substitute. The closed forms go through these evaluators;
+transform._kernel_integrand keeps a vectorized copy (numpy's complex log
+differs from cmath.log in the last bit), and ultra never evaluates the
+kernel.
 """
 
 from __future__ import annotations

@@ -54,22 +54,21 @@ _EPS = float(np.finfo(float).eps)
 _BLOCK_ROWS = 128
 
 
-def gk15_panel(func, a, b, rows=None):
-    """(7,15) panels on [a, b]; returns (kronrod_value, err_estimate).
+def gk15_panel(func, a, b, rows):
+    """(7,15) panels on [a[i], b[i]]; returns (kronrod_values, err_estimates).
 
-    a and b are scalars, or 1-d arrays of panel ends whose nodes all go to
-    one call: func(x), or func(x, rows), with x of shape a.shape + (15,).
-    Error follows the QUADPACK sharpening: |K-G| rescaled by the integrand's
-    deviation from its panel mean, floored at the rounding level.
+    a and b are 1-d sequences of panel ends whose nodes all go to one call
+    func(x, rows), with x of shape (len(a), 15) and rows[i] the row of
+    panel i. Error follows the QUADPACK sharpening: |K-G| rescaled by the
+    integrand's deviation from its panel mean, floored at the rounding
+    level.
     """
-    scalar = np.ndim(a) == 0 and np.ndim(b) == 0
-    a = np.array(a, dtype=float, ndmin=1)
-    b = np.array(b, dtype=float, ndmin=1)
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
     c = 0.5 * (a + b)
     h = 0.5 * (b - a)
     x = c[:, None] + h[:, None] * _NODES
-    y = np.asarray(func(x[0] if scalar else x) if rows is None
-                   else func(x, rows)).reshape(-1, 15)
+    y = np.asarray(func(x, rows)).reshape(-1, 15)
     # each sum runs along one panel's 15 nodes, in the same order for one
     # panel as for many
     kg = h[:, None] * np.add.reduce(y[:, None, :] * _W_KG, axis=-1)
@@ -82,8 +81,6 @@ def gk15_panel(func, a, b, rows=None):
     diff = np.hypot(d.real, d.imag)
     err = np.array([_sharpen(*t) for t in zip(diff.tolist(), resasc.tolist(),
                                               resabs.tolist())])
-    if scalar:
-        return resk[0], err[0]
     return resk, err
 
 

@@ -91,6 +91,12 @@ class PowerLaw(FunctionSpec):
         _require(self.lam > 0, f"lam must be > 0, got {self.lam}")
         _require(0 < self.a < self.b,
                  f"need 0 < a < b, got a={self.a}, b={self.b}")
+        # the profile is monotone in x, so its ends bound it on [a, b]
+        with np.errstate(over="ignore"):
+            ends = (self.lam / np.array([self.a, self.b])) ** self.beta
+        _require(bool(np.all(np.isfinite(ends))),
+                 f"(lam/x)^beta overflows at x=a or x=b for lam={self.lam}, "
+                 f"beta={self.beta}, a={self.a}, b={self.b}")
 
     def values(self, x):
         x = np.asarray(x, dtype=float)
@@ -308,7 +314,6 @@ class QuadratureConfig:
     rel_tol: float = 1e-8
     abs_tol: float = 1e-12
     max_subdivisions: int = 2000
-    tail_cut: float | None = None
 
     def __post_init__(self):
         _require(_finite(self.rel_tol, self.abs_tol)
@@ -318,9 +323,6 @@ class QuadratureConfig:
                  and not isinstance(self.max_subdivisions, bool)
                  and self.max_subdivisions >= 4,
                  "max_subdivisions must be an integer >= 4")
-        if self.tail_cut is not None:
-            _require(_finite(self.tail_cut) and self.tail_cut > 0,
-                     "tail_cut must be finite and > 0 when given")
 
 
 @dataclass(frozen=True)
@@ -485,9 +487,12 @@ def _settle(values, errs, *failures):
 
 def _half_line(gfun, A, B, cfg: QuadratureConfig, *, freq, decay,
                trunc_scale):
-    """Integrate gfun over [A, B] (B possibly infinite) for every row.
+    """Integrate gfun over [A, B] for every row, A < B <= inf.
 
-    freq and decay are per-row arrays; returns (values, errs) arrays.
+    freq and decay are per-row arrays; returns (values, errs) arrays. A
+    finite B is one interval; an infinite one is cut where an explicit
+    remainder bound (added to err) falls under abs_tol when decay is
+    super-algebraic, and mapped onto (0, 1] otherwise.
     """
     n = freq.size
     rows = np.arange(n)
@@ -502,34 +507,16 @@ def _half_line(gfun, A, B, cfg: QuadratureConfig, *, freq, decay,
             _osc_breakpoints(A, h, fr, cap)
             for h, fr in zip(hi.tolist(), freq.tolist())])
 
-    def at(T):
-        g = gfun(np.full((n, 1), T), rows)[:, 0]
-        return np.hypot(g.real, g.imag)
-
-    if B is not None and math.isfinite(B):
-        if B <= A:
-            return np.zeros(n, dtype=complex), np.zeros(n)
+    if math.isfinite(B):
         return split_quad(B)
-
-    if cfg.tail_cut is not None:
-        T = cfg.tail_cut
-        _require(T > A, f"tail_cut {T} does not exceed the lower limit {A}")
-        val, err, exc = _attempt(lambda: split_quad(T))
-        gT = at(T)
-        if math.isinf(decay[0]):
-            bound = gT * max(trunc_scale, 1.0)
-        else:
-            # remainder of a ~x^-decay tail; factor 2 covers a cut placed
-            # before the prefactor settles onto its asymptote
-            bound = 2.0 * gT * T / np.maximum(decay - 1.0, 1e-3)
-        return _settle(val, err + bound, exc)
 
     if math.isinf(decay[0]):
         # explicit cut where the remainder bound drops under abs_tol
         width = max(trunc_scale, 1.0)
         T = A + width * (math.sqrt(2.0 * math.log(1.0 / cfg.abs_tol)) + 1.5)
         val, err, exc = _attempt(lambda: split_quad(T))
-        return _settle(val, err + at(T) * width, exc)
+        g = gfun(np.full((n, 1), T), rows)[:, 0]
+        return _settle(val, err + np.hypot(g.real, g.imag) * width, exc)
 
     # algebraic tail: finite oscillatory part, then the compactifying map
     amp = np.maximum(freq, 0.0)
@@ -607,11 +594,10 @@ def _qft_rows(f: FunctionSpec, q, k, positive_side: bool,
 
     gfun = _kernel_integrand(f, qv, k, reflect=not positive_side)
     if positive_side:
-        return _half_line(gfun, A, B if math.isfinite(B) else None, cfg,
-                          freq=freq, decay=decay, trunc_scale=trunc_scale)
-    hi_u = -A if math.isfinite(A) else None
+        return _half_line(gfun, A, B, cfg, freq=freq, decay=decay,
+                          trunc_scale=trunc_scale)
     val, err, exc = _attempt(lambda: _half_line(
-        gfun, -B, hi_u, cfg, freq=freq, decay=decay, trunc_scale=trunc_scale))
+        gfun, -B, -A, cfg, freq=freq, decay=decay, trunc_scale=trunc_scale))
     return _settle(-val, err, exc)
 
 

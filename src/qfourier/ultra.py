@@ -93,8 +93,8 @@ def _growth_warning(F: AnalyticRep, zs, vals):
             f"p={F.growth_order} toward the contour ends", stacklevel=3)
 
 
-def contour_apply_detailed(F: AnalyticRep, phi, gamma: ContourSpec | None = None,
-                           *, tail_tol: float = _TAIL_TOL) -> ContourResult:
+def contour_apply_detailed(F: AnalyticRep, phi,
+                           gamma: ContourSpec | None = None) -> ContourResult:
     """contour_apply plus quadrature and truncation diagnostics."""
     gamma = gamma if gamma is not None else ContourSpec()
     t, w = graded_line_nodes(gamma.truncation, gamma.points_per_line)
@@ -111,7 +111,7 @@ def contour_apply_detailed(F: AnalyticRep, phi, gamma: ContourSpec | None = None
     # sampled tail bound: endpoint magnitude times the truncation scale
     end = max(abs(g_up[0]), abs(g_up[-1]), abs(g_dn[0]), abs(g_dn[-1]))
     tail = end * gamma.truncation
-    if tail > tail_tol:
+    if tail > _TAIL_TOL:
         raise TruncationError(
             f"integrand magnitude {end:.3e} at |t|={gamma.truncation:g} "
             "is too large for the requested truncation",
@@ -128,14 +128,14 @@ def contour_apply_detailed(F: AnalyticRep, phi, gamma: ContourSpec | None = None
                          tail=float(tail))
 
 
-def contour_apply(F: AnalyticRep, phi, gamma: ContourSpec | None = None,
-                  *, tail_tol: float = _TAIL_TOL) -> complex:
+def contour_apply(F: AnalyticRep, phi,
+                  gamma: ContourSpec | None = None) -> complex:
     """Pair F with the test function phi over the oriented two-line contour.
 
     Raises TruncationError (with a suggested larger truncation) when the
     sampled endpoint magnitude says the tails are not negligible.
     """
-    return contour_apply_detailed(F, phi, gamma, tail_tol=tail_tol).value
+    return contour_apply_detailed(F, phi, gamma).value
 
 
 def dirac_rep(f_density, t_grid) -> AnalyticRep:

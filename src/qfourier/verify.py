@@ -62,6 +62,13 @@ def level_set_members(pairs, q0):
             for (a, b), lam in zip(pairs, lams)]
 
 
+def member_rows(members, q, k_grid):
+    """Each member's upper-side transform at every k of k_grid (the real
+    limit at real k), one row per member, at the tight verify tolerances."""
+    return [[qft_complex(m, q, _up(k), _CFG)[0] for k in k_grid]
+            for m in members]
+
+
 def max_pairwise_dev(rows):
     """Largest |u[k] - v[k]| over every pair of rows u, v and every k."""
     worst = 0.0
@@ -118,10 +125,6 @@ def suite_closedforms():
     windows = [(1.0, 2.0), (4.0 / 3.0, 4.0), (1.2, 3.0)]
     probe_k = (0.5, 1.0, 2.0)
 
-    def rows(members, q):
-        return [[qft_complex(m, q, _up(k), _CFG)[0] for k in probe_k]
-                for m in members]
-
     def collision_level_set():
         members = level_set_members(windows, q0)
         lams = [m.lam for m in members]
@@ -129,7 +132,8 @@ def suite_closedforms():
         # the shared closed form joins the rows, so every member is
         # checked against it as well as against the others
         shared = [hilhorst_qft(lams[0], q0, _up(k)) for k in probe_k]
-        worst = max_pairwise_dev(rows(members, q0) + [shared])
+        worst = max_pairwise_dev(member_rows(members, q0, probe_k)
+                                 + [shared])
         ok = worst < 1e-6 and spread < 1e-12
         return ok, (f"lambda spread {spread:.3e}, max deviation {worst:.3e}"
                     " (tol 1e-06)")
@@ -137,7 +141,8 @@ def suite_closedforms():
 
     def separation_off_level():
         members = level_set_members(windows, q0)
-        sep = min(max_pairwise_dev(rows(members, qp)) for qp in (1.3, 1.7))
+        sep = min(max_pairwise_dev(member_rows(members, qp, probe_k))
+                  for qp in (1.3, 1.7))
         return sep > 1e-3, f"min pairwise separation {sep:.3e} (floor 1e-03)"
     checks.append(_run("separation_off_level", separation_off_level))
 

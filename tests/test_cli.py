@@ -72,6 +72,25 @@ class TestUsageErrors:
         assert rc == 1
         assert "not transformable" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("params", [
+        ["--lambda", "1", "--beta", "400", "--a", "0.1", "--b", "1"],
+        ["--lambda", "1e300", "--beta", "2", "--a", "1", "--b", "2"],
+        ["--lambda", "1", "--beta", "-400", "--a", "1", "--b", "1e3"],
+    ])
+    @pytest.mark.parametrize("command", [
+        ["transform", "--q", "1.2", "--kmin", "0", "--kmax", "1", "--nk",
+         "2", "--plane", "real-upper"],
+        ["transform", "--q", "1.2", "--kmin", "0", "--kmax", "1", "--nk",
+         "2", "--plane", "real-line"],
+        ["invert"],
+    ])
+    def test_powerlaw_overflow_is_a_usage_error(self, command, params,
+                                                capsys):
+        # a peak past the float range is a bad parameter set, not a crash
+        assert main(command + ["--f", "powerlaw"] + params) == 1
+        err = capsys.readouterr().err
+        assert "overflows" in err and "Traceback" not in err
+
     @pytest.mark.parametrize("argv, name", [
         (["transform", "--f", "gaussian", "--q", " , ", "--kmin", "0",
           "--kmax", "1", "--nk", "2"], "q"),
