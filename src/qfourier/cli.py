@@ -237,8 +237,7 @@ def _cmd_transform(args):
                     pt = HalfPlanePoint(complex(k, kim), tag)
                     val, err = qft_complex(f, q, pt, cfg)
             except ConvergenceError as exc:
-                val = exc.value if exc.value is not None else complex("nan")
-                err = exc.err if exc.err is not None else math.inf
+                val, err = exc.value, exc.err
                 partial = True
                 diagnostics.append(
                     f"q={q:g} k={k:g}: did not converge ({exc})")

@@ -96,7 +96,8 @@ def powerlaw_qft_closed(p: PowerLaw, q, k: HalfPlanePoint) -> complex:
 
     Exact boundary parameters take the collapsed form; a 1e-6 neighborhood
     of the boundary raises BoundaryRegimeError because the hypergeometric
-    parameters diverge there (the quadrature route stays accurate).
+    parameters diverge there (the quadrature route stays accurate). So does
+    a q near 1 where the low-regime powers of order 1/(q-1) overflow float.
     """
     qp = as_qparam(q)
     if qp.classical:
@@ -124,10 +125,19 @@ def powerlaw_qft_closed(p: PowerLaw, q, k: HalfPlanePoint) -> complex:
         p2 = (2.0 - qp.q) / ((qp.q - 1.0) * s)
         p3 = nu + p.beta * (2.0 - qp.q) / s
         e = (qp.q - 2.0) / (qp.q - 1.0)
-        term_a = p.a ** e * hyp2f1(Hyp2F1Params(nu, p2, p3, -1.0 / (c * p.a ** s)))
-        term_b = p.b ** e * hyp2f1(Hyp2F1Params(nu, p2, p3, -1.0 / (c * p.b ** s)))
-        pref = ((qp.q - 1.0) / (2.0 - qp.q)) \
-            * cmath.exp(-nu * cmath.log(1j * (1.0 - qp.q) * kv))
+        try:
+            # powers of order 1/(q-1), which overflow float as q -> 1
+            wa, wb = p.a ** e, p.b ** e
+            pref = ((qp.q - 1.0) / (2.0 - qp.q)) \
+                * cmath.exp(-nu * cmath.log(1j * (1.0 - qp.q) * kv))
+        except OverflowError:
+            raise BoundaryRegimeError(
+                f"q - 1 = {qp.q - 1.0:g} is too small here: the low-regime "
+                "powers a^((q-2)/(q-1)), b^((q-2)/(q-1)) and "
+                "(i(1-q)k)^(-1/(q-1)) overflow float; use the quadrature "
+                "route (qft_complex)") from None
+        term_a = wa * hyp2f1(Hyp2F1Params(nu, p2, p3, -1.0 / (c * p.a ** s)))
+        term_b = wb * hyp2f1(Hyp2F1Params(nu, p2, p3, -1.0 / (c * p.b ** s)))
         return pref * (term_a - term_b)
     t1 = (1.0 - p.beta) / s
     t2 = (2.0 - p.beta * qp.q) / s

@@ -29,9 +29,11 @@ class ConvergenceError(RuntimeError):
     """Iteration or subdivision budget exhausted before reaching tolerance.
 
     Carries the best available estimate so callers can degrade gracefully.
-    A batch over many rows (one integral per k) raises the error of its
-    lowest failing row and names that row in row; values, errs and the
-    failed mask then hold every row's result or best estimate.
+    The quadrature engine's row form raises nothing and reports each row's
+    outcome as data; the transform calls raise one error for the lowest
+    failing row (one integral per k) and name that row in row. Their
+    values, errs and failed mask then hold every row's result or best
+    estimate.
     """
 
     def __init__(self, message, value=None, err=None, row=None,

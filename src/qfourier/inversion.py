@@ -84,16 +84,15 @@ def _require_classical_member(f: FunctionSpec):
             "f has no classical Fourier transform: " + rep.detail)
 
 
-def _eval_slices(f, k_grid, sched, cfg):
-    # one batched call per slice: every k of the grid in lockstep
-    return [qft_real_line(f, 1.0 + eps, k_grid, cfg)[0]
-            for eps in sched.eps_list]
+def _slices(f, k_grid, sched, cfg):
+    """The q = 1 + eps transform slices over k_grid, one per eps.
 
-
-def _check_trend(slices, eps_list):
-    # needs two consecutive differences; growth means no eps -> 0 limit
-    if len(slices) < 3:
-        return
+    Each slice is one batched call, every k of the grid in lockstep. Slice
+    differences that grow along the schedule mean there is no eps -> 0
+    limit, and raise LimitFailureError.
+    """
+    slices = [qft_real_line(f, 1.0 + eps, k_grid, cfg)[0]
+              for eps in sched.eps_list]
     diffs = [float(np.max(np.abs(s1 - s0)))
              for s0, s1 in zip(slices, slices[1:])]
     for d0, d1 in zip(diffs, diffs[1:]):
@@ -101,6 +100,7 @@ def _check_trend(slices, eps_list):
             raise LimitFailureError(
                 f"slice differences grow along the schedule "
                 f"({d0:.3e} -> {d1:.3e}); the eps -> 0 trend is not Cauchy")
+    return slices
 
 
 def _collapse(slices, sched):
@@ -125,9 +125,7 @@ def q1_slice(f: FunctionSpec, k_grid, sched: EpsilonSchedule | None = None,
     if not np.all(np.isfinite(kg)):
         raise ValueError("k_grid must be finite")
     _require_classical_member(f)
-    slices = _eval_slices(f, kg, sched, cfg)
-    _check_trend(slices, sched.eps_list)
-    return _collapse(slices, sched)
+    return _collapse(_slices(f, kg, sched, cfg), sched)
 
 
 def inverse_ft(G, k_grid, x_grid) -> np.ndarray:
@@ -236,8 +234,7 @@ def roundtrip(f: FunctionSpec, sched: EpsilonSchedule | None = None,
         raise ValueError("need 0 < dk <= k_max")
     kn = step * np.arange(int(math.ceil(km / step)) + 1)
 
-    slices = _eval_slices(f, kn, sched, cfg)
-    _check_trend(slices, sched.eps_list)
+    slices = _slices(f, kn, sched, cfg)
     g_half = _collapse(slices, sched)
     # f is real, so the negative-k half follows by conjugation
     k_full = np.concatenate([-kn[:0:-1], kn])

@@ -10,7 +10,9 @@ Many independent integrals (rows) run in lockstep: every row keeps its own
 queue, tolerance test and summation order, and each round bisects the worst
 panel of every unconverged row with one integrand call for all of them. A
 row's value therefore has the bits it would have on its own, and a single
-integral is simply the one-row case.
+integral is simply the one-row case. Rows report their outcomes as data: a
+row that stops short of tolerance keeps its best estimate and the reason it
+stopped, and only the single-integral form raises.
 """
 
 from __future__ import annotations
@@ -109,17 +111,19 @@ def adaptive_quad(func, a, b, *, rel_tol: float = 1e-8,
 
     With 1-d arrays a and b, one integral per row: func is called as
     func(x, rows), where x[i] holds nodes of row rows[i]; breakpoints, when
-    given, is one sequence per row; (values, errs) arrays come back. Every
-    row runs to its end; the ConvergenceError is then the one the lowest
-    failing row raises on its own, with that row's index in its row
-    attribute, and it carries values, errs and the failed mask of all rows.
+    given, is one sequence per row. Every row runs to its end and nothing
+    is raised for a row that misses tolerance: (values, errs, why) come
+    back, why[i] None for a converged row, else the message the row would
+    raise on its own, with values[i] and errs[i] its best estimate.
     """
     if np.ndim(a) == 0 and np.ndim(b) == 0:
         def by_row(x, rows):
             return np.asarray(func(x.ravel())).reshape(x.shape)
 
-        values, errs = _lockstep(by_row, [a], [b], [breakpoints], rel_tol,
-                                 abs_tol, max_subdivisions)
+        values, errs, why = _lockstep(by_row, [a], [b], [breakpoints],
+                                      rel_tol, abs_tol, max_subdivisions)
+        if why[0]:
+            raise ConvergenceError(why[0], value=values[0], err=errs[0])
         return values[0], errs[0]
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -129,21 +133,17 @@ def adaptive_quad(func, a, b, *, rel_tol: float = 1e-8,
         breakpoints = [()] * a.size
     elif len(breakpoints) != a.size:
         raise ValueError("need one breakpoint sequence per row")
-    values, errs = _lockstep(func, a.tolist(), b.tolist(), breakpoints,
-                             rel_tol, abs_tol, max_subdivisions)
-    return np.array(values, dtype=complex), np.array(errs, dtype=float)
+    values, errs, why = _lockstep(func, a.tolist(), b.tolist(), breakpoints,
+                                  rel_tol, abs_tol, max_subdivisions)
+    return np.array(values, dtype=complex), np.array(errs, dtype=float), why
 
 
 def _lockstep(func, a, b, breakpoints, rel_tol, abs_tol, max_subdivisions):
-    """Rows of [a[i], b[i]] in blocks; per-row (values, errs) lists.
-
-    A failing row keeps its best estimate; once every block has run, the
-    lowest failing row's ConvergenceError is raised with all rows attached.
-    """
+    """Rows of [a[i], b[i]] in blocks; per-row (values, errs, why) lists."""
     n = len(a)
     values = [0j] * n
     errs = [0.0] * n
-    failures = {}
+    why = [None] * n
     for start in range(0, n, _BLOCK_ROWS):
         stop = min(n, start + _BLOCK_ROWS)
         pts = {}
@@ -159,22 +159,16 @@ def _lockstep(func, a, b, breakpoints, rel_tol, abs_tol, max_subdivisions):
                 raise ValueError(
                     "more initial breakpoints than the subdivision budget")
             pts[i] = p
-        if not pts:
-            continue
-        failures.update(_run_block(func, pts, values, errs, rel_tol,
-                                   abs_tol, max_subdivisions))
-    if failures:
-        exc = failures[min(failures)]
-        exc.values = np.array(values, dtype=complex)
-        exc.errs = np.array(errs, dtype=float)
-        exc.failed = np.zeros(n, dtype=bool)
-        exc.failed[list(failures)] = True
-        raise exc
-    return values, errs
+        if pts:
+            _run_block(func, pts, values, errs, why, rel_tol, abs_tol,
+                       max_subdivisions)
+    return values, errs, why
 
 
-def _run_block(func, pts, values, errs, rel_tol, abs_tol, max_subdivisions):
-    """Advance the rows of one block to tolerance; returns their failures.
+def _run_block(func, pts, values, errs, why, rel_tol, abs_tol,
+               max_subdivisions):
+    """Advance the rows of one block to tolerance, filling in their slots of
+    values, errs and why.
 
     Per row, the steps and their order are those of a lone heap-driven
     bisection loop: test the tolerance, test the budget, pop the worst
@@ -194,7 +188,6 @@ def _run_block(func, pts, values, errs, rel_tol, abs_tol, max_subdivisions):
         s[1] += v
         s[2] += e
 
-    failures = {}
     active = rows
     while active:
         waiting = []
@@ -205,22 +198,20 @@ def _run_block(func, pts, values, errs, rel_tol, abs_tol, max_subdivisions):
                 values[i], errs[i] = _collect(heap)
                 continue
             if s[3] + 1 > max_subdivisions:
-                values[i], errs[i] = value, err = _collect(heap)
-                failures[i] = ConvergenceError(
-                    f"quadrature did not reach tolerance within "
-                    f"{max_subdivisions} subdivisions (err~{err:.3e})",
-                    value=value, err=err, row=i)
+                values[i], errs[i] = _collect(heap)
+                why[i] = ("quadrature did not reach tolerance within "
+                          f"{max_subdivisions} subdivisions "
+                          f"(err~{errs[i]:.3e})")
                 continue
             prio, _, lo, hi, v, e_old = heapq.heappop(heap)
             if prio == 0.0:
                 # a parked resolution-limit panel is popped only once nothing
                 # else carries error, so the tolerance is unreachable
                 heapq.heappush(heap, (prio, s[0], lo, hi, v, e_old))
-                values[i], errs[i] = value, err = _collect(heap)
-                failures[i] = ConvergenceError(
-                    "tolerance unreachable: remaining error sits on intervals "
-                    f"at floating-point resolution (err~{err:.3e})",
-                    value=value, err=err, row=i)
+                values[i], errs[i] = _collect(heap)
+                why[i] = ("tolerance unreachable: remaining error sits on "
+                          "intervals at floating-point resolution "
+                          f"(err~{errs[i]:.3e})")
                 continue
             mid = 0.5 * (lo + hi)
             if mid <= lo or mid >= hi:
@@ -247,7 +238,6 @@ def _run_block(func, pts, values, errs, rel_tol, abs_tol, max_subdivisions):
                 s[0] += 2
                 s[3] += 1
         active = waiting
-    return failures
 
 
 def _seed_panels(func, edges, rows):

@@ -453,43 +453,34 @@ def _osc_breakpoints(A, B, freq, cap=256):
     return np.linspace(A, B, n + 1)[1:-1]
 
 
-def _attempt(piece):
-    """(values, errs, failure) of one batched piece, one integral per row.
+def _merge(why1, why2):
+    """Per-row reasons of two pieces summed per row: the first piece's wins."""
+    return [w1 or w2 for w1, w2 in zip(why1, why2)] if any(why2) else why1
 
-    failure is the piece's ConvergenceError or None; on failure values and
-    errs still hold every row's result or best estimate.
+
+def _raise_failed(values, errs, why):
+    """Raise the ConvergenceError of the lowest row with a reason in why.
+
+    It carries that row's summed value and err, and values, errs and the
+    failed mask of every row (a scalar value is the one-row case). Nothing
+    happens when every row converged.
     """
-    try:
-        values, errs = piece()
-    except ConvergenceError as exc:
-        return exc.values, exc.errs, exc
-    return values, errs, None
-
-
-def _settle(values, errs, *failures):
-    """(values, errs) of pieces already summed per row, or their failure.
-
-    failures holds each piece's failure (or None) in the order a loop over
-    the rows runs them. The error raised is the one that loop meets first,
-    the lowest failing row and the earliest piece failing there, with the
-    summed value and err of that row and of every row attached.
-    """
-    if not any(failures):
-        return values, errs
-    failures = [exc for exc in failures if exc is not None]
-    row = min(exc.row for exc in failures)
-    first = next(exc for exc in failures if exc.row == row)
-    raise ConvergenceError(
-        str(first), value=complex(values[row]), err=float(errs[row]),
-        row=row, values=values, errs=errs,
-        failed=np.logical_or.reduce([exc.failed for exc in failures]))
+    if any(why):
+        values, errs = np.atleast_1d(values, errs)
+        failed = np.array([w is not None for w in why])
+        row = int(failed.argmax())
+        raise ConvergenceError(
+            why[row], value=complex(values[row]), err=float(errs[row]),
+            row=row, values=values, errs=errs, failed=failed)
 
 
 def _half_line(gfun, A, B, cfg: QuadratureConfig, *, freq, decay,
                trunc_scale):
     """Integrate gfun over [A, B] for every row, A < B <= inf.
 
-    freq and decay are per-row arrays; returns (values, errs) arrays. A
+    freq and decay are per-row arrays. Returns (values, errs, why) as
+    adaptive_quad's row form does, with the pieces of the half-line summed
+    per row and each row's why the reason of its first failing piece. A
     finite B is one interval; an infinite one is cut where an explicit
     remainder bound (added to err) falls under abs_tol when decay is
     super-algebraic, and mapped onto (0, 1] otherwise.
@@ -514,9 +505,9 @@ def _half_line(gfun, A, B, cfg: QuadratureConfig, *, freq, decay,
         # explicit cut where the remainder bound drops under abs_tol
         width = max(trunc_scale, 1.0)
         T = A + width * (math.sqrt(2.0 * math.log(1.0 / cfg.abs_tol)) + 1.5)
-        val, err, exc = _attempt(lambda: split_quad(T))
+        val, err, why = split_quad(T)
         g = gfun(np.full((n, 1), T), rows)[:, 0]
-        return _settle(val, err + np.hypot(g.real, g.imag) * width, exc)
+        return val, err + np.hypot(g.real, g.imag) * width, why
 
     # algebraic tail: finite oscillatory part, then the compactifying map
     amp = np.maximum(freq, 0.0)
@@ -544,18 +535,17 @@ def _half_line(gfun, A, B, cfg: QuadratureConfig, *, freq, decay,
         # tail the map makes vanish, so the limit there is 0
         return np.nan_to_num(out, copy=False, posinf=0.0, neginf=0.0)
 
-    v1, e1, exc1 = _attempt(lambda: split_quad(X1))
-    v2, e2, exc2 = _attempt(
-        lambda: adaptive_quad(mapped, np.zeros(n), np.ones(n), **tol))
-    return _settle(v1 + v2, e1 + e2, exc1, exc2)
+    v1, e1, why1 = split_quad(X1)
+    v2, e2, why2 = adaptive_quad(mapped, np.zeros(n), np.ones(n), **tol)
+    return v1 + v2, e1 + e2, _merge(why1, why2)
 
 
 def _qft_rows(f: FunctionSpec, q, k, positive_side: bool,
               cfg: QuadratureConfig | None):
     """One half-line piece of the transform for every entry of a 1-d k.
 
-    Returns (values, errs) arrays; ConvergenceError is that of the lowest
-    failing k (row), with every row's best estimate: the sum of all pieces.
+    Returns (values, errs, why) as _half_line does, one row per k: a row
+    that missed tolerance keeps the sum of all pieces as its best estimate.
     """
     qp = as_qparam(q)
     cfg = cfg if cfg is not None else QuadratureConfig()
@@ -572,7 +562,7 @@ def _qft_rows(f: FunctionSpec, q, k, positive_side: bool,
     else:
         A, B = lo, min(hi, 0.0)
     if B <= A or n == 0:
-        return np.zeros(n, dtype=complex), np.zeros(n)
+        return np.zeros(n, dtype=complex), np.zeros(n), [None] * n
 
     qv = qp.q
     gamma_f = f.tail_exponent()
@@ -596,9 +586,9 @@ def _qft_rows(f: FunctionSpec, q, k, positive_side: bool,
     if positive_side:
         return _half_line(gfun, A, B, cfg, freq=freq, decay=decay,
                           trunc_scale=trunc_scale)
-    val, err, exc = _attempt(lambda: _half_line(
-        gfun, -B, -A, cfg, freq=freq, decay=decay, trunc_scale=trunc_scale))
-    return _settle(-val, err, exc)
+    val, err, why = _half_line(gfun, -B, -A, cfg, freq=freq, decay=decay,
+                               trunc_scale=trunc_scale)
+    return -val, err, why
 
 
 def qft_complex(f: FunctionSpec, q, point: HalfPlanePoint,
@@ -611,7 +601,8 @@ def qft_complex(f: FunctionSpec, q, point: HalfPlanePoint,
     """
     positive_side = point.plane in (PlaneTag.UPPER,
                                     PlaneTag.REAL_LIMIT_UPPER)
-    val, err = _qft_rows(f, q, np.array([point.k]), positive_side, cfg)
+    val, err, why = _qft_rows(f, q, np.array([point.k]), positive_side, cfg)
+    _raise_failed(val, err, why)
     return val[0], err[0]
 
 
@@ -628,20 +619,26 @@ def qft_real_line(f: FunctionSpec, q, k, cfg: QuadratureConfig | None = None):
     included; with array k it carries values, errs and failed per k.
     """
     if np.ndim(k) == 0:
-        kv = float(k)
-        up = HalfPlanePoint(complex(kv, 0.0), PlaneTag.REAL_LIMIT_UPPER)
-        dn = HalfPlanePoint(complex(kv, 0.0), PlaneTag.REAL_LIMIT_LOWER)
-        v1, e1, exc1 = _attempt(lambda: qft_complex(f, q, up, cfg))
-        v2, e2, exc2 = _attempt(lambda: qft_complex(f, q, dn, cfg))
-        # on failure the values of the failing side are 1-element arrays
-        return _settle(v1 - v2, e1 + e2, exc1, exc2)
-    kv = np.asarray(k, dtype=float)
-    _require(kv.ndim == 1, "k must be a scalar or a 1-d array")
-    _require(bool(np.all(np.isfinite(kv))), "k must be finite")
-    kc = kv.astype(complex)
-    v1, e1, exc1 = _attempt(lambda: _qft_rows(f, q, kc, True, cfg))
-    v2, e2, exc2 = _attempt(lambda: _qft_rows(f, q, kc, False, cfg))
-    return _settle(v1 - v2, e1 + e2, exc1, exc2)
+        sides = []
+        for plane in (PlaneTag.REAL_LIMIT_UPPER, PlaneTag.REAL_LIMIT_LOWER):
+            pt = HalfPlanePoint(complex(float(k), 0.0), plane)
+            try:
+                sides.append((*qft_complex(f, q, pt, cfg), None))
+            except ConvergenceError as exc:
+                sides.append((exc.value, exc.err, str(exc)))
+        (v1, e1, why1), (v2, e2, why2) = sides
+        why = _merge([why1], [why2])
+    else:
+        kv = np.asarray(k, dtype=float)
+        _require(kv.ndim == 1, "k must be a scalar or a 1-d array")
+        _require(bool(np.all(np.isfinite(kv))), "k must be finite")
+        kc = kv.astype(complex)
+        v1, e1, why1 = _qft_rows(f, q, kc, True, cfg)
+        v2, e2, why2 = _qft_rows(f, q, kc, False, cfg)
+        why = _merge(why1, why2)
+    val, err = v1 - v2, e1 + e2
+    _raise_failed(val, err, why)
+    return val, err
 
 
 def qft_surface(f: FunctionSpec, q_list, k_grid,
@@ -664,10 +661,9 @@ def qft_surface(f: FunctionSpec, q_list, k_grid,
             try:
                 values[i, j], err[i, j] = qft_complex(f, qp, pt, cfg)
             except ConvergenceError as exc:
-                values[i, j] = exc.value if exc.value is not None else np.nan
-                err[i, j] = exc.err if exc.err is not None else np.inf
+                values[i, j], err[i, j] = exc.value, exc.err
                 failed[i, j] = True
-            except (MembershipError, ValueError):
+            except ValueError:
                 values[i, j] = complex("nan")
                 err[i, j] = np.inf
                 failed[i, j] = True

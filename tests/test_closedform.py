@@ -223,6 +223,21 @@ class TestPowerLawClosed:
         with pytest.raises(BoundaryRegimeError):
             powerlaw_qft_closed(p, 1.5 + 3e-7, up(1.0))
 
+    # near q = 1 the low-regime prefactor (i(1-q)k)^(-1/(q-1)) overflows,
+    # and with a < 1 so does a^((q-2)/(q-1))
+    @pytest.mark.parametrize("p, q, k", [
+        (PowerLaw(1.0, 2.0, 1.0, 2.0), 1.0001, 1.0),
+        (PowerLaw(1.0, 2.0, 1.0, 2.0), 1.001, 1.0),
+        (PowerLaw(1.0, 2.0, 1.0, 2.0), 1.001, 50.0),
+        (PowerLaw(1.0, 2.0, 1.0, 2.0), 1.0 + 1e-6, 1e-6),
+        (PowerLaw(1.0, 2.0, 1.0, 2.0), 1.01, 1e-6),
+        (PowerLaw(1.0, 2.0, 1.0, 2.0), 1.0001, 1.0 + 1e-12j),
+        (PowerLaw(2.0, 3.0, 0.5, 1.5), 1.0001, 1.0),
+    ])
+    def test_overflowing_powers_near_q_one_raise(self, p, q, k):
+        with pytest.raises(BoundaryRegimeError, match="q - 1 .*quadrature"):
+            powerlaw_qft_closed(p, q, up(k))
+
     def test_exact_boundary_collapses(self):
         p = PowerLaw(1.3, 2.0, 1.0, 2.0)
         assert powerlaw_qft_closed(p, 1.5, up(2.0)) \

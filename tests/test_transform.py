@@ -365,6 +365,11 @@ class TestSurface:
         assert surf.failed[0, 0]
         assert np.isfinite(surf.values[0, 0])
         assert surf.err[0, 0] > 0
+        # the cell holds the estimate a lone call's error carries
+        with pytest.raises(ConvergenceError) as info:
+            qft_complex(Gaussian(1.0), 1.5, up(1.0), cfg)
+        assert (surf.values[0, 0], surf.err[0, 0]) == \
+            (info.value.value, info.value.err)
 
     def test_deterministic(self):
         pts = (up(0.5), up(2.0))
@@ -382,12 +387,22 @@ class TestSurface:
 
 
 class TestFailureModes:
-    def test_convergence_error_carries_estimate(self):
+    # one case per tail path, each failing at the smallest budget
+    @pytest.mark.parametrize("f, q, k", [
+        pytest.param(PowerLaw(1.0, 2.0, 1.0, 2.0), 1.01, 40.0, id="compact"),
+        pytest.param(Gaussian(1.0), 1.5, 1.0, id="cut"),
+        pytest.param(QGaussian(1.5, 1.0), 1.3, 3.0, id="map"),
+    ])
+    def test_convergence_error_carries_estimate(self, f, q, k):
         cfg = QuadratureConfig(max_subdivisions=4)
         with pytest.raises(ConvergenceError) as info:
-            qft_complex(Gaussian(1.0), 1.5, up(1.0), cfg)
-        assert info.value.value is not None
-        assert info.value.err > 0
+            qft_complex(f, q, up(k), cfg)
+        exc = info.value
+        assert exc.err > 0 and np.isfinite(exc.value)
+        assert exc.row == 0
+        assert exc.values.shape == exc.errs.shape == exc.failed.shape == (1,)
+        assert exc.failed.dtype == bool and exc.failed[0]
+        assert (exc.values[0], exc.errs[0]) == (exc.value, exc.err)
 
     def test_pole_guard_survives_optimized_python(self):
         # python -O strips assert statements; the guard must still raise
