@@ -25,11 +25,12 @@ import sys
 import numpy as np
 
 from .closedform import constant_qft_delta_weight
-from .errors import ConvergenceError
 from .inversion import EpsilonSchedule, roundtrip
 from .transform import (Constant, Gaussian, HalfPlanePoint, Heaviside,
                         PlaneTag, PowerLaw, QGaussian, QuadratureConfig,
-                        membership_check, qft_complex, qft_real_line)
+                        membership_check, qft_surface)
+# unused here, but perfbench/tracer.py rebinds cli.qft_complex by name
+from .transform import qft_complex  # noqa: F401
 from .ultra import AnalyticRep, ContourSpec, contour_apply
 from .verify import (SUITE_NAMES, level_set_members, max_pairwise_dev,
                      member_rows, run_suite)
@@ -207,10 +208,10 @@ def _cmd_transform(args):
         raise _Usage("plane lower needs --kim < 0")
     if tag not in (PlaneTag.UPPER, PlaneTag.LOWER) and kim != 0.0:
         raise _Usage(f"plane {plane} needs kim = 0")
-    rel_tol = 1e-8 if args.rel_tol is None else _float(args.rel_tol,
-                                                       "rel-tol")
-    abs_tol = 1e-12 if args.abs_tol is None else _float(args.abs_tol,
-                                                        "abs-tol")
+    rel_tol = (QuadratureConfig.rel_tol if args.rel_tol is None
+               else _float(args.rel_tol, "rel-tol"))
+    abs_tol = (QuadratureConfig.abs_tol if args.abs_tol is None
+               else _float(args.abs_tol, "abs-tol"))
     fmt = args.format if args.format is not None else "csv"
     if fmt not in ("csv", "json"):
         raise _Usage(f"unknown format {fmt!r}; choose csv or json")
@@ -222,32 +223,18 @@ def _cmd_transform(args):
             raise _Usage(f"{f.kind} is not transformable at q={q:g}: "
                          f"{report.detail}")
 
-    k_grid = np.linspace(kmin, kmax, nk)
-    rows = []
-    diagnostics = []
-    partial = False
-    for q in q_list:
-        for k in k_grid:
-            k = float(k)
-            plane_label = "real_line" if tag is None else tag.value
-            try:
-                if tag is None:
-                    val, err = qft_real_line(f, q, k, cfg)
-                else:
-                    pt = HalfPlanePoint(complex(k, kim), tag)
-                    val, err = qft_complex(f, q, pt, cfg)
-            except ConvergenceError as exc:
-                val, err = exc.value, exc.err
-                partial = True
-                diagnostics.append(
-                    f"q={q:g} k={k:g}: did not converge ({exc})")
-            except ValueError as exc:
-                val, err = complex("nan"), math.inf
-                partial = True
-                diagnostics.append(f"q={q:g} k={k:g}: {exc}")
-            rows.append({"k_re": k, "k_im": kim, "plane": plane_label,
-                         "q": q, "F_re": val.real, "F_im": val.imag,
-                         "err": float(err)})
+    k_grid = [float(k) for k in np.linspace(kmin, kmax, nk)]
+    points = (k_grid if tag is None
+              else [HalfPlanePoint(complex(k, kim), tag) for k in k_grid])
+    surf = qft_surface(f, q_list, points, cfg)
+    plane_label = "real_line" if tag is None else tag.value
+    rows = [{"k_re": k, "k_im": kim, "plane": plane_label, "q": q,
+             "F_re": val.real, "F_im": val.imag, "err": float(err)}
+            for q, vals, errs in zip(q_list, surf.values, surf.err)
+            for k, val, err in zip(k_grid, vals, errs)]
+    diagnostics = [f"q={q:g} k={k:g}: {why}"
+                   for q, whys in zip(q_list, surf.why)
+                   for k, why in zip(k_grid, whys) if why is not None]
 
     config = {"command": "transform", "f": args.f, **fparams,
               "q": q_list, "kmin": kmin, "kmax": kmax, "nk": nk,
@@ -266,7 +253,7 @@ def _cmd_transform(args):
         _emit_json(config, json_rows, diagnostics, args.out)
     if args.out:
         _note(f"wrote {len(rows)} rows to {args.out}")
-    return 2 if partial else 0
+    return 2 if diagnostics else 0
 
 
 def _cmd_invert(args):

@@ -29,11 +29,11 @@ class ConvergenceError(RuntimeError):
     """Iteration or subdivision budget exhausted before reaching tolerance.
 
     Carries the best available estimate so callers can degrade gracefully.
-    The quadrature engine's row form raises nothing and reports each row's
-    outcome as data; the transform calls raise one error for the lowest
-    failing row (one integral per k) and name that row in row. Their
-    values, errs and failed mask then hold every row's result or best
-    estimate.
+    The quadrature engine never raises it and reports each row's outcome
+    as data; the transform calls raise one error for the lowest failing
+    row (one integral per k) and name that row in row. Their values, errs
+    and failed mask then hold every row's result or best estimate.
+    qft_surface records it per cell instead, as "did not converge (...)".
     """
 
     def __init__(self, message, value=None, err=None, row=None,

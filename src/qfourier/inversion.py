@@ -119,6 +119,8 @@ def q1_slice(f: FunctionSpec, k_grid, sched: EpsilonSchedule | None = None,
     extrapolation is 'none'.
     """
     sched = sched if sched is not None else EpsilonSchedule()
+    if np.iscomplexobj(k_grid):
+        raise ValueError("k must be real: k_grid holds complex values")
     kg = np.atleast_1d(np.asarray(k_grid, dtype=float))
     if kg.ndim != 1 or kg.size == 0:
         raise ValueError("k_grid must be a nonempty 1-d real array")

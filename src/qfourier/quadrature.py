@@ -12,7 +12,7 @@ panel of every unconverged row with one integrand call for all of them. A
 row's value therefore has the bits it would have on its own, and a single
 integral is simply the one-row case. Rows report their outcomes as data: a
 row that stops short of tolerance keeps its best estimate and the reason it
-stopped, and only the single-integral form raises.
+stopped, and nothing is raised for it.
 """
 
 from __future__ import annotations
@@ -21,8 +21,6 @@ import heapq
 import math
 
 import numpy as np
-
-from .errors import ConvergenceError
 
 # Gauss-Kronrod (7,15) rule on [-1,1], QUADPACK dqk15 abscissae and weights.
 _XGK = np.array([
@@ -103,51 +101,31 @@ def _sharpen(diff, resasc, resabs):
 def adaptive_quad(func, a, b, *, rel_tol: float = 1e-8,
                   abs_tol: float = 1e-12, max_subdivisions: int = 2000,
                   breakpoints=()):
-    """Integrate func over [a, b]; returns (value, err_estimate).
+    """Integrate row i of func over [a[i], b[i]]; returns (values, errs, why).
 
-    breakpoints seeds the initial subdivision (kinks, oscillation splits).
-    Raises ConvergenceError carrying the best estimate when the subdivision
-    budget is exhausted above tolerance.
-
-    With 1-d arrays a and b, one integral per row: func is called as
-    func(x, rows), where x[i] holds nodes of row rows[i]; breakpoints, when
-    given, is one sequence per row. Every row runs to its end and nothing
-    is raised for a row that misses tolerance: (values, errs, why) come
-    back, why[i] None for a converged row, else the message the row would
-    raise on its own, with values[i] and errs[i] its best estimate.
+    a and b are matching 1-d arrays, one integral per row. func is called
+    as func(x, rows), where x[i] holds nodes of row rows[i]. breakpoints,
+    when given, is one sequence per row that seeds its initial subdivision
+    (kinks, oscillation splits). Every row runs to its end and nothing is
+    raised for a row that misses tolerance: why[i] is None for a converged
+    row, else the reason it stopped short, with values[i] and errs[i] its
+    best estimate.
     """
-    if np.ndim(a) == 0 and np.ndim(b) == 0:
-        def by_row(x, rows):
-            return np.asarray(func(x.ravel())).reshape(x.shape)
-
-        values, errs, why = _lockstep(by_row, [a], [b], [breakpoints],
-                                      rel_tol, abs_tol, max_subdivisions)
-        if why[0]:
-            raise ConvergenceError(why[0], value=values[0], err=errs[0])
-        return values[0], errs[0]
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     if a.ndim != 1 or a.shape != b.shape:
-        raise ValueError("row limits must be scalars or matching 1-d arrays")
+        raise ValueError("row limits must be matching 1-d arrays")
+    n = a.size
     if len(breakpoints) == 0:
-        breakpoints = [()] * a.size
-    elif len(breakpoints) != a.size:
+        breakpoints = [()] * n
+    elif len(breakpoints) != n:
         raise ValueError("need one breakpoint sequence per row")
-    values, errs, why = _lockstep(func, a.tolist(), b.tolist(), breakpoints,
-                                  rel_tol, abs_tol, max_subdivisions)
-    return np.array(values, dtype=complex), np.array(errs, dtype=float), why
-
-
-def _lockstep(func, a, b, breakpoints, rel_tol, abs_tol, max_subdivisions):
-    """Rows of [a[i], b[i]] in blocks; per-row (values, errs, why) lists."""
-    n = len(a)
     values = [0j] * n
     errs = [0.0] * n
     why = [None] * n
     for start in range(0, n, _BLOCK_ROWS):
-        stop = min(n, start + _BLOCK_ROWS)
         pts = {}
-        for i in range(start, stop):
+        for i in range(start, min(n, start + _BLOCK_ROWS)):
             lo, hi = float(a[i]), float(b[i])
             if not hi > lo:
                 if hi == lo:
@@ -162,7 +140,7 @@ def _lockstep(func, a, b, breakpoints, rel_tol, abs_tol, max_subdivisions):
         if pts:
             _run_block(func, pts, values, errs, why, rel_tol, abs_tol,
                        max_subdivisions)
-    return values, errs, why
+    return np.array(values, dtype=complex), np.array(errs, dtype=float), why
 
 
 def _run_block(func, pts, values, errs, why, rel_tol, abs_tol,

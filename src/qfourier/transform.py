@@ -336,19 +336,30 @@ class MembershipReport:
 
 @dataclass(eq=False)
 class TransformSurface:
+    """A q_list x k_grid table of transform values and error estimates.
+
+    why[i][j] is None for a good cell, else the reason cell (i, j) failed;
+    failed is the mask of cells with a reason.
+    """
     k_grid: tuple
     q_list: tuple
     values: np.ndarray
     err: np.ndarray
-    failed: np.ndarray
+    why: list
 
     def __post_init__(self):
         shape = (len(self.q_list), len(self.k_grid))
         _require(self.values.shape == shape and self.err.shape == shape
-                 and self.failed.shape == shape,
+                 and len(self.why) == shape[0]
+                 and all(len(row) == shape[1] for row in self.why),
                  "surface matrices must be |q_list| x |k_grid|")
         _require(bool(np.all(self.err[~self.failed] >= 0)),
                  "error estimates must be nonnegative")
+
+    @property
+    def failed(self) -> np.ndarray:
+        return np.array([[w is not None for w in row] for row in self.why],
+                        dtype=bool).reshape(self.values.shape)
 
 
 def _integrand_decay(gamma_f, qv):
@@ -607,7 +618,7 @@ def qft_complex(f: FunctionSpec, q, point: HalfPlanePoint,
 
 
 def qft_real_line(f: FunctionSpec, q, k, cfg: QuadratureConfig | None = None):
-    """Full real-axis transform at real k.
+    """Full real-axis transform at real k; a complex k raises ValueError.
 
     The two half-plane pieces are boundary values of one sectionally
     analytic function, and the transform is their jump across the axis:
@@ -618,6 +629,8 @@ def qft_real_line(f: FunctionSpec, q, k, cfg: QuadratureConfig | None = None):
     A ConvergenceError's estimate sums both sides, the one that converged
     included; with array k it carries values, errs and failed per k.
     """
+    _require(not np.iscomplexobj(k),
+             f"k must be real for the real-line transform, got {k!r}")
     if np.ndim(k) == 0:
         sides = []
         for plane in (PlaneTag.REAL_LIMIT_UPPER, PlaneTag.REAL_LIMIT_LOWER):
@@ -643,11 +656,15 @@ def qft_real_line(f: FunctionSpec, q, k, cfg: QuadratureConfig | None = None):
 
 def qft_surface(f: FunctionSpec, q_list, k_grid,
                 cfg: QuadratureConfig | None = None) -> TransformSurface:
-    """Tabulate qft_complex over q_list x k_grid.
+    """Tabulate the transform over q_list x k_grid.
 
-    Per-point failures (membership, non-convergence, divergent k=0) are
-    flagged rather than aborting the surface; non-convergent cells keep
-    their best estimate.
+    A HalfPlanePoint in k_grid is that half-plane piece (qft_complex); a
+    real number is the full real-line transform at that k (qft_real_line).
+    A failing cell is recorded rather than aborting the surface. Its why
+    is "did not converge (<message>)" when the subdivision budget ran out,
+    and the cell keeps its best estimate. It is the ValueError text when
+    the cell has no value (membership, divergent k = 0), with value nan
+    and err inf.
     """
     cfg = cfg if cfg is not None else QuadratureConfig()
     q_list = tuple(as_qparam(q) for q in q_list)
@@ -655,17 +672,19 @@ def qft_surface(f: FunctionSpec, q_list, k_grid,
     shape = (len(q_list), len(k_grid))
     values = np.zeros(shape, dtype=complex)
     err = np.zeros(shape, dtype=float)
-    failed = np.zeros(shape, dtype=bool)
+    why = [[None] * len(k_grid) for _ in q_list]
     for i, qp in enumerate(q_list):
         for j, pt in enumerate(k_grid):
             try:
-                values[i, j], err[i, j] = qft_complex(f, qp, pt, cfg)
+                if isinstance(pt, HalfPlanePoint):
+                    values[i, j], err[i, j] = qft_complex(f, qp, pt, cfg)
+                else:
+                    values[i, j], err[i, j] = qft_real_line(f, qp, pt, cfg)
             except ConvergenceError as exc:
                 values[i, j], err[i, j] = exc.value, exc.err
-                failed[i, j] = True
-            except ValueError:
-                values[i, j] = complex("nan")
-                err[i, j] = np.inf
-                failed[i, j] = True
+                why[i][j] = f"did not converge ({exc})"
+            except ValueError as exc:
+                values[i, j], err[i, j] = complex("nan"), np.inf
+                why[i][j] = str(exc)
     return TransformSurface(k_grid=k_grid, q_list=q_list, values=values,
-                            err=err, failed=failed)
+                            err=err, why=why)

@@ -178,6 +178,65 @@ class TestTransformCommand:
         assert not math.isnan(rows[1]["F_re"])
         assert "diverges" in captured.err
 
+    _UNREACHABLE_TOL = ["--q", "1.5", "--kmin", "0.5", "--kmax", "1.5",
+                        "--nk", "2", "--rel-tol", "1e-300",
+                        "--abs-tol", "1e-300"]
+
+    @staticmethod
+    def budget_note(err):
+        return ("q=1.5 k={}: did not converge (quadrature did not reach "
+                "tolerance within 2000 subdivisions (err~{}))".format(*err))
+
+    def test_non_converged_real_line_cells_keep_estimate(self, capsys):
+        # tolerances below the rounding level exhaust every cell's budget;
+        # the rows hold each cell's estimate and stderr says why
+        rc = main(["transform", "--f", "gaussian", "--plane", "real-line",
+                   *self._UNREACHABLE_TOL])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == (
+            "k_re,k_im,plane,q,F_re,F_im,err\n"
+            "0.5,0.0,real_line,1.5,2.3494052310523914,0.0,"
+            "2.7241542192165415e-14\n"
+            "1.5,0.0,real_line,1.5,1.5248538435981869,0.0,"
+            "2.356174802353788e-14\n")
+        assert captured.err == "".join(
+            f"qfourier: {self.budget_note(e)}\n"
+            for e in (("0.5", "1.362e-14"), ("1.5", "1.178e-14")))
+
+    def test_non_converged_upper_cells_in_json(self, capsys):
+        rc = main(["transform", "--f", "heaviside+", "--plane", "upper",
+                   "--kim", "0.5", "--format", "json",
+                   *self._UNREACHABLE_TOL])
+        out = capsys.readouterr().out
+        assert rc == 2
+        results = out[out.index('  "results"'):out.index('  "diagnostics"')]
+        assert results == """\
+  "results": [
+    {
+      "k_re": 0.5,
+      "k_im": 0.5,
+      "plane": "upper",
+      "q": 1.5,
+      "F_re": 2.0,
+      "F_im": 2.0000000000000004,
+      "err": 3.487868498008638e-14
+    },
+    {
+      "k_re": 1.5,
+      "k_im": 0.5,
+      "plane": "upper",
+      "q": 1.5,
+      "F_re": 0.4000000000000008,
+      "F_im": 1.2000000000000004,
+      "err": 1.8489591671030064e-14
+    }
+  ],
+"""
+        assert json.loads(out)["diagnostics"] == [
+            self.budget_note(e)
+            for e in (("0.5", "3.021e-14"), ("1.5", "1.628e-14"))]
+
     def test_q_list_sweeps_q_major(self, capsys):
         rc = main(["transform", "--f", "heaviside+", "--q", "1.2,1.5",
                    "--kmin", "1", "--kmax", "2", "--nk", "2"])

@@ -143,6 +143,12 @@ class TestQ1Slice:
         with pytest.raises(ValueError):
             q1_slice(Gaussian(1.0), [math.nan])
 
+    @pytest.mark.parametrize("k_grid", [[0.5 + 0.1j, 1.0],
+                                        np.array([1.0 + 0j])])
+    def test_complex_k_grid_is_refused(self, k_grid):
+        with pytest.raises(ValueError, match="k must be real"):
+            q1_slice(Gaussian(1.0), k_grid)
+
     def test_sifting_matches_narrow_mollifier(self):
         # point evaluation at q = 1 + eps vs a width-1e-4 average around it
         f, k, eps, width = Gaussian(1.0), 1.0, 1e-3, 1e-4

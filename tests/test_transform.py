@@ -356,6 +356,10 @@ class TestSurface:
         surf = qft_surface(Heaviside(1), [1.0, 1.5], pts)
         assert surf.failed[0].all()
         assert not surf.failed[1].any()
+        assert surf.failed.tolist() == [[w is not None for w in row]
+                                        for row in surf.why]
+        assert surf.why[0][0].startswith("heaviside is outside the "
+                                         "admissible set at q=1")
         assert np.isnan(surf.values[0, 0].real)
         assert np.isfinite(surf.values[1]).all()
 
@@ -370,6 +374,40 @@ class TestSurface:
             qft_complex(Gaussian(1.0), 1.5, up(1.0), cfg)
         assert (surf.values[0, 0], surf.err[0, 0]) == \
             (info.value.value, info.value.err)
+        assert surf.why[0][0] == f"did not converge ({info.value})"
+
+    def test_real_line_cells_are_qft_real_line(self):
+        ks = (-1.5, 0.0, 2.0)
+        surf = qft_surface(Gaussian(1.0), [1.2, 1.6], ks)
+        assert surf.why == [[None] * 3] * 2
+        for i, q in enumerate((1.2, 1.6)):
+            for j, k in enumerate(ks):
+                assert (surf.values[i, j], surf.err[i, j]) == \
+                    qft_real_line(Gaussian(1.0), q, k)
+
+    def test_budget_failed_real_line_cell(self):
+        # the cell keeps the estimate its lone call's error carries, and
+        # the half-plane cell beside it is qft_complex's
+        cfg = QuadratureConfig(max_subdivisions=4)
+        pt = HalfPlanePoint(2j, PlaneTag.UPPER)
+        surf = qft_surface(Gaussian(1.0), [1.5], (1.0, pt), cfg)
+        with pytest.raises(ConvergenceError) as info:
+            qft_real_line(Gaussian(1.0), 1.5, 1.0, cfg)
+        assert surf.why[0] == [f"did not converge ({info.value})", None]
+        assert (surf.values[0, 0], surf.err[0, 0]) == \
+            (info.value.value, info.value.err)
+        assert (surf.values[0, 1], surf.err[0, 1]) == \
+            qft_complex(Gaussian(1.0), 1.5, pt, cfg)
+
+    def test_divergent_real_line_cell(self):
+        # k = 0 reduces a step's transform to a divergent plain integral
+        surf = qft_surface(Heaviside(1), [1.5], (0.0, 1.0))
+        with pytest.raises(ValueError) as info:
+            qft_real_line(Heaviside(1), 1.5, 0.0)
+        assert surf.why[0] == [str(info.value), None]
+        assert "diverges for heaviside" in surf.why[0][0]
+        assert np.isnan(surf.values[0, 0]) and surf.err[0, 0] == np.inf
+        assert surf.failed.tolist() == [[True, False]]
 
     def test_deterministic(self):
         pts = (up(0.5), up(2.0))
@@ -527,6 +565,17 @@ class TestBatchedK:
             qft_real_line(Gaussian(1.0), 1.2, np.ones((2, 2)))
         with pytest.raises(ValueError):
             qft_real_line(Gaussian(1.0), 1.2, np.array([1.0, np.nan]))
+
+    @pytest.mark.parametrize("k", [
+        np.array([0.5 + 0.1j, 1.0]),
+        np.array([0.5 + 0j, 1.0 + 0j]),
+        0.5 + 0.1j,
+        complex(0.5, 0.0),
+    ], ids=["array", "array-zero-imag", "scalar", "scalar-zero-imag"])
+    def test_complex_k_is_refused(self, k):
+        # the real line has real k only; a complex k must not be cast
+        with pytest.raises(ValueError, match="k must be real"):
+            qft_real_line(Gaussian(1.0), 1.3, k)
 
 
 def mp_half_line(density, q, k, pts):
