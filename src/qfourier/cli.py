@@ -196,6 +196,9 @@ def _cmd_transform(args):
         raise _Usage(f"nk must be >= 1, got {nk}")
     if kmin > kmax:
         raise _Usage(f"kmin must be <= kmax, got {kmin} > {kmax}")
+    if not math.isfinite(kmax - kmin):
+        raise _Usage(f"kmax - kmin overflows float, got kmin={kmin}, "
+                     f"kmax={kmax}")
     plane = args.plane if args.plane is not None else "real-upper"
     if plane not in _PLANES:
         raise _Usage(f"unknown plane {plane!r}; choose from "

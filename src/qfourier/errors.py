@@ -31,14 +31,17 @@ class ConvergenceError(RuntimeError):
     Carries the best available estimate so callers can degrade gracefully.
     The quadrature engine never raises it and reports each row's outcome
     as data; the transform calls raise one error for the lowest failing
-    row (one integral per k) and name that row in row. Their values, errs
-    and failed mask then hold every row's result or best estimate.
-    qft_surface records it per cell instead, as "did not converge (...)".
+    row (one integral per k) and name that row in row. Their message is
+    the row's reason followed by its summed err, reason is the reason
+    alone, and values, errs and failed mask hold every row's result or
+    best estimate. qft_surface records it per cell instead, as
+    "did not converge (...)".
     """
 
     def __init__(self, message, value=None, err=None, row=None,
-                 values=None, errs=None, failed=None):
+                 values=None, errs=None, failed=None, reason=None):
         super().__init__(message)
+        self.reason = reason
         self.value = value
         self.err = err
         self.row = row

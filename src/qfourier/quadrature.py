@@ -53,6 +53,14 @@ _EPS = float(np.finfo(float).eps)
 # integrand call a few thousand nodes wide.
 _BLOCK_ROWS = 128
 
+# Seed panels go to the integrand at most this many at a time, which bounds
+# the node and value arrays of one call when dense seeds meet 128 rows.
+_SEED_CHUNK = 2048
+
+# Calls with fewer panels than this sharpen their error estimates in a
+# Python loop rather than in numpy.
+_SHARPEN_LOOP = 32
+
 
 def gk15_panel(func, a, b, rows):
     """(7,15) panels on [a[i], b[i]]; returns (kronrod_values, err_estimates).
@@ -79,22 +87,36 @@ def gk15_panel(func, a, b, rows):
     # np.hypot rounds like the scalar abs(); np.abs on a complex array does not
     d = resk - resg
     diff = np.hypot(d.real, d.imag)
-    err = np.array([_sharpen(*t) for t in zip(diff.tolist(), resasc.tolist(),
-                                              resabs.tolist())])
-    return resk, err
+    return resk, _panel_errs(diff, resasc, resabs)
 
 
-def _sharpen(diff, resasc, resabs):
-    """One panel's error estimate from |K-G| and its two absolute sums.
+def _panel_errs(diff, resasc, resabs):
+    """Panel error estimates from |K-G| and the two absolute sums.
 
-    Scalar float arithmetic: numpy's vector pow differs from libm's in the
-    last bit, and the estimate orders the bisection queue.
+    QUADPACK's resasc * min(1, (200 diff / resasc)^1.5) where neither is 0,
+    else diff, floored at 50 eps resabs where resabs > 0. The min is 1
+    unless the ratio is below 1 (a NaN ratio gives 1 too), and only then is
+    the power taken, in scalar float arithmetic: numpy's vector pow differs
+    from libm's in the last bit, and the estimate orders the bisection
+    queue. A short call loops in Python, which costs less than the fixed
+    overhead of the array form; both give the same bits.
     """
-    err = diff
-    if resasc != 0.0 and diff != 0.0:
-        err = resasc * min(1.0, (200.0 * diff / resasc) ** 1.5)
-    if resabs > 0.0:
-        err = max(err, 50.0 * _EPS * resabs)
+    if diff.size < _SHARPEN_LOOP:
+        err = []
+        for d, ra, rb in zip(diff.tolist(), resasc.tolist(), resabs.tolist()):
+            if ra != 0.0 and d != 0.0:
+                r = 200.0 * d / ra
+                d = ra * r ** 1.5 if r < 1.0 else ra
+            if rb > 0.0:
+                d = max(d, 50.0 * _EPS * rb)
+            err.append(d)
+        return np.array(err, dtype=float)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        ratio = 200.0 * diff / resasc
+        low = (ratio < 1.0) & (diff != 0.0)
+        err = np.where((resasc != 0.0) & (diff != 0.0), resasc, diff)
+        err[low] = resasc[low] * [r ** 1.5 for r in ratio[low].tolist()]
+    np.maximum(err, 50.0 * _EPS * resabs, out=err, where=resabs > 0.0)
     return err
 
 
@@ -109,7 +131,7 @@ def adaptive_quad(func, a, b, *, rel_tol: float = 1e-8,
     (kinks, oscillation splits). Every row runs to its end and nothing is
     raised for a row that misses tolerance: why[i] is None for a converged
     row, else the reason it stopped short, with values[i] and errs[i] its
-    best estimate.
+    best estimate and its err.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -150,23 +172,37 @@ def _run_block(func, pts, values, errs, why, rel_tol, abs_tol,
 
     Per row, the steps and their order are those of a lone heap-driven
     bisection loop: test the tolerance, test the budget, pop the worst
-    panel, bisect it. Only the integrand calls are shared.
+    panel, bisect it. Only the integrand calls are shared. A row that meets
+    tolerance on its seed panels never builds a heap.
     """
     rows = list(pts)
     edges = np.array([t for i in rows for t in pts[i]])
     edge_rows = np.array([i for i in rows for _ in pts[i]])
-    heaps = {i: [] for i in rows}
+    lo, hi, _, v, e = (col.tolist() for col in
+                       _seed_panels(func, edges, edge_rows))
+    heaps = {}
     # per row: [insertion counter, total value, total error, panels]
-    state = {i: [0, 0j, 0.0, len(pts[i]) - 1] for i in rows}
-    for lo, hi, i, v, e in zip(*(col.tolist() for col in
-                                 _seed_panels(func, edges, edge_rows))):
-        s = state[i]
-        heapq.heappush(heaps[i], (-e, s[0], lo, hi, v, e))
-        s[0] += 1
-        s[1] += v
-        s[2] += e
+    state = {}
+    j = 0
+    for i in rows:
+        n = len(pts[i]) - 1
+        value, err = 0j, 0.0
+        for t in range(j, j + n):
+            value += v[t]
+            err += e[t]
+        if not err > max(abs_tol, rel_tol * abs(value)):
+            # converged on its seeds: the seed order is left-endpoint
+            # order, so these sums are the bits the heap would give
+            values[i], errs[i] = value, err
+        else:
+            heap = [(-e[t], t - j, lo[t], hi[t], v[t], e[t])
+                    for t in range(j, j + n)]
+            heapq.heapify(heap)
+            heaps[i] = heap
+            state[i] = [n, value, err, n]
+        j += n
 
-    active = rows
+    active = list(heaps)
     while active:
         waiting = []
         split = []
@@ -178,8 +214,7 @@ def _run_block(func, pts, values, errs, why, rel_tol, abs_tol,
             if s[3] + 1 > max_subdivisions:
                 values[i], errs[i] = _collect(heap)
                 why[i] = ("quadrature did not reach tolerance within "
-                          f"{max_subdivisions} subdivisions "
-                          f"(err~{errs[i]:.3e})")
+                          f"{max_subdivisions} subdivisions")
                 continue
             prio, _, lo, hi, v, e_old = heapq.heappop(heap)
             if prio == 0.0:
@@ -188,8 +223,7 @@ def _run_block(func, pts, values, errs, why, rel_tol, abs_tol,
                 heapq.heappush(heap, (prio, s[0], lo, hi, v, e_old))
                 values[i], errs[i] = _collect(heap)
                 why[i] = ("tolerance unreachable: remaining error sits on "
-                          "intervals at floating-point resolution "
-                          f"(err~{errs[i]:.3e})")
+                          "intervals at floating-point resolution")
                 continue
             mid = 0.5 * (lo + hi)
             if mid <= lo or mid >= hi:
@@ -219,15 +253,22 @@ def _run_block(func, pts, values, errs, why, rel_tol, abs_tol,
 
 
 def _seed_panels(func, edges, rows):
-    """Evaluate the initial panels of every row in one integrand call.
+    """Evaluate the initial panels of every row, _SEED_CHUNK panels per
+    integrand call.
 
     edges holds each row's seed points in turn and rows[j] names the row of
     edges[j]; a panel spans two consecutive points of one row. Returns
     (lo, hi, row, value, err) arrays, one entry per panel in seed order.
+    Each panel's sums run along its own nodes, so the chunking leaves the
+    bits as they are.
     """
     same = rows[1:] == rows[:-1]
     lo, hi, prow = edges[:-1][same], edges[1:][same], rows[:-1][same]
-    v, e = gk15_panel(func, lo, hi, prow)
+    parts = [gk15_panel(func, lo[s:s + _SEED_CHUNK], hi[s:s + _SEED_CHUNK],
+                        prow[s:s + _SEED_CHUNK])
+             for s in range(0, lo.size, _SEED_CHUNK)]
+    v = np.concatenate([p[0] for p in parts])
+    e = np.concatenate([p[1] for p in parts])
     return lo, hi, prow, v, e
 
 

@@ -454,11 +454,21 @@ def _check(bad, error, what, qv, kr, x):
                     f"x={float(x[i, j])!r}")
 
 
-def _osc_breakpoints(A, B, freq, cap=256):
+def _osc_breakpoints(A, B, freq, qv, cap=256):
+    """Interior seed points of [A, B], one panel per 0.8 kernel periods.
+
+    The phase is freq (B - A), capped at pi/(q-1): the kernel's phase stays
+    within +-pi/(2(q-1)), so it turns by no more than that. Near q = 1 a
+    long window gets dense seeds, and a q well above 1, where freq
+    overstates the phase, is not over-seeded. At most cap panels, and none
+    below two.
+    """
     if not (freq > 0) or not math.isfinite(B - A):
         return ()
-    n = int(freq * (B - A) / (2.0 * math.pi * 2.5))
-    n = min(n, cap)
+    phase = freq * (B - A)
+    if qv > 1.0:
+        phase = min(phase, math.pi / (qv - 1.0))
+    n = int(min(phase / (2.0 * math.pi * 0.8), cap))
     if n < 2:
         return ()
     return np.linspace(A, B, n + 1)[1:-1]
@@ -472,7 +482,8 @@ def _merge(why1, why2):
 def _raise_failed(values, errs, why):
     """Raise the ConvergenceError of the lowest row with a reason in why.
 
-    It carries that row's summed value and err, and values, errs and the
+    Its message is that reason with the row's summed err, and it carries
+    the reason, that row's summed value and err, and values, errs and the
     failed mask of every row (a scalar value is the one-row case). Nothing
     happens when every row converged.
     """
@@ -481,17 +492,18 @@ def _raise_failed(values, errs, why):
         failed = np.array([w is not None for w in why])
         row = int(failed.argmax())
         raise ConvergenceError(
-            why[row], value=complex(values[row]), err=float(errs[row]),
-            row=row, values=values, errs=errs, failed=failed)
+            f"{why[row]} (err~{errs[row]:.3e})", reason=why[row],
+            value=complex(values[row]), err=float(errs[row]), row=row,
+            values=values, errs=errs, failed=failed)
 
 
-def _half_line(gfun, A, B, cfg: QuadratureConfig, *, freq, decay,
+def _half_line(gfun, A, B, cfg: QuadratureConfig, *, qv, freq, decay,
                trunc_scale):
     """Integrate gfun over [A, B] for every row, A < B <= inf.
 
-    freq and decay are per-row arrays. Returns (values, errs, why) as
-    adaptive_quad's row form does, with the pieces of the half-line summed
-    per row and each row's why the reason of its first failing piece. A
+    freq and decay are per-row arrays, and qv is q. Returns (values, errs,
+    why) as adaptive_quad's row form does, with the pieces of the half-line
+    summed per row and each row's why the reason of its first failing piece. A
     finite B is one interval; an infinite one is cut where an explicit
     remainder bound (added to err) falls under abs_tol when decay is
     super-algebraic, and mapped onto (0, 1] otherwise.
@@ -506,7 +518,7 @@ def _half_line(gfun, A, B, cfg: QuadratureConfig, *, freq, decay,
         # gfun over [A, hi[i]] for every row, split by its oscillation
         hi = np.broadcast_to(hi, (n,))
         return adaptive_quad(gfun, np.full(n, A), hi, **tol, breakpoints=[
-            _osc_breakpoints(A, h, fr, cap)
+            _osc_breakpoints(A, h, fr, qv, cap)
             for h, fr in zip(hi.tolist(), freq.tolist())])
 
     if math.isfinite(B):
@@ -595,10 +607,10 @@ def _qft_rows(f: FunctionSpec, q, k, positive_side: bool,
 
     gfun = _kernel_integrand(f, qv, k, reflect=not positive_side)
     if positive_side:
-        return _half_line(gfun, A, B, cfg, freq=freq, decay=decay,
+        return _half_line(gfun, A, B, cfg, qv=qv, freq=freq, decay=decay,
                           trunc_scale=trunc_scale)
-    val, err, why = _half_line(gfun, -B, -A, cfg, freq=freq, decay=decay,
-                               trunc_scale=trunc_scale)
+    val, err, why = _half_line(gfun, -B, -A, cfg, qv=qv, freq=freq,
+                               decay=decay, trunc_scale=trunc_scale)
     return -val, err, why
 
 
@@ -638,7 +650,7 @@ def qft_real_line(f: FunctionSpec, q, k, cfg: QuadratureConfig | None = None):
             try:
                 sides.append((*qft_complex(f, q, pt, cfg), None))
             except ConvergenceError as exc:
-                sides.append((exc.value, exc.err, str(exc)))
+                sides.append((exc.value, exc.err, exc.reason))
         (v1, e1, why1), (v2, e2, why2) = sides
         why = _merge([why1], [why2])
     else:
@@ -662,9 +674,10 @@ def qft_surface(f: FunctionSpec, q_list, k_grid,
     real number is the full real-line transform at that k (qft_real_line).
     A failing cell is recorded rather than aborting the surface. Its why
     is "did not converge (<message>)" when the subdivision budget ran out,
-    and the cell keeps its best estimate. It is the ValueError text when
-    the cell has no value (membership, divergent k = 0), with value nan
-    and err inf.
+    and the cell keeps its best estimate. It is the error text when the
+    cell has no value, with value nan and err inf: a ValueError
+    (membership, divergent k = 0) or a NonFiniteError (a kernel value
+    that overflows).
     """
     cfg = cfg if cfg is not None else QuadratureConfig()
     q_list = tuple(as_qparam(q) for q in q_list)
@@ -683,7 +696,7 @@ def qft_surface(f: FunctionSpec, q_list, k_grid,
             except ConvergenceError as exc:
                 values[i, j], err[i, j] = exc.value, exc.err
                 why[i][j] = f"did not converge ({exc})"
-            except ValueError as exc:
+            except (ValueError, NonFiniteError) as exc:
                 values[i, j], err[i, j] = complex("nan"), np.inf
                 why[i][j] = str(exc)
     return TransformSurface(k_grid=k_grid, q_list=q_list, values=values,

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -178,6 +179,35 @@ class TestTransformCommand:
         assert not math.isnan(rows[1]["F_re"])
         assert "diverges" in captured.err
 
+    def test_overflowing_cell_keeps_the_finite_rows(self, capsys):
+        # the kernel overflows at k = 1e308; that cell is flagged and the
+        # k = 1 row is what a run of k = 1 alone writes
+        rc = main(["transform", "--f", "heaviside+", "--q", "1.5",
+                   "--kmin", "1", "--kmax", "1e308", "--nk", "2",
+                   "--plane", "real-line"])
+        captured = capsys.readouterr()
+        assert rc == 2
+        lines = captured.out.splitlines()
+        assert lines[2] == "1e+308,0.0,real_line,1.5,nan,0.0,inf"
+        assert captured.err.startswith(
+            "qfourier: q=1.5 k=1e+308: kernel value is not finite")
+        assert main(["transform", "--f", "heaviside+", "--q", "1.5",
+                     "--kmin", "1", "--kmax", "1", "--nk", "1",
+                     "--plane", "real-line"]) == 0
+        assert capsys.readouterr().out.splitlines()[1] == lines[1]
+
+    def test_overflowing_k_span_is_a_usage_error(self, capsys):
+        # rejected before the grid is built, so numpy never warns
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main(["transform", "--f", "heaviside+", "--q", "1.5",
+                       "--kmin=-1e308", "--kmax", "1e308", "--nk", "3",
+                       "--plane", "real-line"])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.out == ""
+        assert "kmax - kmin overflows float" in captured.err
+
     _UNREACHABLE_TOL = ["--q", "1.5", "--kmin", "0.5", "--kmax", "1.5",
                         "--nk", "2", "--rel-tol", "1e-300",
                         "--abs-tol", "1e-300"]
@@ -198,11 +228,12 @@ class TestTransformCommand:
             "k_re,k_im,plane,q,F_re,F_im,err\n"
             "0.5,0.0,real_line,1.5,2.3494052310523914,0.0,"
             "2.7241542192165415e-14\n"
-            "1.5,0.0,real_line,1.5,1.5248538435981869,0.0,"
-            "2.356174802353788e-14\n")
+            "1.5,0.0,real_line,1.5,1.5248538435981884,0.0,"
+            "2.3562393669173898e-14\n")
+        # each note carries its row's err, both sides summed
         assert captured.err == "".join(
             f"qfourier: {self.budget_note(e)}\n"
-            for e in (("0.5", "1.362e-14"), ("1.5", "1.178e-14")))
+            for e in (("0.5", "2.724e-14"), ("1.5", "2.356e-14")))
 
     def test_non_converged_upper_cells_in_json(self, capsys):
         rc = main(["transform", "--f", "heaviside+", "--plane", "upper",
@@ -233,9 +264,10 @@ class TestTransformCommand:
     }
   ],
 """
+        # each note carries its row's err, the mapped tail's included
         assert json.loads(out)["diagnostics"] == [
             self.budget_note(e)
-            for e in (("0.5", "3.021e-14"), ("1.5", "1.628e-14"))]
+            for e in (("0.5", "3.488e-14"), ("1.5", "1.849e-14"))]
 
     def test_q_list_sweeps_q_major(self, capsys):
         rc = main(["transform", "--f", "heaviside+", "--q", "1.2,1.5",

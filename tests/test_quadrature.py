@@ -1,9 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.polynomial import polynomial as P
 from scipy import integrate
 
+from qfourier import quadrature
 from qfourier.quadrature import adaptive_quad, gk15_panel, graded_line_nodes
 
 
@@ -42,6 +45,38 @@ class TestPanelRule:
                                    atol=1e-12 * (1 + np.abs(c).sum()))
 
 
+def scalar_sharpen(diff, resasc, resabs):
+    """QUADPACK's error sharpening of one panel, in scalar float arithmetic."""
+    err = diff
+    if resasc != 0.0 and diff != 0.0:
+        err = resasc * min(1.0, (200.0 * diff / resasc) ** 1.5)
+    if resabs > 0.0:
+        err = max(err, 50.0 * np.finfo(float).eps * resabs)
+    return err
+
+
+# (diff, resasc, resabs) at the edges of the sharpening
+SHARPEN_EDGES = [
+    (0.0, 1.0, 1.0),                        # diff = 0
+    (0.0, 0.0, 0.0),
+    (1e-3, 0.0, 1.0),                       # resasc = 0
+    (1e-3, 0.0, 0.0),
+    (1.0, 1.0, 1.0),                        # ratio >= 1
+    (0.005, 1.0, 2.0),                      # ratio exactly 1
+    (1e300, 1e-300, 1.0),                   # ratio overflows to inf
+    (math.nextafter(0.005, 0.0), 1.0, 1.0), # ratio just below 1
+    (0.004999, 1.0, 1.0),
+    (1e-9, 0.3, 0.0),                       # resabs = 0: no floor
+    (1e-20, 0.3, 0.7),                      # the floor wins
+    (1e-20, math.inf, 1.0),                 # resasc inf: inf * 0
+    (1e-9, 0.3, math.inf),                  # the floor is inf
+    (math.nan, 0.3, 0.7),                   # NaN in each place
+    (1e-9, math.nan, 0.7),
+    (1e-9, 0.3, math.nan),
+    (math.nan, math.nan, math.nan),
+]
+
+
 def one_row(func, a, b, breakpoints=None, **kw):
     """adaptive_quad on the single row [a, b] of func(x): (value, err, why)."""
     bps = {} if breakpoints is None else {"breakpoints": [breakpoints]}
@@ -55,6 +90,46 @@ def converged(func, a, b, **kw):
     v, e, why = one_row(func, a, b, **kw)
     assert why is None, why
     return v, e
+
+
+class TestPanelErrors:
+    """gk15_panel's err is the scalar QUADPACK sharpening, bit for bit, for
+    calls short enough to loop and long enough to go through numpy."""
+
+    @staticmethod
+    def same_bits(got, want):
+        got, want = np.asarray(got, dtype=float), np.asarray(want)
+        nan = np.isnan(want)
+        assert np.array_equal(np.isnan(got), nan)
+        assert got[~nan].tobytes() == want[~nan].tobytes()
+
+    @pytest.mark.parametrize("copies", [1, quadrature._SHARPEN_LOOP],
+                             ids=["loop", "array"])
+    def test_edges_match_scalar_sharpening(self, copies):
+        assert len(SHARPEN_EDGES) < quadrature._SHARPEN_LOOP
+        diff, resasc, resabs = (np.array(col * copies) for col in
+                                zip(*SHARPEN_EDGES))
+        want = [scalar_sharpen(*t) for t in
+                zip(diff.tolist(), resasc.tolist(), resabs.tolist())]
+        self.same_bits(quadrature._panel_errs(diff, resasc, resabs), want)
+
+    @given(st.lists(st.tuples(*[st.just(0.0) | st.floats(1e-100, 1e3)] * 3),
+                    min_size=1, max_size=80))
+    @settings(max_examples=100, deadline=None)
+    def test_random_triples_match_scalar_sharpening(self, triples):
+        diff, resasc, resabs = (np.array(col) for col in zip(*triples))
+        self.same_bits(quadrature._panel_errs(diff, resasc, resabs),
+                       [scalar_sharpen(*t) for t in triples])
+
+    def test_many_panels_are_the_lone_panels(self):
+        # 200 panels go through the array form, one panel through the loop
+        edges = np.linspace(0.0, 20.0, 201)
+        f = lambda x: np.exp(1j * x * x) / (1.0 + x)
+        v, e = gk15_panel(lambda x, rows: f(x), edges[:-1], edges[1:],
+                          np.zeros(200, dtype=int))
+        lone = [one_panel(f, lo, hi) for lo, hi in zip(edges[:-1], edges[1:])]
+        assert v.tolist() == [t[0] for t in lone]
+        assert e.tolist() == [t[1] for t in lone]
 
 
 class TestAdaptiveQuad:
@@ -171,6 +246,33 @@ class TestRows:
         for i in [3] + list(range(0, 300, 9)):
             assert (values[i], errs[i], why[i]) == one_row(
                 self.lone(w[i]), 0.0, 3.0, rel_tol=1e-12, max_subdivisions=6)
+
+    def test_seed_chunks_leave_the_bits(self, monkeypatch):
+        w = np.linspace(0.5, 40.0, 300)
+        bps = [np.linspace(0.0, 3.0, 2 + int(wi) // 4)[1:-1] for wi in w]
+        runs = []
+        for chunk in (1, 7, 10 ** 6):
+            monkeypatch.setattr(quadrature, "_SEED_CHUNK", chunk)
+            values, errs, why = adaptive_quad(
+                self.row_integrand(w), np.zeros(300), np.full(300, 3.0),
+                rel_tol=1e-10, breakpoints=bps)
+            runs.append((values.tobytes(), errs.tobytes(), why))
+        assert runs[0] == runs[1] == runs[2]
+
+    def test_row_converged_on_its_seeds_is_their_ordered_sum(self):
+        # a smooth row meets tolerance on its seeds; its value and err are
+        # the left-to-right sums of the seed panels
+        pts = np.linspace(0.0, 3.0, 9)
+        func = self.row_integrand(np.array([1.0]))
+        values, errs, why = adaptive_quad(func, np.zeros(1), np.full(1, 3.0),
+                                          breakpoints=[pts[1:-1]])
+        v, e = gk15_panel(func, pts[:-1], pts[1:], np.zeros(8, dtype=int))
+        value, err = 0j, 0.0
+        for vi, ei in zip(v.tolist(), e.tolist()):
+            value += vi
+            err += ei
+        assert why == [None]
+        assert (values[0], errs[0]) == (value, err)
 
     def test_mismatched_limits_rejected(self):
         with pytest.raises(ValueError):

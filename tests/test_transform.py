@@ -23,6 +23,7 @@ from qfourier.transform import (
     qft_real_line,
     qft_surface,
 )
+from qfourier.transform import _osc_breakpoints
 
 
 def up(k):
@@ -409,6 +410,18 @@ class TestSurface:
         assert np.isnan(surf.values[0, 0]) and surf.err[0, 0] == np.inf
         assert surf.failed.tolist() == [[True, False]]
 
+    def test_overflowing_cell_is_recorded(self):
+        # at k = 1e308 the kernel overflows; that cell has no value and
+        # the finite cell beside it keeps its own
+        surf = qft_surface(Heaviside(1), [1.5], (1.0, 1e308))
+        with pytest.raises(NonFiniteError) as info:
+            qft_real_line(Heaviside(1), 1.5, 1e308)
+        assert surf.why[0] == [None, str(info.value)]
+        assert surf.why[0][1].startswith("kernel value is not finite")
+        assert np.isnan(surf.values[0, 1]) and surf.err[0, 1] == np.inf
+        assert (surf.values[0, 0], surf.err[0, 0]) == \
+            qft_real_line(Heaviside(1), 1.5, 1.0)
+
     def test_deterministic(self):
         pts = (up(0.5), up(2.0))
         s1 = qft_surface(Gaussian(1.0), [1.2, 1.6], pts)
@@ -422,6 +435,42 @@ class TestSurface:
         s2 = qft_surface(Gaussian(1.0), [1.6, 1.2], pts)
         assert np.array_equal(s1.values[0], s2.values[1])
         assert np.array_equal(s1.values[1], s2.values[0])
+
+
+class TestSeedRule:
+    """One seed panel per 0.8 kernel periods, the phase capped at pi/(q-1)."""
+
+    period = 2.0 * math.pi * 0.8
+
+    def panels(self, A, B, freq, qv, cap=256):
+        pts = _osc_breakpoints(A, B, freq, qv, cap)
+        return len(pts) + 1 if len(pts) else 1
+
+    def test_classical_kernel_is_uncapped(self):
+        # 10.5 seed periods over [0, 1]; no cap at q = 1
+        assert self.panels(0.0, 1.0, 10.5 * self.period, 1.0) == 10
+        assert self.panels(0.0, 2.0, 1e4, 1.0) == 256
+        pts = _osc_breakpoints(1.0, 2.0, 10.5 * self.period, 1.0)
+        np.testing.assert_array_equal(pts, np.linspace(1.0, 2.0, 11)[1:-1])
+
+    def test_near_one_the_cap_is_far(self):
+        # pi/1e-4 is 31416 rad, far past a phase of 1000
+        assert self.panels(1.0, 2.0, 1000.0, 1.0 + 1e-4) == \
+            self.panels(1.0, 2.0, 1000.0, 1.0) == int(1000.0 / self.period)
+
+    def test_cap_bounds_the_phase(self):
+        # at q = 1.05 the phase is capped at pi/0.05, 12.5 seed periods
+        assert self.panels(0.0, 1.0, 1000.0, 1.05) == 12
+        # at q = 1.5 the kernel turns by at most 2 pi: no seeds at all
+        assert _osc_breakpoints(0.0, 1.0, 1e6, 1.5) == ()
+
+    def test_budget_and_degenerate_inputs(self):
+        assert self.panels(0.0, 1.0, 1e4, 1.0, cap=20) == 20
+        assert _osc_breakpoints(0.0, 1.0, 1.5 * self.period, 1.0) == ()
+        assert _osc_breakpoints(0.0, math.inf, 50.0, 1.0) == ()
+        assert _osc_breakpoints(0.0, 1.0, 0.0, 1.0) == ()
+        # an infinite phase estimate takes the budget, not an overflow
+        assert self.panels(0.0, 1.0, math.inf, 1.0) == 256
 
 
 class TestFailureModes:
@@ -511,6 +560,21 @@ class TestBudgetFailureEstimate:
         for k, v, e in zip(kk, exc.values, exc.errs):
             converged, _ = qft_real_line(self.f, self.q, float(k))
             assert abs(v - converged) <= e
+
+    @pytest.mark.parametrize("call", [
+        lambda f, q, cfg: qft_complex(f, q, up(3.0), cfg),
+        lambda f, q, cfg: qft_real_line(f, q, 3.0, cfg),
+        lambda f, q, cfg: qft_real_line(f, q, np.array([0.5, 3.0]), cfg),
+    ], ids=["map-pieces", "real-line", "real-line-array"])
+    def test_message_carries_the_summed_err(self, call):
+        # the note's err is the row's err, every piece and side summed,
+        # not that of the first piece that failed
+        with pytest.raises(ConvergenceError) as info:
+            call(self.f, self.q, self.cfg)
+        exc = info.value
+        assert exc.reason.startswith("quadrature did not reach tolerance")
+        assert "err~" not in exc.reason
+        assert str(exc) == f"{exc.reason} (err~{exc.err:.3e})"
 
 
 # one case per tail path; the lower (reflected) half-line runs in each
@@ -627,3 +691,18 @@ class TestErrBoundsTrueError:
         v, err = qft_complex(QGaussian(1.5, 1.0), 1.3, down(2.0))
         want = -mp_half_line(_qgauss_mp, 1.3, 2.0, [-mpmath.inf, -1, 0])
         assert abs(v - want) <= err
+
+    # dense seeds: a q -> 1 window many kernel periods long, and a Gaussian
+    # whose phase the cap pi/(q-1) holds below its peak-frequency estimate;
+    # mpmath gets one piece per kernel period or finer
+    @pytest.mark.parametrize("f, density, q, k, pts", [
+        pytest.param(PowerLaw(1.0, 2.0, 1.0, 2.0), lambda x: x ** -2,
+                     1.0001, 100.0, np.linspace(1, 2, 33), id="window-k100"),
+        pytest.param(PowerLaw(1.0, 2.0, 1.0, 2.0), lambda x: x ** -2,
+                     1.0001, 300.0, np.linspace(1, 2, 97), id="window-k300"),
+        pytest.param(Gaussian(1.0), lambda x: mpmath.exp(-x * x / 2), 1.2,
+                     40.0, [*np.linspace(0, 10, 81), 40], id="gaussian-k40"),
+    ])
+    def test_dense_seeds(self, f, density, q, k, pts):
+        v, err = qft_complex(f, q, up(k))
+        assert abs(v - mp_half_line(density, q, k, pts)) <= err
