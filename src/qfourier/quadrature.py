@@ -57,9 +57,11 @@ _BLOCK_ROWS = 128
 # the node and value arrays of one call when dense seeds meet 128 rows.
 _SEED_CHUNK = 2048
 
-# Calls with fewer panels than this sharpen their error estimates in a
-# Python loop rather than in numpy.
-_SHARPEN_LOOP = 32
+# Calls and blocks with fewer panels than this sharpen their error
+# estimates, build and sum their seeds in Python loops and take their panel
+# sums from np.add.reduce; larger ones use the column forms in numpy, whose
+# fixed overhead only pays off there. Both sides give the same bits.
+_LOOP_BELOW = 32
 
 
 def gk15_panel(func, a, b, rows):
@@ -79,15 +81,43 @@ def gk15_panel(func, a, b, rows):
     y = np.asarray(func(x, rows)).reshape(-1, 15)
     # each sum runs along one panel's 15 nodes, in the same order for one
     # panel as for many
-    kg = h[:, None] * np.add.reduce(y[:, None, :] * _W_KG, axis=-1)
+    sum15 = _sum15 if a.size >= _LOOP_BELOW else np.add.reduce
+    kg = h[:, None] * sum15(y[:, None, :] * _W_KG, -1)
     resk, resg = kg[:, 0], kg[:, 1]
-    resabs = h * np.add.reduce(_W_K * np.abs(y), axis=-1)
+    resabs = h * sum15(_W_K * np.abs(y), -1)
     mean = resk / (b - a)
-    resasc = h * np.add.reduce(_W_K * np.abs(y - mean[:, None]), axis=-1)
+    resasc = h * sum15(_W_K * np.abs(y - mean[:, None]), -1)
     # np.hypot rounds like the scalar abs(); np.abs on a complex array does not
     d = resk - resg
     diff = np.hypot(d.real, d.imag)
     return resk, _panel_errs(diff, resasc, resabs)
+
+
+def _sum15(t, axis=-1):
+    """np.add.reduce(t, axis) over a last axis of 15, bit for bit, as
+    column operations. axis must be -1; it is taken so that gk15_panel
+    calls this and np.add.reduce alike.
+
+    On a contiguous 15-long axis numpy 2.4 sums pairwise: a real sum is
+    ((c0+c1)+(c2+c3))+((c4+c5)+(c6+c7)), then c8 to c14 in turn; a complex
+    one keeps four accumulators, c0-c3 plus c4-c7 plus c8-c11, joins them
+    as (a0+a1)+(a2+a3), then adds c12, c13 and c14. Either result is then
+    added to numpy's 0.0 identity, which turns an all -0.0 sum into +0.0.
+    Many rows cost 20 wide operations here instead of one short reduction
+    per row.
+    """
+    c = np.moveaxis(t, -1, 0)
+    if t.dtype.kind == "c":
+        s = (((c[0] + c[4]) + c[8]) + ((c[1] + c[5]) + c[9])) \
+            + (((c[2] + c[6]) + c[10]) + ((c[3] + c[7]) + c[11]))
+        first = 12
+    else:
+        s = ((c[0] + c[1]) + (c[2] + c[3])) + ((c[4] + c[5]) + (c[6] + c[7]))
+        first = 8
+    for j in range(first, 15):
+        s += c[j]
+    s += 0.0
+    return s
 
 
 def _panel_errs(diff, resasc, resabs):
@@ -101,7 +131,7 @@ def _panel_errs(diff, resasc, resabs):
     queue. A short call loops in Python, which costs less than the fixed
     overhead of the array form; both give the same bits.
     """
-    if diff.size < _SHARPEN_LOOP:
+    if diff.size < _LOOP_BELOW:
         err = []
         for d, ra, rb in zip(diff.tolist(), resasc.tolist(), resabs.tolist()):
             if ra != 0.0 and d != 0.0:
@@ -122,81 +152,155 @@ def _panel_errs(diff, resasc, resabs):
 
 def adaptive_quad(func, a, b, *, rel_tol: float = 1e-8,
                   abs_tol: float = 1e-12, max_subdivisions: int = 2000,
-                  breakpoints=()):
+                  panels=None):
     """Integrate row i of func over [a[i], b[i]]; returns (values, errs, why).
 
     a and b are matching 1-d arrays, one integral per row. func is called
-    as func(x, rows), where x[i] holds nodes of row rows[i]. breakpoints,
-    when given, is one sequence per row that seeds its initial subdivision
-    (kinks, oscillation splits). Every row runs to its end and nothing is
-    raised for a row that misses tolerance: why[i] is None for a converged
-    row, else the reason it stopped short, with values[i] and errs[i] its
-    best estimate and its err.
+    as func(x, rows), where x[i] holds nodes of row rows[i]. panels, when
+    given, holds one seed panel count per row (oscillation splits, or a
+    kink at a known fraction of the row): row i starts from panels[i]
+    equal panels with the edges of np.linspace(a[i], b[i], panels[i] + 1),
+    j*step + a[i] with step = (b[i] - a[i]) / panels[i] and the last edge
+    b[i]. A row whose step is at most 4 ulps of its larger end, where
+    rounding could make two edges coincide, takes one panel instead. Every
+    row runs to its end and nothing is raised for a row that misses
+    tolerance: why[i] is None for a converged row, else the reason it
+    stopped short, with values[i] and errs[i] its best estimate and its
+    err.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     if a.ndim != 1 or a.shape != b.shape:
         raise ValueError("row limits must be matching 1-d arrays")
     n = a.size
-    if len(breakpoints) == 0:
-        breakpoints = [()] * n
-    elif len(breakpoints) != n:
-        raise ValueError("need one breakpoint sequence per row")
-    values = [0j] * n
-    errs = [0.0] * n
+    if panels is None:
+        counts = [1] * n
+    else:
+        panels = np.asarray(panels)
+        if panels.shape != a.shape or panels.dtype.kind not in "iu":
+            raise ValueError("need one integer seed panel count per row")
+        counts = panels.tolist()
+    a, b = a.tolist(), b.tolist()
+    values = np.zeros(n, dtype=complex)
+    errs = np.zeros(n)
     why = [None] * n
     for start in range(0, n, _BLOCK_ROWS):
-        pts = {}
+        block = []
         for i in range(start, min(n, start + _BLOCK_ROWS)):
-            lo, hi = float(a[i]), float(b[i])
+            lo, hi, p = a[i], b[i], counts[i]
             if not hi > lo:
                 if hi == lo:
+                    # zero width: 0 with err 0, and no integrand call
                     continue
                 raise ValueError("need a < b")
-            p = [lo] + sorted({float(t) for t in breakpoints[i]
-                               if lo < t < hi}) + [hi]
-            if len(p) - 1 > max_subdivisions:
-                raise ValueError(
-                    "more initial breakpoints than the subdivision budget")
-            pts[i] = p
-        if pts:
-            _run_block(func, pts, values, errs, why, rel_tol, abs_tol,
-                       max_subdivisions)
-    return np.array(values, dtype=complex), np.array(errs, dtype=float), why
+            if not 0 < p <= max_subdivisions:
+                raise ValueError("need 1 to max_subdivisions seed panels")
+            if p > 1 and (hi - lo) / p <= 4.0 * math.ulp(max(-lo, hi)):
+                # seed edges within rounding of each other could coincide
+                p = 1
+            block.append((i, lo, hi, p))
+        if block:
+            _run_block(func, *zip(*block), values, errs, why, rel_tol,
+                       abs_tol, max_subdivisions)
+    return values, errs, why
 
 
-def _run_block(func, pts, values, errs, why, rel_tol, abs_tol,
-               max_subdivisions):
-    """Advance the rows of one block to tolerance, filling in their slots of
-    values, errs and why.
+def _seed_edges(rows, lo, hi, counts):
+    """Flat seed edges of rows [lo[i], hi[i]], counts[i] + 1 per row in
+    turn, and the row of each edge.
+
+    Row i's edges are j*step + lo[i] with step = (hi[i] - lo[i]) /
+    counts[i], np.linspace's arithmetic, with the first set to lo[i] and the
+    last to hi[i]. Fewer than _LOOP_BELOW panels are built in a Python
+    loop, more in numpy; both give the same bits.
+    """
+    if sum(counts) < _LOOP_BELOW:
+        edges, edge_rows = [], []
+        for i, lo_i, hi_i, p in zip(rows, lo, hi, counts):
+            step = (hi_i - lo_i) / p
+            edges += [lo_i] + [j * step + lo_i for j in range(1, p)] + [hi_i]
+            edge_rows += [i] * (p + 1)
+        return np.array(edges), np.array(edge_rows)
+    lo, hi, counts = np.array(lo), np.array(hi), np.array(counts)
+    per_row = counts + 1
+    first = np.cumsum(per_row) - per_row
+    j = np.arange(first[-1] + per_row[-1]) - np.repeat(first, per_row)
+    with np.errstate(over="ignore", invalid="ignore"):
+        edges = j * np.repeat((hi - lo) / counts, per_row) \
+            + np.repeat(lo, per_row)
+    edges[first] = lo
+    edges[first + counts] = hi
+    return edges, np.repeat(rows, per_row)
+
+
+def _seed_sums(v, e, counts):
+    """Per-row left-to-right sums 0 + v[0] + v[1] + ... of the flat seed
+    values v and errs e, counts[i] of them per row in turn, as two lists.
+
+    Fewer than _LOOP_BELOW panels are summed in a Python loop. More are
+    laid out as a matrix, one row each behind a column of +0.0 and padded
+    with -0.0, which leaves any sum as it is, and accumulated along the
+    columns; both give the bits of the loop.
+    """
+    if v.size < _LOOP_BELOW:
+        v, e = v.tolist(), e.tolist()
+        values, errs, j = [], [], 0
+        for n in counts:
+            value, err = 0j, 0.0
+            for t in range(j, j + n):
+                value += v[t]
+                err += e[t]
+            values.append(value)
+            errs.append(err)
+            j += n
+        return values, errs
+    counts = np.array(counts)
+    shape = (counts.size, int(counts.max()) + 1)
+    first = np.cumsum(counts) - counts
+    at = np.repeat(np.arange(shape[0]) * shape[1] - first + 1, counts) \
+        + np.arange(v.size)
+    sums = []
+    for x in (v, e):
+        pad = np.full(shape, -0.0, dtype=x.dtype)
+        pad[:, 0] = 0.0
+        pad.flat[at] = x
+        sums.append(np.add.accumulate(pad, axis=1)[:, -1].tolist())
+    return sums
+
+
+def _run_block(func, rows, a, b, counts, values, errs, why, rel_tol,
+               abs_tol, max_subdivisions):
+    """Advance rows of one block to tolerance, row rows[i] over [a[i],
+    b[i]] on counts[i] seed panels, filling in their slots of values, errs
+    and why.
 
     Per row, the steps and their order are those of a lone heap-driven
     bisection loop: test the tolerance, test the budget, pop the worst
     panel, bisect it. Only the integrand calls are shared. A row that meets
-    tolerance on its seed panels never builds a heap.
+    tolerance on its seed panels never builds a heap: the seed order is
+    left-endpoint order, so its seed sums are the bits the heap would give.
     """
-    rows = list(pts)
-    edges = np.array([t for i in rows for t in pts[i]])
-    edge_rows = np.array([i for i in rows for _ in pts[i]])
-    lo, hi, _, v, e = (col.tolist() for col in
-                       _seed_panels(func, edges, edge_rows))
+    lo, hi, _, v, e = _seed_panels(func, *_seed_edges(rows, a, b, counts))
+    small = v.size < _LOOP_BELOW
+    cols = None
     heaps = {}
     # per row: [insertion counter, total value, total error, panels]
     state = {}
     j = 0
-    for i in rows:
-        n = len(pts[i]) - 1
-        value, err = 0j, 0.0
-        for t in range(j, j + n):
-            value += v[t]
-            err += e[t]
+    for i, n, value, err in zip(rows, counts, *_seed_sums(v, e, counts)):
         if not err > max(abs_tol, rel_tol * abs(value)):
-            # converged on its seeds: the seed order is left-endpoint
-            # order, so these sums are the bits the heap would give
             values[i], errs[i] = value, err
         else:
-            heap = [(-e[t], t - j, lo[t], hi[t], v[t], e[t])
-                    for t in range(j, j + n)]
+            # a heap takes its row's panels as Python lists: a few panels
+            # are listed whole once, more a row at a time
+            if small:
+                cols = cols or [c.tolist() for c in (lo, hi, v, e)]
+                o = j
+            else:
+                cols, o = [c[j:j + n].tolist() for c in (lo, hi, v, e)], 0
+            p_lo, p_hi, p_v, p_e = cols
+            heap = [(-p_e[t], t - o, p_lo[t], p_hi[t], p_v[t], p_e[t])
+                    for t in range(o, o + n)]
             heapq.heapify(heap)
             heaps[i] = heap
             state[i] = [n, value, err, n]

@@ -30,7 +30,8 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import ConvergenceError, CutAmbiguityError, PoleError
+from .errors import (BoundaryRegimeError, ConvergenceError,
+                     CutAmbiguityError, PoleError)
 from .qcore import as_qparam
 
 _LANCZOS_G = 7.0
@@ -269,7 +270,10 @@ def hyp2f1(p: Hyp2F1Params, cut_side: CutSide | None = None) -> complex:
         if (c - a - b).real <= 0:
             raise ValueError(
                 "2F1 diverges at z=1 when Re(c-a-b) <= 0")
-        return _coeff(c, c - a - b, c - a, c - b)
+        try:
+            return _coeff(c, c - a - b, c - a, c - b)
+        except OverflowError:
+            raise _overflow("z=1 Gauss sum", a, b, c, z) from None
     on_cut = z.imag == 0.0 and z.real > 1.0
     if on_cut and cut_side is None:
         raise CutAmbiguityError(
@@ -302,13 +306,28 @@ def _dispatch(a, b, c, z, side):
     if side is None:
         # gamma-free routes first when their argument is already small
         if abs(w_direct) <= _SERIES_RADIUS and abs(w_direct) <= abs(w_pfaff):
-            return _series(a, b, c, w_direct)
-        if abs(w_pfaff) <= _SERIES_RADIUS:
-            return cmath.exp(-a * log_1mz) * _series(a, c - b, c, w_pfaff)
-        candidates = [("z", w_direct), ("z/(z-1)", w_pfaff)] + candidates
+            candidates = [("z", w_direct)]
+        elif abs(w_pfaff) <= _SERIES_RADIUS:
+            candidates = [("z/(z-1)", w_pfaff)]
+        else:
+            candidates = [("z", w_direct), ("z/(z-1)", w_pfaff)] + candidates
 
     name, w = min(candidates, key=lambda item: abs(item[1]))
+    try:
+        return _route(name, a, b, c, w, log_1mz, log_mz, log_z_1mz)
+    except OverflowError:
+        raise _overflow(f"{name} route", a, b, c, z) from None
 
+
+def _overflow(route, a, b, c, z):
+    """The error for a gamma ratio or power past float range on route, as
+    for parameters in the ten thousands near |z| = 1."""
+    return BoundaryRegimeError(f"2F1 overflows float on the {route} at "
+                               f"a={a:g}, b={b:g}, c={c:g}, z={z:g}")
+
+
+def _route(name, a, b, c, w, log_1mz, log_mz, log_z_1mz):
+    """2F1 through the connection route name, in its argument w."""
     if name == "z":
         return _series(a, b, c, w)
     if name == "z/(z-1)":

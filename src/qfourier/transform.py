@@ -32,7 +32,7 @@ import numpy as np
 from .errors import (ConvergenceError, MembershipError, NonFiniteError,
                      PoleError)
 from .qcore import QParam, as_qparam
-from .quadrature import adaptive_quad
+from .quadrature import _LOOP_BELOW, adaptive_quad
 
 
 class FunctionSpec:
@@ -454,24 +454,41 @@ def _check(bad, error, what, qv, kr, x):
                     f"x={float(x[i, j])!r}")
 
 
-def _osc_breakpoints(A, B, freq, qv, cap=256):
-    """Interior seed points of [A, B], one panel per 0.8 kernel periods.
+def _osc_panels(A, B, freq, qv, cap=256):
+    """Seed panel counts of the rows [A, B[i]], one panel per 0.8 kernel
+    periods at frequency freq[i].
 
     The phase is freq (B - A), capped at pi/(q-1): the kernel's phase stays
     within +-pi/(2(q-1)), so it turns by no more than that. Near q = 1 a
     long window gets dense seeds, and a q well above 1, where freq
-    overstates the phase, is not over-seeded. At most cap panels, and none
-    below two.
+    overstates the phase, is not over-seeded. At most cap panels; a row
+    with fewer than two, no positive freq or an infinite B gets one. Fewer
+    than _LOOP_BELOW rows take the rule row by row in Python, more take it
+    in numpy; both give the same counts.
     """
-    if not (freq > 0) or not math.isfinite(B - A):
-        return ()
+    if freq.size < _LOOP_BELOW:
+        return np.array([_osc_count(A, b, f, qv, cap)
+                         for b, f in zip(B.tolist(), freq.tolist())],
+                        dtype=int)
+    width = B - A
+    with np.errstate(over="ignore", invalid="ignore"):
+        phase = freq * width
+        if qv > 1.0:
+            phase = np.minimum(phase, math.pi / (qv - 1.0))
+        n = np.minimum(phase / (2.0 * math.pi * 0.8), cap)
+    # a freq of 0 or NaN gives a phase of 0 or NaN, so n >= 2 fails
+    return np.where((n >= 2) & np.isfinite(width), n, 1).astype(int)
+
+
+def _osc_count(A, B, freq, qv, cap):
+    """_osc_panels' rule for one row, in Python floats."""
+    if not math.isfinite(B - A):
+        return 1
     phase = freq * (B - A)
     if qv > 1.0:
         phase = min(phase, math.pi / (qv - 1.0))
-    n = int(min(phase / (2.0 * math.pi * 0.8), cap))
-    if n < 2:
-        return ()
-    return np.linspace(A, B, n + 1)[1:-1]
+    n = min(phase / (2.0 * math.pi * 0.8), cap)
+    return int(n) if n >= 2 else 1
 
 
 def _merge(why1, why2):
@@ -517,9 +534,8 @@ def _half_line(gfun, A, B, cfg: QuadratureConfig, *, qv, freq, decay,
     def split_quad(hi):
         # gfun over [A, hi[i]] for every row, split by its oscillation
         hi = np.broadcast_to(hi, (n,))
-        return adaptive_quad(gfun, np.full(n, A), hi, **tol, breakpoints=[
-            _osc_breakpoints(A, h, fr, qv, cap)
-            for h, fr in zip(hi.tolist(), freq.tolist())])
+        return adaptive_quad(gfun, np.full(n, A), hi, **tol,
+                             panels=_osc_panels(A, hi, freq, qv, cap))
 
     if math.isfinite(B):
         return split_quad(B)
@@ -675,7 +691,7 @@ def qft_surface(f: FunctionSpec, q_list, k_grid,
     A failing cell is recorded rather than aborting the surface. Its why
     is "did not converge (<message>)" when the subdivision budget ran out,
     and the cell keeps its best estimate. It is the error text when the
-    cell has no value, with value nan and err inf: a ValueError
+    cell has no value, with value nan+nanj and err inf: a ValueError
     (membership, divergent k = 0) or a NonFiniteError (a kernel value
     that overflows).
     """
@@ -697,7 +713,7 @@ def qft_surface(f: FunctionSpec, q_list, k_grid,
                 values[i, j], err[i, j] = exc.value, exc.err
                 why[i][j] = f"did not converge ({exc})"
             except (ValueError, NonFiniteError) as exc:
-                values[i, j], err[i, j] = complex("nan"), np.inf
+                values[i, j], err[i, j] = complex(math.nan, math.nan), np.inf
                 why[i][j] = str(exc)
     return TransformSurface(k_grid=k_grid, q_list=q_list, values=values,
                             err=err, why=why)

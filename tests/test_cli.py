@@ -188,13 +188,22 @@ class TestTransformCommand:
         captured = capsys.readouterr()
         assert rc == 2
         lines = captured.out.splitlines()
-        assert lines[2] == "1e+308,0.0,real_line,1.5,nan,0.0,inf"
+        # a cell with no value is nan in both parts, not a computed 0.0
+        assert lines[2] == "1e+308,0.0,real_line,1.5,nan,nan,inf"
         assert captured.err.startswith(
             "qfourier: q=1.5 k=1e+308: kernel value is not finite")
         assert main(["transform", "--f", "heaviside+", "--q", "1.5",
                      "--kmin", "1", "--kmax", "1", "--nk", "1",
                      "--plane", "real-line"]) == 0
         assert capsys.readouterr().out.splitlines()[1] == lines[1]
+
+    def test_cell_without_value_is_null_in_json(self, capsys):
+        rc = main(["transform", "--f", "heaviside+", "--q", "1.5",
+                   "--kmin", "1", "--kmax", "1e308", "--nk", "2",
+                   "--plane", "real-line", "--format", "json"])
+        assert rc == 2
+        cell = json.loads(capsys.readouterr().out)["results"][1]
+        assert (cell["F_re"], cell["F_im"], cell["err"]) == (None, None, None)
 
     def test_overflowing_k_span_is_a_usage_error(self, capsys):
         # rejected before the grid is built, so numpy never warns

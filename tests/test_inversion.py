@@ -183,7 +183,50 @@ def nonuniform_spectrum():
     return G, k
 
 
+def full_trig(G, k, x, k_trig=None):
+    """inverse_ft with cos and sin taken over the whole of k_trig (default
+    k) in one block: its former arithmetic, the reference for its bits."""
+    k_trig = k if k_trig is None else k_trig
+    g = G * inversion.trapezoid_weights(np.diff(k))
+    ph = np.outer(x, k_trig)
+    c, s = np.cos(ph), np.sin(ph)
+    vals = np.empty(x.size, dtype=complex)
+    vals.real = np.add.reduce(c * g.real + s * g.imag, axis=-1)
+    vals.imag = np.add.reduce(c * g.imag - s * g.real, axis=-1)
+    vals /= 2.0 * math.pi
+    return vals.real
+
+
+def hermitian(k, rng):
+    G = rng.standard_normal(k.size) + 1j * rng.standard_normal(k.size)
+    return 0.5 * (G + np.conj(G[::-1]))
+
+
 class TestInverseFT:
+    @pytest.mark.parametrize("n", [2, 3, 40, 41, 801])
+    def test_mirrored_trig_is_the_full_grid_bitwise(self, n):
+        # an exactly symmetric grid, odd or even, of uneven steps
+        rng = np.random.default_rng(n)
+        half = np.cumsum(rng.uniform(0.02, 0.06, n // 2))
+        k = np.concatenate([-half[::-1], [0.0] * (n % 2), half])
+        G = hermitian(k, rng)
+        x = np.linspace(-25.0, 20.0, 57)
+        assert inverse_ft(G, k, x).tobytes() == full_trig(G, k, x).tobytes()
+
+    def test_nearly_symmetric_grid_is_its_mirrored_half(self):
+        # np.linspace's two halves differ in the last bits
+        k = np.linspace(-7.3, 7.3, 2452)
+        assert not np.array_equal(k, -k[::-1])
+        G = hermitian(k, np.random.default_rng(3))
+        x = np.linspace(-400.0, 300.0, 41)
+        got = inverse_ft(G, k, x)
+        want = full_trig(G, k, x)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+        # the trig is that of the non-negative half mirrored
+        m = k.size // 2
+        mirrored = np.concatenate([-k[:m - 1:-1], k[m:]])
+        assert got.tobytes() == full_trig(G, k, x, mirrored).tobytes()
+
     def test_matches_trapezoid_reference(self):
         G, k = nonuniform_spectrum()
         x = np.linspace(-10.0, 10.0, 333)

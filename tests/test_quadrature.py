@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -77,11 +78,12 @@ SHARPEN_EDGES = [
 ]
 
 
-def one_row(func, a, b, breakpoints=None, **kw):
-    """adaptive_quad on the single row [a, b] of func(x): (value, err, why)."""
-    bps = {} if breakpoints is None else {"breakpoints": [breakpoints]}
+def one_row(func, a, b, panels=None, **kw):
+    """adaptive_quad on the single row [a, b] of func(x), seeded with panels
+    equal panels: (value, err, why)."""
+    seeds = {} if panels is None else {"panels": np.array([panels])}
     values, errs, why = adaptive_quad(lambda x, rows: func(x), np.array([a]),
-                                      np.array([b]), **bps, **kw)
+                                      np.array([b]), **seeds, **kw)
     return values[0], errs[0], why[0]
 
 
@@ -103,10 +105,10 @@ class TestPanelErrors:
         assert np.array_equal(np.isnan(got), nan)
         assert got[~nan].tobytes() == want[~nan].tobytes()
 
-    @pytest.mark.parametrize("copies", [1, quadrature._SHARPEN_LOOP],
+    @pytest.mark.parametrize("copies", [1, quadrature._LOOP_BELOW],
                              ids=["loop", "array"])
     def test_edges_match_scalar_sharpening(self, copies):
-        assert len(SHARPEN_EDGES) < quadrature._SHARPEN_LOOP
+        assert len(SHARPEN_EDGES) < quadrature._LOOP_BELOW
         diff, resasc, resabs = (np.array(col * copies) for col in
                                 zip(*SHARPEN_EDGES))
         want = [scalar_sharpen(*t) for t in
@@ -130,6 +132,120 @@ class TestPanelErrors:
         lone = [one_panel(f, lo, hi) for lo, hi in zip(edges[:-1], edges[1:])]
         assert v.tolist() == [t[0] for t in lone]
         assert e.tolist() == [t[1] for t in lone]
+
+
+def signed_zeros(rng, shape):
+    return np.where(rng.random(shape) < 0.5, -0.0, 0.0)
+
+
+class TestColumnSums:
+    """gk15_panel's column sums are np.add.reduce's, bit for bit."""
+
+    @staticmethod
+    def samples(kind, shape, rng):
+        if kind == "zeros":
+            return np.zeros(shape, dtype=complex)
+        if kind == "signed zeros":
+            return signed_zeros(rng, shape) + 1j * signed_zeros(rng, shape)
+        # magnitudes over 16 decades, so the order of the sums shows
+        scale = 10.0 ** rng.integers(-8, 8, shape)
+        y = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+        y *= scale
+        y[0] = -0.0
+        y[1, :7] = signed_zeros(rng, 7)
+        return y
+
+    @pytest.mark.parametrize("kind", ["random", "zeros", "signed zeros"])
+    def test_sum15_is_add_reduce(self, kind):
+        rng = np.random.default_rng(5)
+        y = self.samples(kind, (300, 15), rng)
+        for t in (y, y.real.copy(), y[:, None, :] * quadrature._W_KG,
+                  quadrature._W_K * np.abs(y)):
+            want = np.add.reduce(t, axis=-1)
+            got = quadrature._sum15(t)
+            assert got.shape == want.shape
+            assert np.ascontiguousarray(got).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("kind", ["random", "zeros", "signed zeros"])
+    def test_column_path_is_the_reduce_path(self, kind, monkeypatch):
+        rng = np.random.default_rng(6)
+        y = self.samples(kind, (64, 15), rng)
+        edges = np.sort(rng.uniform(-3.0, 3.0, 65))
+        runs = []
+        for below in (0, 10 ** 9):
+            monkeypatch.setattr(quadrature, "_LOOP_BELOW", below)
+            v, e = gk15_panel(lambda x, rows: y, edges[:-1], edges[1:],
+                              np.zeros(64, dtype=int))
+            runs.append((v.tobytes(), e.tobytes()))
+        assert runs[0] == runs[1]
+
+
+class TestSeedPaths:
+    """Seeds built and summed in Python loops and in numpy give the same
+    bits: the same edges reach the integrand and every row the same sums."""
+
+    seed_panels = staticmethod(quadrature._seed_panels)
+
+    def run(self, monkeypatch, below, w, a, b, panels):
+        monkeypatch.setattr(quadrature, "_LOOP_BELOW", below)
+        seen = []
+
+        def spy(func, edges, rows):
+            seen.append((edges.tobytes(), rows.tolist()))
+            return self.seed_panels(func, edges, rows)
+
+        monkeypatch.setattr(quadrature, "_seed_panels", spy)
+        values, errs, why = adaptive_quad(TestRows.row_integrand(w), a, b,
+                                          rel_tol=1e-10, panels=panels)
+        return seen, values.tobytes(), errs.tobytes(), why
+
+    @pytest.mark.parametrize("panels", [
+        [1], [2], [256], [1, 2, 256],
+        # row 1 has zero width
+        [3, 4, 5, 2],
+        # 130 rows cross the 128-row block edge
+        [1 + i % 7 for i in range(130)],
+    ])
+    def test_python_and_numpy_seeds_agree(self, panels, monkeypatch):
+        n = len(panels)
+        w = np.linspace(0.5, 30.0, n)
+        a = np.linspace(-1.0, 0.5, n)
+        b = a + np.linspace(3.0, 1.0, n)
+        if n > 3:
+            b[1] = a[1]
+        panels = np.array(panels)
+        loop = self.run(monkeypatch, 10 ** 9, w, a, b, panels)
+        array = self.run(monkeypatch, 0, w, a, b, panels)
+        assert loop == array
+        # every live row's edges are np.linspace's
+        edges = np.concatenate([np.frombuffer(e) for e, _ in loop[0]])
+        live = np.flatnonzero(b > a)
+        want = np.concatenate([np.linspace(a[i], b[i], panels[i] + 1)
+                               for i in live])
+        assert edges.tobytes() == want.tobytes()
+
+    def test_sums_keep_signed_zeros(self, monkeypatch):
+        rng = np.random.default_rng(8)
+        counts = (3, 1, 40, 2, 7)
+        v = signed_zeros(rng, 53) + 1j * signed_zeros(rng, 53)
+        e = signed_zeros(rng, 53)
+        # row 0 is all -0.0, which sums to +0.0 from the loop's 0j start
+        v[:3], e[:3] = complex(-0.0, -0.0), -0.0
+        v[10:20] = rng.standard_normal(10) * 1e-3
+        e[4:30] = rng.uniform(0.0, 1e-3, 26)
+        sums = []
+        for below in (10 ** 9, 0):
+            monkeypatch.setattr(quadrature, "_LOOP_BELOW", below)
+            sums.append([np.array(s).tobytes()
+                         for s in quadrature._seed_sums(v, e, counts)])
+        assert sums[0] == sums[1]
+
+    def test_bad_panel_counts_rejected(self):
+        func = TestRows.row_integrand(np.ones(2))
+        for panels in ([1], [0, 1], [1, 2001], [1.0, 2.0]):
+            with pytest.raises(ValueError):
+                adaptive_quad(func, np.zeros(2), np.ones(2),
+                              panels=np.array(panels))
 
 
 class TestAdaptiveQuad:
@@ -164,8 +280,9 @@ class TestAdaptiveQuad:
         np.testing.assert_allclose(v.real, exact, rtol=1e-9, atol=1e-12)
 
     def test_kink_with_breakpoint(self):
+        # three seed panels put an edge on the kink: 1*(1/3) + 0 is 1.0/3.0
         v, e = converged(lambda x: np.abs(x - 1.0 / 3.0), 0.0, 1.0,
-                         breakpoints=[1.0 / 3.0])
+                         panels=3)
         np.testing.assert_allclose(v, 5.0 / 18.0, rtol=1e-13)
         assert e < 1e-10
 
@@ -212,17 +329,17 @@ class TestRows:
         return lambda x: one(x, np.zeros(len(x), dtype=int))
 
     def test_rows_are_bitwise_the_single_integrals(self):
-        # 300 rows span three blocks; the breakpoints differ per row
+        # 300 rows span three blocks; the seed panel counts differ per row
         w = np.linspace(0.5, 40.0, 300)
-        bps = [np.linspace(0.0, 3.0, 2 + int(wi) // 8)[1:-1] for wi in w]
+        panels = 1 + w.astype(int) // 8
         values, errs, why = adaptive_quad(self.row_integrand(w),
                                           np.zeros(300), np.full(300, 3.0),
-                                          rel_tol=1e-10, breakpoints=bps)
+                                          rel_tol=1e-10, panels=panels)
         assert why == [None] * 300
         for i in range(0, 300, 7):
             assert (values[i], errs[i], None) == one_row(
                 self.lone(w[i]), 0.0, 3.0, rel_tol=1e-10,
-                breakpoints=bps[i])
+                panels=panels[i])
 
     def test_zero_width_rows(self):
         values, errs, why = adaptive_quad(self.row_integrand(np.ones(2)),
@@ -249,13 +366,13 @@ class TestRows:
 
     def test_seed_chunks_leave_the_bits(self, monkeypatch):
         w = np.linspace(0.5, 40.0, 300)
-        bps = [np.linspace(0.0, 3.0, 2 + int(wi) // 4)[1:-1] for wi in w]
+        panels = 1 + w.astype(int) // 4
         runs = []
         for chunk in (1, 7, 10 ** 6):
             monkeypatch.setattr(quadrature, "_SEED_CHUNK", chunk)
             values, errs, why = adaptive_quad(
                 self.row_integrand(w), np.zeros(300), np.full(300, 3.0),
-                rel_tol=1e-10, breakpoints=bps)
+                rel_tol=1e-10, panels=panels)
             runs.append((values.tobytes(), errs.tobytes(), why))
         assert runs[0] == runs[1] == runs[2]
 
@@ -265,7 +382,7 @@ class TestRows:
         pts = np.linspace(0.0, 3.0, 9)
         func = self.row_integrand(np.array([1.0]))
         values, errs, why = adaptive_quad(func, np.zeros(1), np.full(1, 3.0),
-                                          breakpoints=[pts[1:-1]])
+                                          panels=np.array([8]))
         v, e = gk15_panel(func, pts[:-1], pts[1:], np.zeros(8, dtype=int))
         value, err = 0j, 0.0
         for vi, ei in zip(v.tolist(), e.tolist()):
@@ -273,6 +390,27 @@ class TestRows:
             err += ei
         assert why == [None]
         assert (values[0], errs[0]) == (value, err)
+
+    def test_seeds_below_resolution_take_one_panel(self):
+        # 7 seed panels over 4 ulps would have coinciding edges, panels of
+        # zero width whose 0/0 mean warns; the row takes one panel instead
+        a, b = 1.0, 1.0 + 4 * 2.0 ** -52
+        assert np.unique(np.linspace(a, b, 8)).size < 8
+        func = self.row_integrand(np.array([3.0]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            seeded = adaptive_quad(func, np.array([a]), np.array([b]),
+                                   panels=np.array([7]))
+        one = adaptive_quad(func, np.array([a]), np.array([b]))
+        assert seeded[2] == one[2] == [None]
+        assert seeded[0].tobytes() == one[0].tobytes()
+        assert seeded[1].tobytes() == one[1].tobytes()
+        # 7 panels over 7 * 5 ulps keep their seeds
+        b = 1.0 + 35 * 2.0 ** -52
+        assert np.unique(np.linspace(a, b, 8)).size == 8
+        assert adaptive_quad(func, np.array([a]), np.array([b]),
+                             panels=np.array([7]))[0] != \
+            adaptive_quad(func, np.array([a]), np.array([b]))[0]
 
     def test_mismatched_limits_rejected(self):
         with pytest.raises(ValueError):

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qfourier.errors import ConvergenceError, CutAmbiguityError, PoleError
+from qfourier.errors import (BoundaryRegimeError, ConvergenceError,
+                             CutAmbiguityError, PoleError)
 from qfourier.special import (CutSide, Hyp2F1Params, digamma,
                               gamma_ratio_collapse, hyp2f1, log_gamma)
 
@@ -136,6 +137,17 @@ def F(a, b, c, z, side=None):
 class TestHyp2F1:
     def test_empty_series(self):
         assert F(0.7, -1.3, 2.2, 0.0) == 1.0 + 0j
+
+    @pytest.mark.parametrize("a, b, c, z, route", [
+        (1e4, 1e4 + 3, 2e4, -5j, "1/(1-z) route"),
+        (1e4, 1e4, 3e4 + 1, 1.0, "z=1 Gauss sum"),
+    ])
+    def test_overflow_names_its_route(self, a, b, c, z, route):
+        # parameters in the ten thousands put a gamma ratio past float
+        # range; that is a typed error, not a bare OverflowError
+        with pytest.raises(BoundaryRegimeError) as info:
+            F(a, b, c, z)
+        assert f"overflows float on the {route} at" in str(info.value)
 
     def test_frozen_log_series_value(self):
         np.testing.assert_allclose(F(1, 1, 2, 0.5), 1.3862943611198906,

@@ -23,7 +23,9 @@ from qfourier.transform import (
     qft_real_line,
     qft_surface,
 )
-from qfourier.transform import _osc_breakpoints
+from qfourier import quadrature
+from qfourier import transform as transform_module
+from qfourier.transform import _osc_panels
 
 
 def up(k):
@@ -418,7 +420,9 @@ class TestSurface:
             qft_real_line(Heaviside(1), 1.5, 1e308)
         assert surf.why[0] == [None, str(info.value)]
         assert surf.why[0][1].startswith("kernel value is not finite")
-        assert np.isnan(surf.values[0, 1]) and surf.err[0, 1] == np.inf
+        # nan in both parts: no part of the value was computed
+        assert np.isnan(surf.values[0, 1].real)
+        assert np.isnan(surf.values[0, 1].imag) and surf.err[0, 1] == np.inf
         assert (surf.values[0, 0], surf.err[0, 0]) == \
             qft_real_line(Heaviside(1), 1.5, 1.0)
 
@@ -438,20 +442,32 @@ class TestSurface:
 
 
 class TestSeedRule:
-    """One seed panel per 0.8 kernel periods, the phase capped at pi/(q-1)."""
+    """One seed panel per 0.8 kernel periods, the phase capped at pi/(q-1),
+    the same through the Python loop and through numpy."""
 
     period = 2.0 * math.pi * 0.8
 
+    @staticmethod
+    def counts(A, B, freq, qv, cap, below):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(transform_module, "_LOOP_BELOW", below)
+            return _osc_panels(A, B, freq, qv, cap).tolist()
+
     def panels(self, A, B, freq, qv, cap=256):
-        pts = _osc_breakpoints(A, B, freq, qv, cap)
-        return len(pts) + 1 if len(pts) else 1
+        """The count of the one row [A, B], the same on both paths."""
+        loop, array = (self.counts(A, np.array([B]), np.array([freq]), qv,
+                                   cap, below) for below in (10 ** 9, 0))
+        assert loop == array
+        return loop[0]
 
     def test_classical_kernel_is_uncapped(self):
         # 10.5 seed periods over [0, 1]; no cap at q = 1
         assert self.panels(0.0, 1.0, 10.5 * self.period, 1.0) == 10
         assert self.panels(0.0, 2.0, 1e4, 1.0) == 256
-        pts = _osc_breakpoints(1.0, 2.0, 10.5 * self.period, 1.0)
-        np.testing.assert_array_equal(pts, np.linspace(1.0, 2.0, 11)[1:-1])
+        # those 10 panels have np.linspace's edges
+        n = self.panels(1.0, 2.0, 10.5 * self.period, 1.0)
+        edges, _ = quadrature._seed_edges((0,), (1.0,), (2.0,), (n,))
+        np.testing.assert_array_equal(edges, np.linspace(1.0, 2.0, 11))
 
     def test_near_one_the_cap_is_far(self):
         # pi/1e-4 is 31416 rad, far past a phase of 1000
@@ -461,16 +477,27 @@ class TestSeedRule:
     def test_cap_bounds_the_phase(self):
         # at q = 1.05 the phase is capped at pi/0.05, 12.5 seed periods
         assert self.panels(0.0, 1.0, 1000.0, 1.05) == 12
-        # at q = 1.5 the kernel turns by at most 2 pi: no seeds at all
-        assert _osc_breakpoints(0.0, 1.0, 1e6, 1.5) == ()
+        # at q = 1.5 the kernel turns by at most 2 pi: one panel
+        assert self.panels(0.0, 1.0, 1e6, 1.5) == 1
 
     def test_budget_and_degenerate_inputs(self):
         assert self.panels(0.0, 1.0, 1e4, 1.0, cap=20) == 20
-        assert _osc_breakpoints(0.0, 1.0, 1.5 * self.period, 1.0) == ()
-        assert _osc_breakpoints(0.0, math.inf, 50.0, 1.0) == ()
-        assert _osc_breakpoints(0.0, 1.0, 0.0, 1.0) == ()
+        assert self.panels(0.0, 1.0, 1.5 * self.period, 1.0) == 1
+        assert self.panels(0.0, math.inf, 50.0, 1.0) == 1
+        assert self.panels(0.0, 1.0, 0.0, 1.0) == 1
+        assert self.panels(0.0, 1.0, math.nan, 1.0) == 1
         # an infinite phase estimate takes the budget, not an overflow
         assert self.panels(0.0, 1.0, math.inf, 1.0) == 256
+        # and on a zero-width row it is one panel, not inf * 0
+        assert self.panels(1.0, 1.0, math.inf, 1.5) == 1
+
+    def test_loop_and_array_agree_on_many_rows(self):
+        B = np.array([1.0, 2.0, 1.0, math.inf, 3.0, 0.0, 1.0, 1.0, 1.0])
+        freq = np.array([10.5 * self.period, 1e4, 0.0, 50.0, 1000.0,
+                         math.inf, math.nan, math.inf, 2.0 * self.period])
+        for qv in (1.0, 1.05, 1.5):
+            assert self.counts(0.0, B, freq, qv, 200, 10 ** 9) == \
+                self.counts(0.0, B, freq, qv, 200, 0)
 
 
 class TestFailureModes:
