@@ -136,11 +136,10 @@ def inverse_ft(G, k_grid, x_grid) -> np.ndarray:
     k_grid must be strictly increasing and symmetric about 0, sampled
     finely enough for the x extent (Nyquist); a noticeable imaginary part
     in the result means G was not conjugate-symmetric and draws a warning.
-    The symmetry is checked to 1e-12 of the largest |k|, and a grid that
-    passes is treated as its mirrored non-negative half: cos kx and sin kx
-    are taken there only, so the negative half's k enter the phases as -k
-    of their mirror points (the trapezoid weights keep the grid's own
-    steps). On an exactly symmetric grid that is the full grid, bit for bit.
+    On an exactly symmetric grid cos kx and sin kx are taken on the
+    non-negative half of k only and mirrored onto the negative half, which
+    gives the full grid's trig bit for bit; any other grid takes them on
+    all of its points.
     """
     G = np.asarray(G, dtype=complex)
     k = np.asarray(k_grid, dtype=float)
@@ -169,11 +168,11 @@ def inverse_ft(G, k_grid, x_grid) -> np.ndarray:
     # BLAS matmul they do).
     g = G * trapezoid_weights(dk)
     gr, gi = g.real.copy(), g.imag.copy()
-    # cos and sin are taken on the non-negative half of k only, and the
-    # negative half mirrors them: cos(-a) == cos(a), sin(-a) == -sin(a) and
-    # x*(-k) == -(x*k) hold bitwise, so on an exactly symmetric grid this is
-    # the full grid's trig
-    m = k.size // 2
+    # on an exactly symmetric grid cos and sin are taken on the non-negative
+    # half of k only, and the negative half mirrors them: cos(-a) == cos(a),
+    # sin(-a) == -sin(a) and x*(-k) == -(x*k) hold bitwise, so this is the
+    # full grid's trig; m = 0 takes them on the whole grid
+    m = k.size // 2 if np.array_equal(k, -k[::-1]) else 0
     vals = np.empty(x.size, dtype=complex)
     for i in range(0, x.size, _X_BLOCK):
         ph = np.outer(x[i:i + _X_BLOCK], k[m:])

@@ -105,6 +105,10 @@ def _sum15(t, axis=-1):
     added to numpy's 0.0 identity, which turns an all -0.0 sum into +0.0.
     Many rows cost 20 wide operations here instead of one short reduction
     per row.
+
+    The bit-for-bit agreement requires numpy 2.4.x, whose order this
+    copies; it is what makes a batched row give a lone row's bits. Another
+    numpy still gives correct sums, but may differ in their last bits.
     """
     c = np.moveaxis(t, -1, 0)
     if t.dtype.kind == "c":
@@ -281,8 +285,6 @@ def _run_block(func, rows, a, b, counts, values, errs, why, rel_tol,
     left-endpoint order, so its seed sums are the bits the heap would give.
     """
     lo, hi, _, v, e = _seed_panels(func, *_seed_edges(rows, a, b, counts))
-    small = v.size < _LOOP_BELOW
-    cols = None
     heaps = {}
     # per row: [insertion counter, total value, total error, panels]
     state = {}
@@ -291,16 +293,10 @@ def _run_block(func, rows, a, b, counts, values, errs, why, rel_tol,
         if not err > max(abs_tol, rel_tol * abs(value)):
             values[i], errs[i] = value, err
         else:
-            # a heap takes its row's panels as Python lists: a few panels
-            # are listed whole once, more a row at a time
-            if small:
-                cols = cols or [c.tolist() for c in (lo, hi, v, e)]
-                o = j
-            else:
-                cols, o = [c[j:j + n].tolist() for c in (lo, hi, v, e)], 0
-            p_lo, p_hi, p_v, p_e = cols
-            heap = [(-p_e[t], t - o, p_lo[t], p_hi[t], p_v[t], p_e[t])
-                    for t in range(o, o + n)]
+            p_lo, p_hi, p_v, p_e = [c[j:j + n].tolist()
+                                    for c in (lo, hi, v, e)]
+            heap = [(-p_e[t], t, p_lo[t], p_hi[t], p_v[t], p_e[t])
+                    for t in range(n)]
             heapq.heapify(heap)
             heaps[i] = heap
             state[i] = [n, value, err, n]
