@@ -3,9 +3,9 @@
 The branch convention is fixed here: complex powers use the principal
 branch of the logarithm, and q = 1 is an exact separate code path, never a
 small-epsilon substitute. The closed forms go through these evaluators;
-transform._kernel_integrand keeps a vectorized copy (numpy's complex log
-differs from cmath.log in the last bit), and ultra never evaluates the
-kernel.
+transform._kernel_integrand keeps a vectorized copy in real arithmetic
+(log1p modulus, arctan2 phase), judged against mpmath on accuracy rather
+than against cmath on bits, and ultra never evaluates the kernel.
 """
 
 from __future__ import annotations

@@ -19,6 +19,13 @@ from the decay exponent so the transformed integrand vanishes at v = 0, and
 no truncation error remains. Past the linear-phase region the kernel's
 total remaining phase is bounded by pi/(2(q-1)), so the mapped tail is at
 most mildly oscillatory.
+
+For q != 1 the kernel is evaluated in real arithmetic: a log1p modulus and
+an arctan2 phase, which numpy runs in SIMD where its complex log and exp
+are scalar calls, and which lose no digits near |base| = 1. Where the
+base's parts overflow, the modulus underflows to its true limit 0. One
+numpy error state covers each half-line piece, and the integrands check
+their own values.
 """
 
 from __future__ import annotations
@@ -100,10 +107,11 @@ class PowerLaw(FunctionSpec):
 
     def values(self, x):
         x = np.asarray(x, dtype=float)
-        out = np.zeros_like(x)
         m = (x >= self.a) & (x <= self.b)
-        out[m] = (self.lam / x[m]) ** self.beta
-        return out
+        # x is moved into [a, b] off the window, so nothing divides by 0
+        # or overflows there
+        return np.where(m, (self.lam / np.where(m, x, self.a)) ** self.beta,
+                        0.0)
 
     def support(self):
         return (self.a, self.b)
@@ -416,8 +424,20 @@ def _kernel_integrand(f: FunctionSpec, qv: float, k, reflect: bool):
     reflect=False puts the nodes at x = u, reflect=True at x = -u. A node
     on the wrong side of the kernel's branch point raises PoleError, and a
     kernel value that is not finite raises NonFiniteError.
+
+    For q != 1 the kernel is taken in real arithmetic: with
+    c = (1-q) x f^(q-1), its base 1 + i(1-q) k x f^(q-1) is (1 + d) + i b,
+    d = -c Im k and b = c Re k. Its modulus comes from log1p(d(2+d) + b^2),
+    which keeps the digits of |base|^2 - 1 near |base| = 1, and its phase
+    from arctan2(b, 1 + d) on the principal branch. Where b^2 overflows the
+    modulus underflows to its limit 0. When every k is real, d = 0 and the
+    terms in d are skipped; the bits are those of the general form. The
+    caller holds numpy's error state (see _qft_rows): a node off the
+    support can give inf * 0, and b^2 can overflow.
     """
     k = np.asarray(k, dtype=complex)
+    k_re, minus_im = k.real, -k.imag
+    real = not minus_im.any()
 
     def integrand(u, rows):
         u = np.asarray(u, dtype=float)
@@ -428,17 +448,34 @@ def _kernel_integrand(f: FunctionSpec, qv: float, k, reflect: bool):
             return np.zeros(u.shape, dtype=complex)
         # evaluated on every node, then cleared off the support: a node
         # outside it (y = 0, possibly at x = inf) has no kernel value
-        kr = k[rows][:, None]
-        with np.errstate(over="ignore", invalid="ignore"):
-            if qv == 1.0:
-                out = y * np.exp(1j * kr * x)
+        if qv == 1.0:
+            kr = k[rows][:, None]
+            out = y * np.exp(1j * kr * x)
+        else:
+            c = (1.0 - qv) * x * y ** (qv - 1.0)
+            b = c * k_re[rows][:, None]
+            if real:
+                r, e = b * b, 1.0
             else:
-                base = 1.0 + 1j * (1.0 - qv) * kr * x * y ** (qv - 1.0)
-                _check(base.real < 1.0 - 1e-9, PoleError,
-                       "kernel pole on the integration path", qv, kr, x)
-                out = y * np.exp(np.log(base) / (1.0 - qv))
+                d = c * minus_im[rows][:, None]
+                _check(d < -1e-9, PoleError,
+                       "kernel pole on the integration path", qv, rows, k, x)
+                r = d * (2.0 + d)
+                r += b * b
+                e = 1.0 + d
+            # |kernel| = f |base|^(1/(1-q)), |base|^2 = 1 + r
+            np.log1p(r, out=r)
+            r *= 0.5 / (1.0 - qv)
+            mod = np.exp(r, out=r)
+            mod *= y
+            phase = np.arctan2(b, e, out=b)
+            phase /= 1.0 - qv
+            out = np.empty(u.shape, dtype=complex)
+            np.cos(phase, out=out.real)
+            np.sin(phase, out=out.imag)
+            out *= mod
         _check(~np.isfinite(out) & m, NonFiniteError,
-               "kernel value is not finite", qv, kr, x)
+               "kernel value is not finite", qv, rows, k, x)
         if not m.all():
             out[~m] = 0.0
         return out
@@ -446,11 +483,11 @@ def _kernel_integrand(f: FunctionSpec, qv: float, k, reflect: bool):
     return integrand
 
 
-def _check(bad, error, what, qv, kr, x):
+def _check(bad, error, what, qv, rows, k, x):
     """Raise error naming q, k and x at the first node flagged in bad."""
     if bad.any():
         i, j = np.unravel_index(int(np.argmax(bad)), bad.shape)
-        raise error(f"{what} at q={qv!r}, k={complex(kr[i, 0])!r}, "
+        raise error(f"{what} at q={qv!r}, k={complex(k[rows[i]])!r}, "
                     f"x={float(x[i, j])!r}")
 
 
@@ -550,8 +587,7 @@ def _half_line(gfun, A, B, cfg: QuadratureConfig, *, qv, freq, decay,
 
     # algebraic tail: finite oscillatory part, then the compactifying map
     amp = np.maximum(freq, 0.0)
-    with np.errstate(divide="ignore"):
-        X1 = A + np.where(amp > 1e-9, 12.0 / amp, 1.0)
+    X1 = A + np.where(amp > 1e-9, 12.0 / amp, 1.0)
     X1 = np.minimum(X1, A + 1e9)
     X1 = np.maximum(X1, A + 1.0)
     p = np.minimum(60.0, np.maximum(1.0, 2.0 / (decay - 1.0)))
@@ -561,22 +597,33 @@ def _half_line(gfun, A, B, cfg: QuadratureConfig, *, qv, freq, decay,
         x = np.empty_like(v)
         jac = np.empty_like(v)
         X1r, pr = X1[rows][:, None], p[rows]
-        with np.errstate(over="ignore"):
-            # one scalar exponent at a time: numpy's power takes other
-            # paths for an exponent array, and the bits would move
-            exps = set(pr.tolist())
-            for pu in exps:
-                s = pr == pu if len(exps) > 1 else slice(None)
-                x[s] = X1r[s] * v[s] ** (-pu)
-                jac[s] = X1r[s] * pu * v[s] ** (-pu - 1.0)
-            out = gfun(x, rows) * jac
-        # where x or its Jacobian overflows, v sits at the v -> 0 end of a
-        # tail the map makes vanish, so the limit there is 0
-        return np.nan_to_num(out, copy=False, posinf=0.0, neginf=0.0)
+        # one scalar exponent at a time: numpy's power takes other
+        # paths for an exponent array, and the bits would move
+        exps = set(pr.tolist())
+        for pu in exps:
+            s = pr == pu if len(exps) > 1 else slice(None)
+            x[s] = X1r[s] * v[s] ** (-pu)
+            jac[s] = X1r[s] * pu * v[s] ** (-pu - 1.0)
+        return _zero_nonfinite(gfun(x, rows) * jac)
 
     v1, e1, why1 = split_quad(X1)
     v2, e2, why2 = adaptive_quad(mapped, np.zeros(n), np.ones(n), **tol)
     return v1 + v2, e1 + e2, _merge(why1, why2)
+
+
+def _zero_nonfinite(out):
+    """Set the entries of the mapped tail's integrand that are not finite
+    to 0, in place, and return it.
+
+    Where x or its Jacobian overflows, v sits at the v -> 0 end of a tail
+    the map makes vanish, so the limit there is 0. The kernel's values are
+    checked finite, so such an entry is inf or nan in both parts, and
+    clearing it whole gives the bits of np.nan_to_num(posinf=0, neginf=0).
+    """
+    bad = ~np.isfinite(out)
+    if bad.any():
+        out[bad] = 0.0
+    return out
 
 
 def _qft_rows(f: FunctionSpec, q, k, positive_side: bool,
@@ -622,11 +669,16 @@ def _qft_rows(f: FunctionSpec, q, k, positive_side: bool,
     trunc_scale = f.length_scale()
 
     gfun = _kernel_integrand(f, qv, k, reflect=not positive_side)
-    if positive_side:
-        return _half_line(gfun, A, B, cfg, qv=qv, freq=freq, decay=decay,
-                          trunc_scale=trunc_scale)
-    val, err, why = _half_line(gfun, -B, -A, cfg, qv=qv, freq=freq,
-                               decay=decay, trunc_scale=trunc_scale)
+    # one error state for the whole piece: the kernel's real parts overflow
+    # to the true limit, a node off the support (f = 0, x possibly inf)
+    # gives inf * 0, and the tail map's 12/freq divides by 0 at k = 0;
+    # _kernel_integrand and mapped check what they return
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        if positive_side:
+            return _half_line(gfun, A, B, cfg, qv=qv, freq=freq,
+                              decay=decay, trunc_scale=trunc_scale)
+        val, err, why = _half_line(gfun, -B, -A, cfg, qv=qv, freq=freq,
+                                   decay=decay, trunc_scale=trunc_scale)
     return -val, err, why
 
 

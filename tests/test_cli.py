@@ -180,29 +180,42 @@ class TestTransformCommand:
         assert "diverges" in captured.err
 
     def test_overflowing_cell_keeps_the_finite_rows(self, capsys):
-        # the kernel overflows at k = 1e308; that cell is flagged and the
-        # k = 1 row is what a run of k = 1 alone writes
+        # k = 0 makes the step's transform a divergent integral; that cell
+        # is flagged and the k = 1 row is what a run of k = 1 alone writes
         rc = main(["transform", "--f", "heaviside+", "--q", "1.5",
-                   "--kmin", "1", "--kmax", "1e308", "--nk", "2",
+                   "--kmin", "0", "--kmax", "1", "--nk", "2",
                    "--plane", "real-line"])
         captured = capsys.readouterr()
         assert rc == 2
         lines = captured.out.splitlines()
         # a cell with no value is nan in both parts, not a computed 0.0
-        assert lines[2] == "1e+308,0.0,real_line,1.5,nan,nan,inf"
+        assert lines[1] == "0.0,0.0,real_line,1.5,nan,nan,inf"
         assert captured.err.startswith(
-            "qfourier: q=1.5 k=1e+308: kernel value is not finite")
+            "qfourier: q=1.5 k=0: k=0 reduces the transform")
         assert main(["transform", "--f", "heaviside+", "--q", "1.5",
                      "--kmin", "1", "--kmax", "1", "--nk", "1",
                      "--plane", "real-line"]) == 0
-        assert capsys.readouterr().out.splitlines()[1] == lines[1]
+        assert capsys.readouterr().out.splitlines()[1] == lines[2]
+
+    def test_huge_k_cell_has_its_limit_value(self, capsys):
+        # the kernel's modulus underflows to its limit at k = 1e308, where
+        # the exact transform is 2i/k, so the run has no failed cell
+        rc = main(["transform", "--f", "heaviside+", "--q", "1.5",
+                   "--kmin", "1", "--kmax", "1e308", "--nk", "2",
+                   "--plane", "real-line"])
+        captured = capsys.readouterr()
+        assert rc == 0 and captured.err == ""
+        row = rows_from_csv(captured.out)[1]
+        assert row["k_re"] == 1e308
+        value = complex(row["F_re"], row["F_im"])
+        assert abs(value - 2j / 1e308) <= 1e-12     # the default abs_tol
 
     def test_cell_without_value_is_null_in_json(self, capsys):
         rc = main(["transform", "--f", "heaviside+", "--q", "1.5",
-                   "--kmin", "1", "--kmax", "1e308", "--nk", "2",
+                   "--kmin", "0", "--kmax", "1", "--nk", "2",
                    "--plane", "real-line", "--format", "json"])
         assert rc == 2
-        cell = json.loads(capsys.readouterr().out)["results"][1]
+        cell = json.loads(capsys.readouterr().out)["results"][0]
         assert (cell["F_re"], cell["F_im"], cell["err"]) == (None, None, None)
 
     def test_overflowing_k_span_is_a_usage_error(self, capsys):
@@ -236,7 +249,7 @@ class TestTransformCommand:
         assert captured.out == (
             "k_re,k_im,plane,q,F_re,F_im,err\n"
             "0.5,0.0,real_line,1.5,2.3494052310523914,0.0,"
-            "2.7241542192165415e-14\n"
+            "2.724154219220441e-14\n"
             "1.5,0.0,real_line,1.5,1.5248538435981884,0.0,"
             "2.3562393669173898e-14\n")
         # each note carries its row's err, both sides summed
@@ -267,7 +280,7 @@ class TestTransformCommand:
       "k_im": 0.5,
       "plane": "upper",
       "q": 1.5,
-      "F_re": 0.4000000000000008,
+      "F_re": 0.4000000000000007,
       "F_im": 1.2000000000000004,
       "err": 1.8489591671030064e-14
     }

@@ -413,18 +413,34 @@ class TestSurface:
         assert surf.failed.tolist() == [[True, False]]
 
     def test_overflowing_cell_is_recorded(self):
-        # at k = 1e308 the kernel overflows; that cell has no value and
-        # the finite cell beside it keeps its own
-        surf = qft_surface(Heaviside(1), [1.5], (1.0, 1e308))
+        # a density that is infinite just left of 0 gives the real-line
+        # cell a kernel value that is not finite; that cell has no value,
+        # and the upper piece beside it, which stays on x > 0, keeps its own
+        class LeftBlowup(Gaussian):
+            def values(self, x):
+                x = np.asarray(x, dtype=float)
+                return np.where((x > -0.1) & (x < 0), np.inf,
+                                super().values(x))
+
+        f = LeftBlowup(1.0)
+        surf = qft_surface(f, [1.5], (up(1.0), 1.0))
         with pytest.raises(NonFiniteError) as info:
-            qft_real_line(Heaviside(1), 1.5, 1e308)
+            qft_real_line(f, 1.5, 1.0)
         assert surf.why[0] == [None, str(info.value)]
         assert surf.why[0][1].startswith("kernel value is not finite")
         # nan in both parts: no part of the value was computed
         assert np.isnan(surf.values[0, 1].real)
         assert np.isnan(surf.values[0, 1].imag) and surf.err[0, 1] == np.inf
         assert (surf.values[0, 0], surf.err[0, 0]) == \
-            qft_real_line(Heaviside(1), 1.5, 1.0)
+            qft_complex(f, 1.5, up(1.0))
+
+    def test_huge_k_has_its_limit_value(self):
+        # the kernel's modulus underflows to its limit at k = 1e308: the
+        # cell has a value, within abs_tol of the exact 2i/k
+        surf = qft_surface(Heaviside(1), [1.5], (1.0, 1e308))
+        assert not surf.failed.any()
+        assert abs(surf.values[0, 1] - 2j / 1e308) <= \
+            QuadratureConfig().abs_tol
 
     def test_deterministic(self):
         pts = (up(0.5), up(2.0))
@@ -667,6 +683,109 @@ class TestBatchedK:
         # the real line has real k only; a complex k must not be cast
         with pytest.raises(ValueError, match="k must be real"):
             qft_real_line(Gaussian(1.0), 1.3, k)
+
+
+    def test_huge_k_keeps_every_row(self):
+        # the kernel underflows to its limit at k = 1e308 instead of
+        # overflowing, so the batch returns both rows
+        values, errs = qft_real_line(Heaviside(1), 1.5, np.array([1.0, 1e308]))
+        v1, e1 = qft_real_line(Heaviside(1), 1.5, 1.0)
+        assert (values[0].real, values[0].imag, errs[0]) == \
+            (v1.real, v1.imag, e1)
+        assert abs(values[1] - 2j / 1e308) <= QuadratureConfig().abs_tol
+
+
+EPS = np.finfo(float).eps
+
+
+def mp_kernel(q, k, x, y):
+    """y [1 + i(1-q) k x y^(q-1)]^(1/(1-q)) at 40 digits, and its exponent
+    w = log(base)/(1-q), on the principal branch."""
+    with mpmath.workdps(40):
+        q, x, y = mpmath.mpf(q), mpmath.mpf(x), mpmath.mpf(y)
+        w = mpmath.log(1 + 1j * (1 - q) * mpmath.mpc(k) * x
+                       * y ** (q - 1)) / (1 - q)
+        return complex(y * mpmath.exp(w)), abs(complex(w))
+
+
+class TestKernel:
+    """The vectorized kernel integrand against mpmath, and its bounds."""
+
+    f = Gaussian(2.0)
+
+    # Im k's sign per plane, and the half-line the plane integrates
+    @pytest.mark.parametrize("plane, sign, reflect", [
+        ("real", 0, False), ("real", 0, True),
+        ("upper", 1, False), ("lower", -1, True)])
+    @pytest.mark.parametrize("q", [1 + 1e-4, 1.01, 1.2, 1.5, 1.9])
+    def test_matches_mpmath(self, q, plane, sign, reflect):
+        # exp turns an absolute error in its exponent w into a relative
+        # one, and |w| grows like 1/(q-1): the bound is a few ulps of
+        # 1 + |w|, with |w| >= the phase |Im w|
+        rng = np.random.default_rng(int(q * 1e4) + 7 * sign + reflect)
+        n = 60
+        k = rng.uniform(-30.0, 30.0, n) + 1j * sign * rng.uniform(0, 5, n)
+        k[:4] = k[:4].imag * 1j     # Re k = 0: no phase at all
+        u = rng.uniform(0.0, 6.0, n)
+        out = transform_module._kernel_integrand(self.f, q, k, reflect)(
+            u[:, None], np.arange(n))[:, 0]
+        x = -u if reflect else u
+        for ki, xi, yi, oi in zip(k, x, self.f.values(x), out):
+            want, w = mp_kernel(q, ki, xi, yi)
+            assert abs(oi - want) <= 8 * (1 + w) * EPS * abs(want)
+
+    @settings(max_examples=300, deadline=None)
+    @given(q=st.one_of(st.just(1.0), st.floats(1.0, 2.0, exclude_max=True)),
+           k_re=st.floats(-1e150, 1e150), k_im=st.floats(0, 1e150),
+           u=st.floats(0, 1e150), c=st.floats(1e-100, 1e100),
+           reflect=st.booleans())
+    def test_modulus_is_at_most_the_density(self, q, k_re, k_im, u, c,
+                                            reflect):
+        # x Im k >= 0 puts the base's real part at >= 1, so the kernel's
+        # modulus is at most 1; for q > 1 the base's parts can overflow,
+        # and the modulus then goes to its limit 0 (k x stays finite, so
+        # the plane wave at q = 1 has a phase)
+        k = np.array([complex(k_re, -k_im if reflect else k_im)])
+        g = transform_module._kernel_integrand(Constant(c), q, k, reflect)
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = g(np.array([[u]]), np.array([0]))
+        assert np.isfinite(out).all()
+        assert abs(out[0, 0]) <= c * (1 + 4 * EPS)
+
+    @pytest.mark.parametrize("q", [1 + 1e-4, 1.5])
+    @pytest.mark.parametrize("reflect", [False, True])
+    def test_real_k_form_is_bitwise_the_general_form(self, q, reflect):
+        # a batch of real k skips the terms in Im k; the same k in a
+        # batch with a complex k takes the general form, with equal bits
+        u = np.linspace(0.0, 6.0, 31)
+        k = np.array([-3.0, 0.5, 12.0], dtype=complex)
+        rows = np.arange(3)
+        real = transform_module._kernel_integrand(self.f, q, k, reflect)
+        mixed = transform_module._kernel_integrand(
+            self.f, q, np.append(k, 1.0 - 1.0j if reflect else 1.0 + 1.0j),
+            reflect)
+        a = real(np.tile(u, (3, 1)), rows)
+        b = mixed(np.tile(u, (3, 1)), rows)
+        assert np.array_equal(a.view(float), b.view(float))
+
+    @pytest.mark.parametrize("q", [1.97, 1.99])
+    @pytest.mark.parametrize("f", [Heaviside(1), Constant(1.0)])
+    def test_map_clears_like_nan_to_num(self, monkeypatch, f, q):
+        # at q near 2 the map's exponent is 60, so x overflows on the
+        # panels next to v = 0; those entries clear to the bits that
+        # np.nan_to_num(posinf=0, neginf=0) gives
+        want = qft_real_line(f, q, 3.0)
+        cleared = []
+
+        def nan_to_num(out):
+            cleared.append(int((~np.isfinite(out)).sum()))
+            return np.nan_to_num(out, copy=False, posinf=0.0, neginf=0.0)
+
+        monkeypatch.setattr(transform_module, "_zero_nonfinite", nan_to_num)
+        got = qft_real_line(f, q, 3.0)
+        assert sum(cleared) > 0
+        assert (got[0].real, got[0].imag, got[1]) == \
+            (want[0].real, want[0].imag, want[1])
 
 
 def mp_half_line(density, q, k, pts):
