@@ -249,9 +249,9 @@ class TestTransformCommand:
         assert captured.out == (
             "k_re,k_im,plane,q,F_re,F_im,err\n"
             "0.5,0.0,real_line,1.5,2.3494052310523914,0.0,"
-            "2.724154219220441e-14\n"
+            "2.7241542082184182e-14\n"
             "1.5,0.0,real_line,1.5,1.5248538435981884,0.0,"
-            "2.3562393669173898e-14\n")
+            "2.3562393559153667e-14\n")
         # each note carries its row's err, both sides summed
         assert captured.err == "".join(
             f"qfourier: {self.budget_note(e)}\n"
@@ -271,9 +271,9 @@ class TestTransformCommand:
       "k_im": 0.5,
       "plane": "upper",
       "q": 1.5,
-      "F_re": 2.0,
+      "F_re": 2.0000000000000004,
       "F_im": 2.0000000000000004,
-      "err": 3.487868498008638e-14
+      "err": 3.4878684980086376e-14
     },
     {
       "k_re": 1.5,

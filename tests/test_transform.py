@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import mpmath
@@ -451,7 +452,8 @@ class TestSurface:
 
 class TestSeedRule:
     """One seed panel per 0.8 kernel periods, the phase capped at pi/(q-1),
-    the same through the Python loop and through numpy."""
+    never fewer than min(8, cap) on a row of finite positive width, the same
+    through the Python loop and through numpy."""
 
     period = 2.0 * math.pi * 0.8
 
@@ -485,15 +487,30 @@ class TestSeedRule:
     def test_cap_bounds_the_phase(self):
         # at q = 1.05 the phase is capped at pi/0.05, 12.5 seed periods
         assert self.panels(0.0, 1.0, 1000.0, 1.05) == 12
-        # at q = 1.5 the kernel turns by at most 2 pi: one panel
-        assert self.panels(0.0, 1.0, 1e6, 1.5) == 1
+        # at q = 1.5 the kernel turns by at most 2 pi: the floor of 8
+        assert self.panels(0.0, 1.0, 1e6, 1.5) == 8
+
+    def test_floor_of_eight(self):
+        # a low phase, a zero and a NaN frequency all take the floor
+        assert self.panels(0.0, 1.0, 1.5 * self.period, 1.0) == 8
+        assert self.panels(0.0, 1.0, 7.9 * self.period, 1.0) == 8
+        assert self.panels(0.0, 1.0, 9.5 * self.period, 1.0) == 9
+        assert self.panels(0.0, 1.0, 0.0, 1.0) == 8
+        assert self.panels(0.0, 1.0, math.nan, 1.0) == 8
+        # a zero-width row and an infinite end keep one panel
+        assert self.panels(1.0, 1.0, 0.0, 1.0) == 1
+        assert self.panels(0.0, math.inf, 50.0, 1.0) == 1
+        assert self.panels(0.0, math.inf, 0.0, 1.5) == 1
+
+    @pytest.mark.parametrize("cap", [1, 2, 5, 8])
+    def test_cap_bounds_the_floor(self, cap):
+        assert self.panels(0.0, 1.0, 0.0, 1.0, cap=cap) == cap
+        assert self.panels(0.0, 1.0, math.nan, 1.5, cap=cap) == cap
+        assert self.panels(0.0, 1.0, 1e4, 1.0, cap=cap) == cap
+        assert self.panels(1.0, 1.0, 0.0, 1.0, cap=cap) == 1
 
     def test_budget_and_degenerate_inputs(self):
         assert self.panels(0.0, 1.0, 1e4, 1.0, cap=20) == 20
-        assert self.panels(0.0, 1.0, 1.5 * self.period, 1.0) == 1
-        assert self.panels(0.0, math.inf, 50.0, 1.0) == 1
-        assert self.panels(0.0, 1.0, 0.0, 1.0) == 1
-        assert self.panels(0.0, 1.0, math.nan, 1.0) == 1
         # an infinite phase estimate takes the budget, not an overflow
         assert self.panels(0.0, 1.0, math.inf, 1.0) == 256
         # and on a zero-width row it is one panel, not inf * 0
@@ -503,9 +520,31 @@ class TestSeedRule:
         B = np.array([1.0, 2.0, 1.0, math.inf, 3.0, 0.0, 1.0, 1.0, 1.0])
         freq = np.array([10.5 * self.period, 1e4, 0.0, 50.0, 1000.0,
                          math.inf, math.nan, math.inf, 2.0 * self.period])
-        for qv in (1.0, 1.05, 1.5):
-            assert self.counts(0.0, B, freq, qv, 200, 10 ** 9) == \
-                self.counts(0.0, B, freq, qv, 200, 0)
+        for qv, cap in itertools.product((1.0, 1.05, 1.5), (200, 5)):
+            assert self.counts(0.0, B, freq, qv, cap, 10 ** 9) == \
+                self.counts(0.0, B, freq, qv, cap, 0)
+
+    # one low-frequency cell per tail path; the map path's second piece is
+    # the mapped tail on (0, 1]
+    @pytest.mark.parametrize("f, point, pieces", [
+        (PowerLaw(1.0, 2.0, 1.0, 2.0), up(0.5), 1),
+        (Gaussian(1.0), up(0.5), 1),
+        (Gaussian(1.0), down(0.5), 1),
+        (QGaussian(1.5, 1.0), up(0.5), 2),
+        (Heaviside(1), HalfPlanePoint(2 + 1j, PlaneTag.UPPER), 2),
+    ], ids=["compact", "cut", "cut-reflected", "map-qgaussian", "map-step"])
+    @pytest.mark.parametrize("budget, floor", [(2000, 8), (8, 2)])
+    def test_every_tail_path_starts_from_the_floor(
+            self, monkeypatch, f, point, pieces, budget, floor):
+        seeds = []
+
+        def recording(func, a, b, *, panels, **tol):
+            seeds.append(panels.tolist())
+            return quadrature.adaptive_quad(func, a, b, panels=panels, **tol)
+
+        monkeypatch.setattr(transform_module, "adaptive_quad", recording)
+        qft_complex(f, 1.5, point, QuadratureConfig(max_subdivisions=budget))
+        assert seeds == [[floor]] * pieces
 
 
 class TestFailureModes:
@@ -824,6 +863,29 @@ class TestErrBoundsTrueError:
     def test_err_covers_mpmath_distance(self, f, density, pts, q, point):
         v, err = qft_complex(f, q, point)
         assert abs(v - mp_half_line(density, q, point.k, pts)) <= err
+
+    # cells whose pieces converge on their seed panels, one integrand call
+    # each: a step in the upper plane and a q-Gaussian with an |x|^(-4/3)
+    # tail, on the algebraic map
+    @pytest.mark.parametrize("f, density, q, k", [
+        pytest.param(Heaviside(1), lambda x: mpmath.mpf(1), 1.5, 3 + 2j,
+                     id="step-upper"),
+        pytest.param(QGaussian(2.5, 1.0),
+                     lambda x: (1 + 1.5 * x * x) ** (-mpmath.mpf(2) / 3),
+                     1.2, 2 + 1j, id="qgaussian-heavy"),
+    ])
+    def test_seed_converged_cells(self, monkeypatch, f, density, q, k):
+        calls = []
+        panel = quadrature.gk15_panel
+
+        def counting(*args):
+            calls.append(1)
+            return panel(*args)
+
+        monkeypatch.setattr(quadrature, "gk15_panel", counting)
+        v, err = qft_complex(f, q, HalfPlanePoint(k, PlaneTag.UPPER))
+        assert len(calls) == 2
+        assert abs(v - mp_half_line(density, q, k, [0, 1, mpmath.inf])) <= err
 
     def test_reflected_side(self):
         v, err = qft_complex(QGaussian(1.5, 1.0), 1.3, down(2.0))
