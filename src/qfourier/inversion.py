@@ -235,17 +235,32 @@ def roundtrip(f: FunctionSpec, sched: EpsilonSchedule | None = None,
     of roughly sqrt(eps)*x_j, so extrapolating across a coarse eps leaks
     that slice's wide mollification into the windows; for the sharpest
     jump recovery pass a single small eps with extrapolation 'none'.
+
+    The default k step is 0.75 pi / reach, with reach the larger of max|x|
+    over x_grid and over f's default grid. The trapezoid in k repeats f
+    every 2 pi / dk, 8/3 reach here, so every image of f stays off the x
+    grid, and off f's own reach too when x_grid is narrower than f. Such a
+    narrow grid on a wide f therefore costs more k points than its own
+    width asks for, which is what keeps the images off. An explicit dk
+    overrides the rule.
     """
     sched = sched if sched is not None else EpsilonSchedule()
     _require_classical_member(f)
-    x = _default_x_grid(f) if x_grid is None \
+    x_f = _default_x_grid(f)
+    x = x_f if x_grid is None \
         else np.atleast_1d(np.asarray(x_grid, dtype=float))
     if x.size == 0 or not np.all(np.isfinite(x)):
         raise ValueError("x_grid must be nonempty and finite")
-    extent = max(float(np.max(np.abs(x))), 1e-9)
     km = float(k_max) if k_max is not None \
         else _default_k_max(f, sched.eps_list[-1])
-    step = float(dk) if dk is not None else min(0.4, 0.75 * math.pi / extent)
+    if dk is None:
+        # the trapezoid's images of f sit 2 pi / dk apart, here 8/3 of the
+        # larger reach of f (its default grid) and of x: an image of f lies
+        # at least 2/3 of that reach beyond the grid
+        reach = max(float(np.max(np.abs(x))), float(np.max(np.abs(x_f))),
+                    1e-9)
+        dk = 0.75 * math.pi / reach
+    step = float(dk)
     if not (0.0 < step and km >= step):
         raise ValueError("need 0 < dk <= k_max")
     kn = step * np.arange(int(math.ceil(km / step)) + 1)

@@ -44,7 +44,6 @@ _W_K = np.concatenate([_WGK[:7], _WGK[7:8], _WGK[6::-1]])
 _w_g_full = np.zeros(15)
 _w_g_full[1:14:2] = np.concatenate([_WG[:3], _WG[3:4], _WG[2::-1]])
 _W_G = _w_g_full
-_W_KG = np.stack([_W_K, _W_G])
 
 _EPS = float(np.finfo(float).eps)
 
@@ -82,8 +81,8 @@ def gk15_panel(func, a, b, rows):
     # each sum runs along one panel's 15 nodes, in the same order for one
     # panel as for many
     sum15 = _sum15 if a.size >= _LOOP_BELOW else np.add.reduce
-    kg = h[:, None] * sum15(y[:, None, :] * _W_KG, -1)
-    resk, resg = kg[:, 0], kg[:, 1]
+    resk = h * sum15(y * _W_K, -1)
+    resg = h * sum15(y * _W_G, -1)
     resabs = h * sum15(_W_K * np.abs(y), -1)
     mean = resk / (b - a)
     resasc = h * sum15(_W_K * np.abs(y - mean[:, None]), -1)
@@ -130,17 +129,18 @@ def _panel_errs(diff, resasc, resabs):
     QUADPACK's resasc * min(1, (200 diff / resasc)^1.5) where neither is 0,
     else diff, floored at 50 eps resabs where resabs > 0. The min is 1
     unless the ratio is below 1 (a NaN ratio gives 1 too), and only then is
-    the power taken, in scalar float arithmetic: numpy's vector pow differs
-    from libm's in the last bit, and the estimate orders the bisection
-    queue. A short call loops in Python, which costs less than the fixed
-    overhead of the array form; both give the same bits.
+    the power taken, as r * sqrt(r): sqrt is correctly rounded in libm and
+    in numpy alike, where numpy's vector pow can differ from libm's in the
+    last bit, and the estimate orders the bisection queue. The product is
+    within an ulp of r^1.5. A short call loops in Python, which costs less
+    than the fixed overhead of the array form; both give the same bits.
     """
     if diff.size < _LOOP_BELOW:
         err = []
         for d, ra, rb in zip(diff.tolist(), resasc.tolist(), resabs.tolist()):
             if ra != 0.0 and d != 0.0:
                 r = 200.0 * d / ra
-                d = ra * r ** 1.5 if r < 1.0 else ra
+                d = ra * (r * math.sqrt(r)) if r < 1.0 else ra
             if rb > 0.0:
                 d = max(d, 50.0 * _EPS * rb)
             err.append(d)
@@ -149,7 +149,8 @@ def _panel_errs(diff, resasc, resabs):
         ratio = 200.0 * diff / resasc
         low = (ratio < 1.0) & (diff != 0.0)
         err = np.where((resasc != 0.0) & (diff != 0.0), resasc, diff)
-        err[low] = resasc[low] * [r ** 1.5 for r in ratio[low].tolist()]
+        r = ratio[low]
+        err[low] = resasc[low] * (r * np.sqrt(r))
     np.maximum(err, 50.0 * _EPS * resabs, out=err, where=resabs > 0.0)
     return err
 

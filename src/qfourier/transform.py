@@ -589,18 +589,17 @@ def _half_line(gfun, A, B, cfg: QuadratureConfig, *, qv, freq, decay,
 
     def split_quad(hi):
         # gfun over [A, hi[i]] for every row, split by its oscillation
-        hi = np.broadcast_to(hi, (n,))
         return adaptive_quad(gfun, np.full(n, A), hi, **tol,
                              panels=_osc_panels(A, hi, freq, qv, cap))
 
     if math.isfinite(B):
-        return split_quad(B)
+        return split_quad(np.full(n, B))
 
     if math.isinf(decay[0]):
         # explicit cut where the remainder bound drops under abs_tol
         width = max(trunc_scale, 1.0)
         T = A + width * (math.sqrt(2.0 * math.log(1.0 / cfg.abs_tol)) + 1.5)
-        val, err, why = split_quad(T)
+        val, err, why = split_quad(np.full(n, T))
         g = gfun(np.full((n, 1), T), rows)[:, 0]
         return val, err + np.hypot(g.real, g.imag) * width, why
 
@@ -646,21 +645,26 @@ def _zero_nonfinite(out):
     return out
 
 
-def _qft_rows(f: FunctionSpec, q, k, positive_side: bool,
-              cfg: QuadratureConfig | None):
-    """One half-line piece of the transform for every entry of a 1-d k.
-
-    Returns (values, errs, why) as _half_line does, one row per k: a row
-    that missed tolerance keeps the sum of all pieces as its best estimate.
-    """
+def _admitted(f: FunctionSpec, q) -> QParam:
+    """q as a QParam; raises MembershipError unless f is a member there."""
     qp = as_qparam(q)
-    cfg = cfg if cfg is not None else QuadratureConfig()
     report = membership_check(f, qp)
     if not report.member:
         raise MembershipError(
             f"{f.kind} is outside the admissible set at q={qp.q:g}: "
             f"{report.detail}")
+    return qp
 
+
+def _qft_rows(f: FunctionSpec, qp: QParam, k, positive_side: bool,
+              cfg: QuadratureConfig | None):
+    """One half-line piece of the transform for every entry of a 1-d k, at
+    a qp that _admitted has passed.
+
+    Returns (values, errs, why) as _half_line does, one row per k: a row
+    that missed tolerance keeps the sum of all pieces as its best estimate.
+    """
+    cfg = cfg if cfg is not None else QuadratureConfig()
     n = k.size
     lo, hi = f.support()
     if positive_side:
@@ -703,16 +707,20 @@ def _qft_rows(f: FunctionSpec, q, k, positive_side: bool,
 
 
 def qft_complex(f: FunctionSpec, q, point: HalfPlanePoint,
-                cfg: QuadratureConfig | None = None):
+                cfg: QuadratureConfig | None = None, *,
+                _checked: bool = False):
     """One half-plane piece of the transform; returns (value, err).
 
     Raises MembershipError when the integrand is not integrable for this q,
     and ConvergenceError (with the best estimate attached) when the
-    subdivision budget runs out.
+    subdivision budget runs out. _checked=True means the caller has already
+    passed q through _admitted, which the two pieces of one real-line
+    point share.
     """
+    qp = q if _checked else _admitted(f, q)
     positive_side = point.plane in (PlaneTag.UPPER,
                                     PlaneTag.REAL_LIMIT_UPPER)
-    val, err, why = _qft_rows(f, q, np.array([point.k]), positive_side, cfg)
+    val, err, why = _qft_rows(f, qp, np.array([point.k]), positive_side, cfg)
     _raise_failed(val, err, why)
     return val[0], err[0]
 
@@ -732,11 +740,14 @@ def qft_real_line(f: FunctionSpec, q, k, cfg: QuadratureConfig | None = None):
     _require(not np.iscomplexobj(k),
              f"k must be real for the real-line transform, got {k!r}")
     if np.ndim(k) == 0:
+        points = [HalfPlanePoint(complex(float(k), 0.0), plane) for plane in
+                  (PlaneTag.REAL_LIMIT_UPPER, PlaneTag.REAL_LIMIT_LOWER)]
+        qp = _admitted(f, q)
         sides = []
-        for plane in (PlaneTag.REAL_LIMIT_UPPER, PlaneTag.REAL_LIMIT_LOWER):
-            pt = HalfPlanePoint(complex(float(k), 0.0), plane)
+        for pt in points:
             try:
-                sides.append((*qft_complex(f, q, pt, cfg), None))
+                sides.append((*qft_complex(f, qp, pt, cfg, _checked=True),
+                              None))
             except ConvergenceError as exc:
                 sides.append((exc.value, exc.err, exc.reason))
         (v1, e1, why1), (v2, e2, why2) = sides
@@ -746,8 +757,9 @@ def qft_real_line(f: FunctionSpec, q, k, cfg: QuadratureConfig | None = None):
         _require(kv.ndim == 1, "k must be a scalar or a 1-d array")
         _require(bool(np.all(np.isfinite(kv))), "k must be finite")
         kc = kv.astype(complex)
-        v1, e1, why1 = _qft_rows(f, q, kc, True, cfg)
-        v2, e2, why2 = _qft_rows(f, q, kc, False, cfg)
+        qp = _admitted(f, q)
+        v1, e1, why1 = _qft_rows(f, qp, kc, True, cfg)
+        v2, e2, why2 = _qft_rows(f, qp, kc, False, cfg)
         why = _merge(why1, why2)
     val, err = v1 - v2, e1 + e2
     _raise_failed(val, err, why)

@@ -54,6 +54,30 @@ class Bell(FunctionSpec):
         return self.width
 
 
+class Box(FunctionSpec):
+    """README's example density: f = 1 on [-c, c]."""
+
+    kind = "box"
+
+    def __init__(self, c):
+        self.c = c
+
+    def values(self, x):
+        return (np.abs(np.asarray(x, dtype=float)) <= self.c).astype(float)
+
+    def support(self):
+        return (-self.c, self.c)
+
+    def peak_value(self):
+        return 1.0
+
+    def tail_exponent(self):
+        return None
+
+    def jump_points(self):
+        return (-self.c, self.c)
+
+
 def assert_same_roundtrip(r1, r2):
     assert r1.x_grid.tobytes() == r2.x_grid.tobytes()
     assert r1.f_rec.tobytes() == r2.f_rec.tobytes()
@@ -359,6 +383,38 @@ class TestRoundtrip:
                       k_max=10.0, dk=0.25)
         assert r.residual < 1e-3
         assert r.x_grid.size == 61
+
+    def test_narrow_grid_keeps_the_images_off_a_wide_f(self):
+        # at the old step of 0.4 the images of f sat 2 pi / 0.4 = 15.7 apart,
+        # on f's own mass, and the residual was 1.7e-2
+        r = roundtrip(Gaussian(5.0), x_grid=np.linspace(-1.0, 1.0, 41))
+        assert r.residual <= 1e-6
+
+    def test_step_follows_the_reach_of_f(self, monkeypatch):
+        # the window's default grid reaches x = 3.5, so dk = 0.75 pi / 3.5
+        # up to k_max = 490: 729 k values where the 0.4 cap gave 1226
+        sizes = []
+
+        def spy(f, q, k, cfg=None):
+            sizes.append(np.size(k))
+            return qft_real_line(f, q, k, cfg)
+
+        monkeypatch.setattr(inversion, "qft_real_line", spy)
+        roundtrip(PowerLaw(1.0, 2.0, 1.0, 2.0),
+                  EpsilonSchedule((1e-4,), "none"))
+        assert sizes == [729]
+
+    @pytest.mark.parametrize("f, sched", [
+        (Gaussian(0.2), None),
+        (Box(1.0), EpsilonSchedule((1e-4,), "none")),
+        (QGaussian(0.5, 1.0), None),
+        (PowerLaw(1.0, 2.0, 1.0, 2.0), EpsilonSchedule((1e-4,), "none")),
+    ], ids=["gaussian", "box", "qgaussian", "powerlaw"])
+    def test_default_step_is_as_accurate_as_the_capped_one(self, f, sched):
+        x = inversion._default_x_grid(f)
+        capped = min(0.4, 0.75 * math.pi / float(np.max(np.abs(x))))
+        r = roundtrip(f, sched)
+        assert r.residual <= 1.001 * roundtrip(f, sched, dk=capped).residual
 
     def test_bad_steps(self):
         with pytest.raises(ValueError):
