@@ -248,11 +248,9 @@ def _cmd_transform(args):
         for line in diagnostics:
             _note(line)
     else:
-        json_rows = [{"k_re": r["k_re"], "k_im": r["k_im"],
-                      "plane": r["plane"], "q": r["q"],
-                      "F_re": _json_safe(r["F_re"]),
-                      "F_im": _json_safe(r["F_im"]),
-                      "err": _json_safe(r["err"])} for r in rows]
+        json_rows = [{**r, **{key: _json_safe(r[key])
+                              for key in ("F_re", "F_im", "err")}}
+                     for r in rows]
         _emit_json(config, json_rows, diagnostics, args.out)
     if args.out:
         _note(f"wrote {len(rows)} rows to {args.out}")
@@ -482,10 +480,7 @@ def main(argv=None):
     try:
         _apply_config(args, parser)
         return args.run(args)
-    except _Usage as exc:
-        _note(f"error: {exc}")
-        return 1
-    except ValueError as exc:
+    except (_Usage, ValueError) as exc:
         _note(f"error: {exc}")
         return 1
     except RuntimeError as exc:

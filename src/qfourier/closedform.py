@@ -6,9 +6,10 @@ power-law family carries the collision phenomenon: at the regime boundary
 q = 1 + 1/beta the transform depends on (a, b) only through the scale lam,
 so every normalized member with one lam shares one transform.
 
-Branch discipline: all fractional powers use the principal complex log,
-matching the kernel in qcore. The 2F1 arguments that arise here satisfy
-Re z <= 0 for upper-tagged k, so the [1, oo) cut is never touched.
+Branch discipline: all fractional powers use the principal complex log.
+The kernel's own power comes from qcore's one evaluator, through
+q_exp_complex. The 2F1 arguments that arise here satisfy Re z <= 0 for
+upper-tagged k, so the [1, oo) cut is never touched.
 """
 from __future__ import annotations
 
@@ -113,11 +114,10 @@ def powerlaw_qft_closed(p: PowerLaw, q, k: HalfPlanePoint) -> complex:
     if kv == 0:
         return complex(_moment(p))
     if p.beta == 0.0:
-        # f = 1 on [a, b]; integrate the kernel by its primitive
-        ex = (2.0 - qp.q) / (1.0 - qp.q)
-        top = cmath.exp(ex * cmath.log(1.0 + 1j * (1.0 - qp.q) * kv * p.b)) \
-            - cmath.exp(ex * cmath.log(1.0 + 1j * (1.0 - qp.q) * kv * p.a))
-        return top / (1j * (2.0 - qp.q) * kv)
+        # f = 1 on [a, b]: the kernel's primitive is base^((2-q)/(1-q))
+        top = [(1.0 + 1j * (1.0 - qp.q) * kv * x) * q_exp_complex(kv, x, qp)
+               for x in (p.b, p.a)]
+        return (top[0] - top[1]) / (1j * (2.0 - qp.q) * kv)
 
     nu = 1.0 / (qp.q - 1.0)
     c = 1j * (1.0 - qp.q) * kv * p.lam ** (p.beta * (qp.q - 1.0))

@@ -168,10 +168,8 @@ def inverse_ft(G, k_grid, x_grid) -> np.ndarray:
     # BLAS matmul they do).
     g = G * trapezoid_weights(dk)
     gr, gi = g.real.copy(), g.imag.copy()
-    # on an exactly symmetric grid cos and sin are taken on the non-negative
-    # half of k only, and the negative half mirrors them: cos(-a) == cos(a),
-    # sin(-a) == -sin(a) and x*(-k) == -(x*k) hold bitwise, so this is the
-    # full grid's trig; m = 0 takes them on the whole grid
+    # the mirror is bitwise: cos(-a) == cos(a), sin(-a) == -sin(a) and
+    # x*(-k) == -(x*k); m = 0 takes the trig on the whole grid
     m = k.size // 2 if np.array_equal(k, -k[::-1]) else 0
     vals = np.empty(x.size, dtype=complex)
     for i in range(0, x.size, _X_BLOCK):
@@ -254,9 +252,6 @@ def roundtrip(f: FunctionSpec, sched: EpsilonSchedule | None = None,
     km = float(k_max) if k_max is not None \
         else _default_k_max(f, sched.eps_list[-1])
     if dk is None:
-        # the trapezoid's images of f sit 2 pi / dk apart, here 8/3 of the
-        # larger reach of f (its default grid) and of x: an image of f lies
-        # at least 2/3 of that reach beyond the grid
         reach = max(float(np.max(np.abs(x))), float(np.max(np.abs(x_f))),
                     1e-9)
         dk = 0.75 * math.pi / reach

@@ -2,10 +2,9 @@
 
 The branch convention is fixed here: complex powers use the principal
 branch of the logarithm, and q = 1 is an exact separate code path, never a
-small-epsilon substitute. The closed forms go through these evaluators;
-transform._kernel_integrand keeps a vectorized copy in real arithmetic
-(log1p modulus, arctan2 phase), judged against mpmath on accuracy rather
-than against cmath on bits, and ultra never evaluates the kernel.
+small-epsilon substitute. Every q != 1 power of the kernel's base, in the
+transform's integrand, the closed forms and q_exp_complex alike, is taken
+by _deformed_power; ultra never evaluates the kernel.
 """
 
 from __future__ import annotations
@@ -13,6 +12,8 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import PoleError
 
@@ -75,7 +76,8 @@ def q_exp_complex(k: complex, x: float, q) -> complex:
     """Deformed plane wave [1 + i(1-q)kx]^{1/(1-q)}, principal branch.
 
     exp(ikx) at q = 1. For real k the modulus is (1+(1-q)^2 k^2 x^2)^{1/(2(1-q))},
-    which never exceeds 1 for q in (1,2).
+    which never exceeds 1 for q in (1,2). For q != 1 the value is
+    _deformed_power's; a value past float range raises OverflowError.
     """
     qp = as_qparam(q)
     k = complex(k)
@@ -83,10 +85,51 @@ def q_exp_complex(k: complex, x: float, q) -> complex:
         raise ValueError("k and x must be finite")
     if qp.classical:
         return cmath.exp(1j * k * x)
-    base = 1.0 + 1j * (1.0 - qp.q) * k * x
-    if base == 0:
+    c = (1.0 - qp.q) * x
+    b, d = c * k.real, -c * k.imag
+    if b == 0.0 and d == -1.0:
         raise PoleError("deformed exponential pole: 1 + i(1-q)kx = 0")
-    return cmath.exp(cmath.log(base) / (1.0 - qp.q))
+    with np.errstate(over="ignore", invalid="ignore"):
+        w = complex(_deformed_power(qp.q, np.array([b]), np.array([d]))[0])
+    if not cmath.isfinite(w):
+        raise OverflowError("deformed exponential overflows float")
+    return w
+
+
+def _deformed_power(qv, b, d=None, scale=1.0):
+    """scale * ((1 + d) + i b)^(1/(1-q)) at q = qv != 1, principal branch,
+    on real arrays b and d of one shape; d=None stands for d = 0 and skips
+    its terms, with the bits the general form gives there.
+
+    The kernel's base 1 + i(1-q) k X is (1 + d) + i b with c = (1-q) X,
+    b = c Re k, d = -c Im k. In real arithmetic, which numpy runs in SIMD,
+    the modulus comes from log1p(d(2+d) + b^2), keeping the digits of
+    |base|^2 - 1 near |base| = 1, and the phase from arctan2(b, 1 + d).
+    Where Re base >= 1, the transform's half-planes, the value is within a
+    few ulps of 1 + |w|, w = log(base)/(1-q). Where b^2 overflows the
+    modulus is 0, within |base|^-1 < 1e-154 of the true one; near the pole
+    on the other side it loses digits like eps/|base|^2. scale multiplies
+    the modulus before the complex multiply. b is overwritten; the caller
+    holds numpy's error state.
+    """
+    if d is None:
+        r, e = b * b, 1.0
+    else:
+        r = d * (2.0 + d)
+        r += b * b
+        e = 1.0 + d
+    # |value| = scale |base|^(1/(1-q)), |base|^2 = 1 + r
+    np.log1p(r, out=r)
+    r *= 0.5 / (1.0 - qv)
+    mod = np.exp(r, out=r)
+    mod *= scale
+    phase = np.arctan2(b, e, out=b)
+    phase /= 1.0 - qv
+    out = np.empty(b.shape, dtype=complex)
+    np.cos(phase, out=out.real)
+    np.sin(phase, out=out.imag)
+    out *= mod
+    return out
 
 
 def ultra_kernel(k: complex, x: float, q) -> complex:

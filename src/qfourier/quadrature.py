@@ -17,6 +17,7 @@ stopped, and nothing is raised for it.
 
 from __future__ import annotations
 
+import cmath
 import heapq
 import math
 
@@ -61,6 +62,8 @@ _SEED_CHUNK = 2048
 # sums from np.add.reduce; larger ones use the column forms in numpy, whose
 # fixed overhead only pays off there. Both sides give the same bits.
 _LOOP_BELOW = 32
+
+_NOT_FINITE = "integral is not finite: its value or error is nan or inf"
 
 
 def gk15_panel(func, a, b, rows):
@@ -280,10 +283,11 @@ def _run_block(func, rows, a, b, counts, values, errs, why, rel_tol,
     and why.
 
     Per row, the steps and their order are those of a lone heap-driven
-    bisection loop: test the tolerance, test the budget, pop the worst
-    panel, bisect it. Only the integrand calls are shared. A row that meets
-    tolerance on its seed panels never builds a heap: the seed order is
-    left-endpoint order, so its seed sums are the bits the heap would give.
+    bisection loop: test the tolerance (a nan or inf stops the row), test
+    the budget, pop the worst panel, bisect it. Only the integrand calls
+    are shared. A row that meets tolerance on its seed panels never builds
+    a heap: the seed order is left-endpoint order, so its seed sums are
+    the bits the heap would give.
     """
     lo, hi, _, v, e = _seed_panels(func, *_seed_edges(rows, a, b, counts))
     heaps = {}
@@ -291,8 +295,10 @@ def _run_block(func, rows, a, b, counts, values, errs, why, rel_tol,
     state = {}
     j = 0
     for i, n, value, err in zip(rows, counts, *_seed_sums(v, e, counts)):
-        if not err > max(abs_tol, rel_tol * abs(value)):
+        finite = math.isfinite(err) and cmath.isfinite(value)
+        if not (finite and err > max(abs_tol, rel_tol * abs(value))):
             values[i], errs[i] = value, err
+            why[i] = None if finite else _NOT_FINITE
         else:
             p_lo, p_hi, p_v, p_e = [c[j:j + n].tolist()
                                     for c in (lo, hi, v, e)]
@@ -309,8 +315,10 @@ def _run_block(func, rows, a, b, counts, values, errs, why, rel_tol,
         split = []
         for i in active:
             heap, s = heaps[i], state[i]
-            if not s[2] > max(abs_tol, rel_tol * abs(s[1])):
+            finite = math.isfinite(s[2]) and cmath.isfinite(s[1])
+            if not (finite and s[2] > max(abs_tol, rel_tol * abs(s[1]))):
                 values[i], errs[i] = _collect(heap)
+                why[i] = None if finite else _NOT_FINITE
                 continue
             if s[3] + 1 > max_subdivisions:
                 values[i], errs[i] = _collect(heap)

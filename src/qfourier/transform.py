@@ -26,12 +26,9 @@ within a quarter of the subdivision budget. An integrand call costs far
 more than the panels it carries, so most short pieces converge on their
 seeds in one call rather than by bisection.
 
-For q != 1 the kernel is evaluated in real arithmetic: a log1p modulus and
-an arctan2 phase, which numpy runs in SIMD where its complex log and exp
-are scalar calls, and which lose no digits near |base| = 1. Where the
-base's parts overflow, the modulus underflows to its true limit 0. One
-numpy error state covers each half-line piece, and the integrands check
-their own values.
+For q != 1 the kernel's power is qcore._deformed_power's, taken in real
+arithmetic. One numpy error state covers each half-line piece, and the
+integrands check their own values.
 """
 
 from __future__ import annotations
@@ -44,7 +41,7 @@ import numpy as np
 
 from .errors import (ConvergenceError, MembershipError, NonFiniteError,
                      PoleError)
-from .qcore import QParam, as_qparam
+from .qcore import QParam, _deformed_power, as_qparam
 from .quadrature import _LOOP_BELOW, adaptive_quad
 
 
@@ -431,15 +428,9 @@ def _kernel_integrand(f: FunctionSpec, qv: float, k, reflect: bool):
     on the wrong side of the kernel's branch point raises PoleError, and a
     kernel value that is not finite raises NonFiniteError.
 
-    For q != 1 the kernel is taken in real arithmetic: with
-    c = (1-q) x f^(q-1), its base 1 + i(1-q) k x f^(q-1) is (1 + d) + i b,
-    d = -c Im k and b = c Re k. Its modulus comes from log1p(d(2+d) + b^2),
-    which keeps the digits of |base|^2 - 1 near |base| = 1, and its phase
-    from arctan2(b, 1 + d) on the principal branch. Where b^2 overflows the
-    modulus underflows to its limit 0. When every k is real, d = 0 and the
-    terms in d are skipped; the bits are those of the general form. The
-    caller holds numpy's error state (see _qft_rows): a node off the
-    support can give inf * 0, and b^2 can overflow.
+    For q != 1 the kernel is qcore._deformed_power at X = x f^(q-1), scaled
+    by f, with no d when every k is real. The caller holds numpy's error
+    state (see _qft_rows).
     """
     k = np.asarray(k, dtype=complex)
     k_re, minus_im = k.real, -k.imag
@@ -457,31 +448,15 @@ def _kernel_integrand(f: FunctionSpec, qv: float, k, reflect: bool):
         # evaluated on every node, then cleared off the support: a node
         # outside it (y = 0, possibly at x = inf) has no kernel value
         if qv == 1.0:
-            kr = k[rows][:, None]
-            out = y * np.exp(1j * kr * x)
+            out = y * np.exp(1j * k[rows][:, None] * x)
         else:
             c = (1.0 - qv) * x * y ** (qv - 1.0)
-            b = c * k_re[rows][:, None]
-            if real:
-                r, e = b * b, 1.0
-            else:
+            d = None
+            if not real:
                 d = c * minus_im[rows][:, None]
                 _check(d < -1e-9, PoleError,
                        "kernel pole on the integration path", qv, rows, k, x)
-                r = d * (2.0 + d)
-                r += b * b
-                e = 1.0 + d
-            # |kernel| = f |base|^(1/(1-q)), |base|^2 = 1 + r
-            np.log1p(r, out=r)
-            r *= 0.5 / (1.0 - qv)
-            mod = np.exp(r, out=r)
-            mod *= y
-            phase = np.arctan2(b, e, out=b)
-            phase /= 1.0 - qv
-            out = np.empty(u.shape, dtype=complex)
-            np.cos(phase, out=out.real)
-            np.sin(phase, out=out.imag)
-            out *= mod
+            out = _deformed_power(qv, c * k_re[rows][:, None], d, y)
         _check(~np.isfinite(out) & m, NonFiniteError,
                "kernel value is not finite", qv, rows, k, x)
         if on < m.size:

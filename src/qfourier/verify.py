@@ -8,6 +8,7 @@ raises on numerical disagreement; it reports (name, ok, detail) so front
 ends can serialize the outcome. Only an unknown suite name raises.
 """
 
+import cmath
 import math
 
 import numpy as np
@@ -95,32 +96,20 @@ def suite_closedforms():
         return worst < 1e-6, f"max rel dev {worst:.3e} (tol 1e-06)"
     checks.append(_run("heaviside_vs_quadrature", heaviside_vs_quadrature))
 
-    def powerlaw_low_regime():
-        f = PowerLaw(1.0, 3.0, 1.0, 2.0)
-        pt = _up(1.5)
-        got, _ = qft_complex(f, 1.2, pt, _CFG)
-        want = powerlaw_qft_closed(f, 1.2, pt)
-        r = _rel(got, want)
-        return r < 1e-7, f"rel dev {r:.3e} (tol 1e-07)"
-    checks.append(_run("powerlaw_low_regime", powerlaw_low_regime))
+    def powerlaw_vs_quadrature(f, q, k, tol):
+        got, _ = qft_complex(f, q, _up(k), _CFG)
+        r = _rel(got, powerlaw_qft_closed(f, q, _up(k)))
+        return r < tol, f"rel dev {r:.3e} (tol {tol:.0e})"
 
-    def powerlaw_high_regime():
-        f = PowerLaw(0.7, 2.5, 1.3, 3.0)
-        pt = _up(2.0)
-        got, _ = qft_complex(f, 1.6, pt, _CFG)
-        want = powerlaw_qft_closed(f, 1.6, pt)
-        r = _rel(got, want)
-        return r < 1e-6, f"rel dev {r:.3e} (tol 1e-06)"
-    checks.append(_run("powerlaw_high_regime", powerlaw_high_regime))
-
-    def boundary_collapse():
-        f = PowerLaw(1.3, 2.0, 1.0, 2.0)  # s = 1 - 2(q-1) = 0 at q = 1.5
-        pt = _up(1.0)
-        got, _ = qft_complex(f, 1.5, pt, _CFG)
-        want = powerlaw_qft_closed(f, 1.5, pt)
-        r = _rel(got, want)
-        return r < 1e-8, f"rel dev {r:.3e} (tol 1e-08)"
-    checks.append(_run("boundary_collapse", boundary_collapse))
+    for name, *args in (
+            ("powerlaw_low_regime", PowerLaw(1.0, 3.0, 1.0, 2.0), 1.2, 1.5,
+             1e-7),
+            ("powerlaw_high_regime", PowerLaw(0.7, 2.5, 1.3, 3.0), 1.6, 2.0,
+             1e-6),
+            # s = 1 - 2(q-1) = 0 at q = 1.5
+            ("boundary_collapse", PowerLaw(1.3, 2.0, 1.0, 2.0), 1.5, 1.0,
+             1e-8)):
+        checks.append(_run(name, lambda a=args: powerlaw_vs_quadrature(*a)))
 
     q0 = 1.5
     windows = [(1.0, 2.0), (4.0 / 3.0, 4.0), (1.2, 3.0)]
@@ -187,7 +176,6 @@ def suite_special():
     checks.append(_run("hyp2f1_terminating_anchor", hyp2f1_terminating_anchor))
 
     def hyp2f1_log_anchor():
-        import cmath
         z = 0.3 + 0.4j
         got = hyp2f1(Hyp2F1Params(1.0, 1.0, 2.0, z))
         want = -cmath.log(1.0 - z) / z
@@ -196,7 +184,6 @@ def suite_special():
     checks.append(_run("hyp2f1_log_anchor", hyp2f1_log_anchor))
 
     def log_gamma_reflection():
-        import cmath
         worst = 0.0
         for z in (0.3 + 0.7j, -1.4 + 2.2j, 2.5 - 0.6j):
             lhs = cmath.exp(log_gamma(z) + log_gamma(1.0 - z))
@@ -293,10 +280,7 @@ def run_suite(name):
     ValueError for names outside SUITE_NAMES.
     """
     if name == "all":
-        out = []
-        for suite in ("closedforms", "special", "ultra", "inversion"):
-            out.extend(_SUITES[suite]())
-        return out
+        return [check for suite in _SUITES.values() for check in suite()]
     if name not in _SUITES:
         raise ValueError(
             f"unknown suite {name!r}; choose from {', '.join(SUITE_NAMES)}")

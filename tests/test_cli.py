@@ -6,6 +6,10 @@ import numpy as np
 import pytest
 
 from qfourier.cli import main
+from qfourier.closedform import heaviside_qft
+from qfourier.errors import LimitFailureError
+from qfourier.transform import (HalfPlanePoint, PlaneTag, QGaussian,
+                                qft_real_line)
 
 
 def rows_from_csv(text):
@@ -114,6 +118,46 @@ class TestTransformCommand:
             want = 1j / ((2.0 - 1.5) * r["k_re"])
             got = complex(r["F_re"], r["F_im"])
             np.testing.assert_allclose(got, want, rtol=1e-6, atol=1e-12)
+
+    def test_left_step_rows_match_closed_form(self, capsys):
+        rc = main(["transform", "--f", "heaviside-", "--q", "1.5",
+                   "--kmin", "0.5", "--kmax", "4", "--nk", "8",
+                   "--plane", "real-lower"])
+        assert rc == 0
+        rows = rows_from_csv(capsys.readouterr().out)
+        assert len(rows) == 8
+        for r in rows:
+            want = heaviside_qft(-1, 1.5, HalfPlanePoint(
+                complex(r["k_re"]), PlaneTag.REAL_LIMIT_LOWER))
+            got = complex(r["F_re"], r["F_im"])
+            np.testing.assert_allclose(got, want, rtol=1e-6, atol=1e-12)
+
+    def test_qgaussian_rows_are_the_library_values(self, capsys):
+        rc = main(["transform", "--f", "qgaussian", "--q-g", "1.5",
+                   "--beta-g", "2", "--q", "1.2", "--kmin", "-1",
+                   "--kmax", "2", "--nk", "3", "--plane", "real-line"])
+        assert rc == 0
+        rows = rows_from_csv(capsys.readouterr().out)
+        assert [r["k_re"] for r in rows] == [-1.0, 0.5, 2.0]
+        for r in rows:
+            value, err = qft_real_line(QGaussian(1.5, 2.0), 1.2, r["k_re"])
+            assert (r["F_re"], r["F_im"], r["err"]) == \
+                (value.real, value.imag, err)
+
+    @pytest.mark.parametrize("params, missing", [
+        (["--q-g", "1.5"], "--beta-g"), (["--beta-g", "2"], "--q-g")])
+    def test_qgaussian_missing_parameters(self, params, missing, capsys):
+        rc = main(["transform", "--f", "qgaussian", "--q", "1.2",
+                   "--kmin", "0", "--kmax", "1", "--nk", "2"] + params)
+        assert rc == 1
+        assert missing in capsys.readouterr().err
+
+    def test_unknown_format(self, capsys):
+        rc = main(["transform", "--f", "heaviside+", "--q", "1.5",
+                   "--kmin", "1", "--kmax", "2", "--nk", "2",
+                   "--format", "xml"])
+        assert rc == 1
+        assert "unknown format 'xml'" in capsys.readouterr().err
 
     def test_powerlaw_zero_k_moment(self, capsys):
         rc = main(["transform", "--f", "powerlaw", "--lambda", "1",
@@ -440,6 +484,18 @@ class TestInvertCommand:
         rc = main(["invert", "--f", "heaviside+"])
         assert rc == 1
         assert "classical" in capsys.readouterr().err
+
+    def test_numerical_failure_exits_2(self, capsys, monkeypatch):
+        import qfourier.cli as cli_mod
+
+        def roundtrip(f, sched=None):
+            raise LimitFailureError("slices do not contract")
+
+        monkeypatch.setattr(cli_mod, "roundtrip", roundtrip)
+        assert main(["invert", "--f", "gaussian"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "numerical failure: slices do not contract" in captured.err
 
     def test_bad_schedule_rejected(self, capsys):
         rc = main(["invert", "--f", "gaussian", "--eps", "0.9,0.5"])

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -26,6 +27,7 @@ from qfourier.transform import (
 )
 
 CFG = QuadratureConfig(rel_tol=1e-12, abs_tol=1e-14)
+EPS = np.finfo(float).eps
 
 
 def up(k):
@@ -248,6 +250,20 @@ class TestPowerLawClosed:
         vq, _ = qft_complex(p, 1.5, up(1.3), CFG)
         vc = powerlaw_qft_closed(p, 1.5, up(1.3))
         assert abs(vc - vq) < 1e-10
+
+    @pytest.mark.parametrize("a, b", [(1.0, 2.0), (0.2, 3.0)])
+    @pytest.mark.parametrize("q", [1.1, 1.3, 1.5, 1.8])
+    def test_beta_zero_primitive_matches_mpmath(self, q, a, b):
+        # the primitive's difference of two powers against the kernel's
+        # integral at 40 digits, to a few ulps
+        for k in (0.3, 1.0, 4.0, 2.0 + 1.0j, -3.0 + 0.5j):
+            got = powerlaw_qft_closed(PowerLaw(1.0, 0.0, a, b), q, up(k))
+            with mpmath.workdps(40):
+                mq, mk = mpmath.mpf(q), mpmath.mpc(k)
+                want = complex(mpmath.quad(
+                    lambda x: (1 + 1j * (1 - mq) * mk * x) ** (1 / (1 - mq)),
+                    [a, b]))
+            assert abs(got - want) <= 16 * EPS * abs(want)
 
     def test_lower_tag_rejected(self):
         with pytest.raises(ValueError):

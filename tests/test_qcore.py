@@ -77,6 +77,17 @@ class TestQExpComplex:
         with pytest.raises(PoleError):
             q_exp_complex(-2j, 1.0, 1.5)
 
+    @pytest.mark.parametrize("k", [1e200, -1e170, 1e200j, 3.0 + 1e170j])
+    def test_huge_base_has_limit_zero(self, k):
+        # |base|^-2 is below the least subnormal; the base's parts
+        # overflow float on the way, with no warning (warnings are errors)
+        assert q_exp_complex(k, 1.0, 1.5) == 0
+
+    def test_overflow_raises(self):
+        # base 1 - 0.9999 = 1e-4 to the power 1/(1-q) = -100
+        with pytest.raises(OverflowError):
+            q_exp_complex(-99.99j, 1.0, 1.01)
+
     @given(k=finite_small, x=finite_small, q=q_values)
     @settings(max_examples=200)
     def test_modulus_on_real_axis(self, k, x, q):

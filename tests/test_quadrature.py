@@ -432,6 +432,51 @@ class TestRows:
             adaptive_quad(self.row_integrand(np.ones(1)), 0.0, 1.0)
 
 
+class TestNonFiniteRows:
+    """A row whose integrand gives nan or inf stops at once, with a reason."""
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("n", [1, 40])   # loop path, numpy path
+    def test_stops_on_its_seeds(self, n, bad):
+        calls = []
+
+        def func(x, rows):
+            calls.append(x.size)
+            return np.where(x > 0.5, bad, 1.0)
+
+        # inf * 0 weights and inf - inf make nan in the panel sums
+        with np.errstate(invalid="ignore"):
+            values, errs, why = adaptive_quad(func, np.zeros(n), np.ones(n))
+        assert why == [quadrature._NOT_FINITE] * n
+        assert len(calls) == 1
+        assert not (np.isfinite(values) & np.isfinite(errs)).any()
+
+    def test_stops_when_bisection_finds_one(self):
+        # the seed panel misses tolerance; every later node is nan
+        calls = []
+
+        def func(x, rows):
+            calls.append(x.size)
+            return np.sin(40.0 * x) if len(calls) == 1 else np.full(x.shape,
+                                                                     np.nan)
+
+        values, errs, why = adaptive_quad(func, np.zeros(1), np.full(1, 3.0))
+        assert why == [quadrature._NOT_FINITE]
+        assert len(calls) == 2
+        assert np.isnan(values[0]) and np.isnan(errs[0])
+
+    def test_finite_rows_keep_their_outcome(self):
+        # a finite row next to a nan row converges as it does alone
+        def func(x, rows):
+            return np.where(rows[:, None] == 0, np.cos(x), np.nan)
+
+        values, errs, why = adaptive_quad(func, np.zeros(2), np.full(2, 3.0))
+        alone = adaptive_quad(lambda x, rows: np.cos(x), np.zeros(1),
+                              np.full(1, 3.0))
+        assert why == [None, quadrature._NOT_FINITE]
+        assert (values[0], errs[0]) == (alone[0][0], alone[1][0])
+
+
 class TestGradedLine:
     def test_total_weight_is_line_length(self):
         t, w = graded_line_nodes(40.0, 4096)

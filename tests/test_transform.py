@@ -9,6 +9,7 @@ from numpy.testing import assert_allclose
 from scipy.integrate import quad
 
 from qfourier.errors import ConvergenceError, MembershipError, NonFiniteError
+from qfourier.qcore import q_exp_complex
 from qfourier.transform import (
     Constant,
     Gaussian,
@@ -740,7 +741,8 @@ def mp_kernel(q, k, x, y):
 
 
 class TestKernel:
-    """The vectorized kernel integrand against mpmath, and its bounds."""
+    """The vectorized kernel integrand and q_exp_complex against mpmath,
+    and the integrand's bounds."""
 
     f = Gaussian(2.0)
 
@@ -764,6 +766,10 @@ class TestKernel:
         for ki, xi, yi, oi in zip(k, x, self.f.values(x), out):
             want, w = mp_kernel(q, ki, xi, yi)
             assert abs(oi - want) <= 8 * (1 + w) * EPS * abs(want)
+            # q_exp_complex takes its power from the same evaluator (f = 1)
+            want, w = mp_kernel(q, ki, xi, 1.0)
+            got = q_exp_complex(ki, xi, q)
+            assert abs(got - want) <= 8 * (1 + w) * EPS * abs(want)
 
     @settings(max_examples=300, deadline=None)
     @given(q=st.one_of(st.just(1.0), st.floats(1.0, 2.0, exclude_max=True)),

@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import numpy as np
@@ -123,6 +124,16 @@ class TestContourApply:
         with pytest.warns(UserWarning, match="grows faster"):
             contour_apply(rep, gauss_phi)
 
+    def test_scalar_only_callables_pair_like_vectorized_ones(self):
+        # complex(z) rejects an array, so both callables are evaluated
+        # point by point
+        rep = AnalyticRep(evaluator=lambda z: 1j / (0.5 * complex(z)),
+                          growth_order=0)
+        val = contour_apply(rep, lambda z: cmath.exp(-complex(z) ** 2))
+        np.testing.assert_allclose(val, contour_apply(pole_rep(1.5),
+                                                      gauss_phi),
+                                   rtol=1e-14, atol=0.0)
+
     def test_deterministic_repeat(self):
         a = contour_apply(pole_rep(1.7), gauss_phi)
         b = contour_apply(pole_rep(1.7), gauss_phi)
@@ -142,6 +153,15 @@ class TestDiracRep:
             epsabs=1e-13, limit=200)
         ref = (re + 1j * im) / (2j * math.pi)
         np.testing.assert_allclose(rep.evaluator(z), ref, rtol=1e-8)
+
+    def test_scalar_density_gives_the_vectorized_value(self):
+        # float(t) rejects an array, so the density is sampled point by point
+        grid = np.linspace(-8.0, 8.0, 801)
+        scalar = dirac_rep(lambda t: math.exp(-0.5 * float(t) ** 2), grid)
+        vector = dirac_rep(lambda t: np.exp(-0.5 * t ** 2), grid)
+        z = np.array([2j, -1.5j, 3.0 + 0.5j])
+        np.testing.assert_allclose(scalar.evaluator(z), vector.evaluator(z),
+                                   rtol=1e-14, atol=0.0)
 
     def test_zero_density(self):
         grid = np.linspace(-5.0, 5.0, 101)
