@@ -57,10 +57,11 @@ _BLOCK_ROWS = 128
 # the node and value arrays of one call when dense seeds meet 128 rows.
 _SEED_CHUNK = 2048
 
-# Calls and blocks with fewer panels than this sharpen their error
-# estimates, build and sum their seeds in Python loops and take their panel
-# sums from np.add.reduce; larger ones use the column forms in numpy, whose
-# fixed overhead only pays off there. Both sides give the same bits.
+# Calls and blocks with fewer panels than this sharpen their error estimates
+# and build their seed edges in Python loops; larger ones do it in numpy,
+# whose fixed overhead only pays off there. Both sides give the same bits.
+# Each side is the faster on one benchmark workload: the loops on the short
+# calls of a transform sweep, numpy on the long seeded inversion calls.
 _LOOP_BELOW = 32
 
 _NOT_FINITE = "integral is not finite: its value or error is nan or inf"
@@ -73,7 +74,9 @@ def gk15_panel(func, a, b, rows):
     func(x, rows), with x of shape (len(a), 15) and rows[i] the row of
     panel i. Error follows the QUADPACK sharpening: |K-G| rescaled by the
     integrand's deviation from its panel mean, floored at the rounding
-    level.
+    level. Every 15-node sum is one np.add.reduce along a panel's own
+    nodes, the same reduction in a call of one panel as in a call of many,
+    which gives a panel the same bits in both.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -81,49 +84,15 @@ def gk15_panel(func, a, b, rows):
     h = 0.5 * (b - a)
     x = c[:, None] + h[:, None] * _NODES
     y = np.asarray(func(x, rows)).reshape(-1, 15)
-    # each sum runs along one panel's 15 nodes, in the same order for one
-    # panel as for many
-    sum15 = _sum15 if a.size >= _LOOP_BELOW else np.add.reduce
-    resk = h * sum15(y * _W_K, -1)
-    resg = h * sum15(y * _W_G, -1)
-    resabs = h * sum15(_W_K * np.abs(y), -1)
+    resk = h * np.add.reduce(y * _W_K, -1)
+    resg = h * np.add.reduce(y * _W_G, -1)
+    resabs = h * np.add.reduce(_W_K * np.abs(y), -1)
     mean = resk / (b - a)
-    resasc = h * sum15(_W_K * np.abs(y - mean[:, None]), -1)
+    resasc = h * np.add.reduce(_W_K * np.abs(y - mean[:, None]), -1)
     # np.hypot rounds like the scalar abs(); np.abs on a complex array does not
     d = resk - resg
     diff = np.hypot(d.real, d.imag)
     return resk, _panel_errs(diff, resasc, resabs)
-
-
-def _sum15(t, axis=-1):
-    """np.add.reduce(t, axis) over a last axis of 15, bit for bit, as
-    column operations. axis must be -1; it is taken so that gk15_panel
-    calls this and np.add.reduce alike.
-
-    On a contiguous 15-long axis numpy 2.4 sums pairwise: a real sum is
-    ((c0+c1)+(c2+c3))+((c4+c5)+(c6+c7)), then c8 to c14 in turn; a complex
-    one keeps four accumulators, c0-c3 plus c4-c7 plus c8-c11, joins them
-    as (a0+a1)+(a2+a3), then adds c12, c13 and c14. Either result is then
-    added to numpy's 0.0 identity, which turns an all -0.0 sum into +0.0.
-    Many rows cost 20 wide operations here instead of one short reduction
-    per row.
-
-    The bit-for-bit agreement requires numpy 2.4.x, whose order this
-    copies; it is what makes a batched row give a lone row's bits. Another
-    numpy still gives correct sums, but may differ in their last bits.
-    """
-    c = np.moveaxis(t, -1, 0)
-    if t.dtype.kind == "c":
-        s = (((c[0] + c[4]) + c[8]) + ((c[1] + c[5]) + c[9])) \
-            + (((c[2] + c[6]) + c[10]) + ((c[3] + c[7]) + c[11]))
-        first = 12
-    else:
-        s = ((c[0] + c[1]) + (c[2] + c[3])) + ((c[4] + c[5]) + (c[6] + c[7]))
-        first = 8
-    for j in range(first, 15):
-        s += c[j]
-    s += 0.0
-    return s
 
 
 def _panel_errs(diff, resasc, resabs):
@@ -245,35 +214,21 @@ def _seed_sums(v, e, counts):
     """Per-row left-to-right sums 0 + v[0] + v[1] + ... of the flat seed
     values v and errs e, counts[i] of them per row in turn, as two lists.
 
-    Fewer than _LOOP_BELOW panels are summed in a Python loop. More are
-    laid out as a matrix, one row each behind a column of +0.0 and padded
-    with -0.0, which leaves any sum as it is, and accumulated along the
-    columns; both give the bits of the loop.
+    The sums start from 0j and 0.0, which turns an all -0.0 row into +0.0,
+    and run in seed order, the order of the heap's final sum: a row that
+    converges on its seeds has the bits the heap would give.
     """
-    if v.size < _LOOP_BELOW:
-        v, e = v.tolist(), e.tolist()
-        values, errs, j = [], [], 0
-        for n in counts:
-            value, err = 0j, 0.0
-            for t in range(j, j + n):
-                value += v[t]
-                err += e[t]
-            values.append(value)
-            errs.append(err)
-            j += n
-        return values, errs
-    counts = np.array(counts)
-    shape = (counts.size, int(counts.max()) + 1)
-    first = np.cumsum(counts) - counts
-    at = np.repeat(np.arange(shape[0]) * shape[1] - first + 1, counts) \
-        + np.arange(v.size)
-    sums = []
-    for x in (v, e):
-        pad = np.full(shape, -0.0, dtype=x.dtype)
-        pad[:, 0] = 0.0
-        pad.flat[at] = x
-        sums.append(np.add.accumulate(pad, axis=1)[:, -1].tolist())
-    return sums
+    v, e = v.tolist(), e.tolist()
+    values, errs, j = [], [], 0
+    for n in counts:
+        value, err = 0j, 0.0
+        for t in range(j, j + n):
+            value += v[t]
+            err += e[t]
+        values.append(value)
+        errs.append(err)
+        j += n
+    return values, errs
 
 
 def _run_block(func, rows, a, b, counts, values, errs, why, rel_tol,

@@ -42,7 +42,7 @@ import numpy as np
 from .errors import (ConvergenceError, MembershipError, NonFiniteError,
                      PoleError)
 from .qcore import QParam, _deformed_power, as_qparam
-from .quadrature import _LOOP_BELOW, adaptive_quad
+from .quadrature import adaptive_quad
 
 
 class FunctionSpec:
@@ -187,6 +187,8 @@ class Gaussian(FunctionSpec):
     def __post_init__(self):
         _require(_finite(self.sigma) and self.sigma > 0,
                  f"sigma must be finite and > 0, got {self.sigma}")
+        _require(math.isfinite(2.0 * self.sigma * self.sigma),
+                 f"2 sigma^2 overflows for sigma={self.sigma}")
 
     def values(self, x):
         x = np.asarray(x, dtype=float)
@@ -491,35 +493,21 @@ def _osc_panels(A, B, freq, qv, cap=256):
     overstates the phase, is not over-seeded. At most cap panels, and at
     least min(_SEED_FLOOR, cap), so a short or slowly turning row mostly
     converges on its seeds in one integrand call; a row of zero width or
-    with an infinite B gets one. Fewer than _LOOP_BELOW rows take the rule
-    row by row in Python, more take it in numpy; both give the same counts.
+    with an infinite B gets one. The rule runs row by row in Python floats.
     """
     floor = min(_SEED_FLOOR, cap)
-    if freq.size < _LOOP_BELOW:
-        return np.array([_osc_count(A, b, f, qv, cap, floor)
-                         for b, f in zip(B.tolist(), freq.tolist())],
-                        dtype=int)
-    width = B - A
-    with np.errstate(over="ignore", invalid="ignore"):
-        phase = freq * width
-        if qv > 1.0:
-            phase = np.minimum(phase, math.pi / (qv - 1.0))
-        n = np.minimum(phase / (2.0 * math.pi * 0.8), cap)
-    # a freq of 0 or NaN gives a phase of 0 or NaN, so n >= floor fails
-    n = np.where(n >= floor, n, floor)
-    return np.where((width > 0) & np.isfinite(width), n, 1).astype(int)
-
-
-def _osc_count(A, B, freq, qv, cap, floor):
-    """_osc_panels' rule for one row, in Python floats."""
-    width = B - A
-    if not (width > 0 and math.isfinite(width)):
-        return 1
-    phase = freq * width
-    if qv > 1.0:
-        phase = min(phase, math.pi / (qv - 1.0))
-    n = min(phase / (2.0 * math.pi * 0.8), cap)
-    return int(n) if n >= floor else floor
+    turn = math.pi / (qv - 1.0) if qv > 1.0 else math.inf
+    period = 2.0 * math.pi * 0.8
+    counts = []
+    for b, f in zip(B.tolist(), freq.tolist()):
+        width = b - A
+        if not (width > 0 and math.isfinite(width)):
+            counts.append(1)
+            continue
+        # a freq of 0 or NaN gives a phase of 0 or NaN, so n >= floor fails
+        n = min(min(f * width, turn) / period, cap)
+        counts.append(int(n) if n >= floor else floor)
+    return np.array(counts, dtype=int)
 
 
 def _merge(why1, why2):

@@ -96,6 +96,15 @@ class TestUsageErrors:
         err = capsys.readouterr().err
         assert "overflows" in err and "Traceback" not in err
 
+    def test_gaussian_overflow_is_a_usage_error(self, capsys):
+        # 2 sigma^2 past the float range is a bad parameter, not a crash
+        assert main(["transform", "--f", "gaussian", "--sigma", "1e155",
+                     "--q", "1.5", "--kmin", "1", "--kmax", "1", "--nk", "1",
+                     "--plane", "real-line"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("qfourier: error:") and "overflows" in err
+        assert err.count("\n") == 1 and "Traceback" not in err
+
     @pytest.mark.parametrize("argv, name", [
         (["transform", "--f", "gaussian", "--q", " , ", "--kmin", "0",
           "--kmax", "1", "--nk", "2"], "q"),

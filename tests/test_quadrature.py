@@ -135,14 +135,19 @@ class TestPanelErrors:
         assert np.all(np.abs(got - want) <= np.spacing(want))
 
     def test_many_panels_are_the_lone_panels(self):
-        # 200 panels go through the array form, one panel through the loop
-        edges = np.linspace(0.0, 20.0, 201)
-        f = lambda x: np.exp(1j * x * x) / (1.0 + x)
-        v, e = gk15_panel(lambda x, rows: f(x), edges[:-1], edges[1:],
-                          np.zeros(200, dtype=int))
-        lone = [one_panel(f, lo, hi) for lo, hi in zip(edges[:-1], edges[1:])]
-        assert v.tolist() == [t[0] for t in lone]
-        assert e.tolist() == [t[1] for t in lone]
+        # a call of _SEED_CHUNK panels, the largest one the quadrature
+        # makes, goes through the array sharpening; one panel through the
+        # loop; both take their sums from the same reduction
+        n = quadrature._SEED_CHUNK
+        edges = np.linspace(0.0, 20.0, n + 1)
+        for f in (lambda x: np.exp(1j * x * x) / (1.0 + x),
+                  lambda x: np.cos(x * x) / (1.0 + x)):
+            v, e = gk15_panel(lambda x, rows: f(x), edges[:-1], edges[1:],
+                              np.zeros(n, dtype=int))
+            lone = [one_panel(f, lo, hi)
+                    for lo, hi in zip(edges[:-1], edges[1:])]
+            assert v.tolist() == [t[0] for t in lone]
+            assert e.tolist() == [t[1] for t in lone]
 
 
 def signed_zeros(rng, shape):
@@ -150,7 +155,8 @@ def signed_zeros(rng, shape):
 
 
 class TestColumnSums:
-    """gk15_panel's column sums are np.add.reduce's, bit for bit."""
+    """gk15_panel has the same bits with its error sharpening in the loop
+    and in numpy, signed zeros and sums over 16 decades included."""
 
     @staticmethod
     def samples(kind, shape, rng):
@@ -158,24 +164,13 @@ class TestColumnSums:
             return np.zeros(shape, dtype=complex)
         if kind == "signed zeros":
             return signed_zeros(rng, shape) + 1j * signed_zeros(rng, shape)
-        # magnitudes over 16 decades, so the order of the sums shows
+        # magnitudes over 16 decades
         scale = 10.0 ** rng.integers(-8, 8, shape)
         y = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
         y *= scale
         y[0] = -0.0
         y[1, :7] = signed_zeros(rng, 7)
         return y
-
-    @pytest.mark.parametrize("kind", ["random", "zeros", "signed zeros"])
-    def test_sum15_is_add_reduce(self, kind):
-        rng = np.random.default_rng(5)
-        y = self.samples(kind, (300, 15), rng)
-        for t in (y, y.real.copy(), y * quadrature._W_K,
-                  y * quadrature._W_G, quadrature._W_K * np.abs(y)):
-            want = np.add.reduce(t, axis=-1)
-            got = quadrature._sum15(t)
-            assert got.shape == want.shape
-            assert np.ascontiguousarray(got).tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("kind", ["random", "zeros", "signed zeros"])
     def test_column_path_is_the_reduce_path(self, kind, monkeypatch):
@@ -192,8 +187,8 @@ class TestColumnSums:
 
 
 class TestSeedPaths:
-    """Seeds built and summed in Python loops and in numpy give the same
-    bits: the same edges reach the integrand and every row the same sums."""
+    """Seeds built in a Python loop and in numpy give the same bits: the
+    same edges reach the integrand and every row the same sums."""
 
     seed_panels = staticmethod(quadrature._seed_panels)
 
@@ -235,21 +230,30 @@ class TestSeedPaths:
                                for i in live])
         assert edges.tobytes() == want.tobytes()
 
-    def test_sums_keep_signed_zeros(self, monkeypatch):
+    def test_sums_keep_signed_zeros(self):
         rng = np.random.default_rng(8)
         counts = (3, 1, 40, 2, 7)
         v = signed_zeros(rng, 53) + 1j * signed_zeros(rng, 53)
         e = signed_zeros(rng, 53)
-        # row 0 is all -0.0, which sums to +0.0 from the loop's 0j start
+        # row 0 is all -0.0, which sums to +0.0 from the 0j start
         v[:3], e[:3] = complex(-0.0, -0.0), -0.0
         v[10:20] = rng.standard_normal(10) * 1e-3
         e[4:30] = rng.uniform(0.0, 1e-3, 26)
-        sums = []
-        for below in (10 ** 9, 0):
-            monkeypatch.setattr(quadrature, "_LOOP_BELOW", below)
-            sums.append([np.array(s).tobytes()
-                         for s in quadrature._seed_sums(v, e, counts)])
-        assert sums[0] == sums[1]
+        want, j = ([], []), 0
+        for n in counts:
+            value, err = 0j, 0.0
+            for t in range(j, j + n):
+                value += complex(v[t])
+                err += float(e[t])
+            want[0].append(value)
+            want[1].append(err)
+            j += n
+        got = quadrature._seed_sums(v, e, counts)
+        for g, w in zip(got, want):
+            assert np.array(g).tobytes() == np.array(w).tobytes()
+        assert math.copysign(1.0, got[1][0]) == 1.0
+        assert math.copysign(1.0, got[0][0].real) == 1.0
+        assert math.copysign(1.0, got[0][0].imag) == 1.0
 
     def test_bad_panel_counts_rejected(self):
         func = TestRows.row_integrand(np.ones(2))
