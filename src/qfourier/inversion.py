@@ -136,10 +136,12 @@ def inverse_ft(G, k_grid, x_grid) -> np.ndarray:
     k_grid must be strictly increasing and symmetric about 0, sampled
     finely enough for the x extent (Nyquist); a noticeable imaginary part
     in the result means G was not conjugate-symmetric and draws a warning.
-    On an exactly symmetric grid cos kx and sin kx are taken on the
-    non-negative half of k only and mirrored onto the negative half, which
-    gives the full grid's trig bit for bit; any other grid takes them on
-    all of its points.
+    cos kx and sin kx come from t = tan(kx/2) as 2/(1 + t^2) - 1 and
+    2t/(1 + t^2): numpy's tan is a SIMD loop, its cos and sin are scalar
+    libm calls. On an exactly symmetric grid t is taken on the
+    non-negative half of k only and the trig mirrored onto the negative
+    half, which gives the full grid's trig bit for bit; any other grid
+    takes it on all of its points.
     """
     G = np.asarray(G, dtype=complex)
     k = np.asarray(k_grid, dtype=float)
@@ -168,21 +170,29 @@ def inverse_ft(G, k_grid, x_grid) -> np.ndarray:
     # BLAS matmul they do).
     g = G * trapezoid_weights(dk)
     gr, gi = g.real.copy(), g.imag.copy()
-    # the mirror is bitwise: cos(-a) == cos(a), sin(-a) == -sin(a) and
-    # x*(-k) == -(x*k); m = 0 takes the trig on the whole grid
+    # the mirror is bitwise: tan(-a) == -tan(a) and x*(-k) == -(x*k), so
+    # c is even and s odd in k; m = 0 takes the trig on the whole grid
     m = k.size // 2 if np.array_equal(k, -k[::-1]) else 0
     vals = np.empty(x.size, dtype=complex)
     for i in range(0, x.size, _X_BLOCK):
-        ph = np.outer(x[i:i + _X_BLOCK], k[m:])
-        c = np.empty((ph.shape[0], k.size))
+        # np.tan runs on the fresh contiguous product: numpy's SIMD loops
+        # can give other bits on a strided or reversed view
+        t = np.outer(x[i:i + _X_BLOCK], k[m:])
+        t *= 0.5
+        np.tan(t, out=t)
+        # u = 2/(1 + t^2), so c = u - 1 and s = t u
+        u = t * t
+        u += 1.0
+        np.divide(2.0, u, out=u)
+        c = np.empty((t.shape[0], k.size))
         s = np.empty_like(c)
-        c[:, m:] = np.cos(ph)
-        s[:, m:] = np.sin(ph)
+        np.subtract(u, 1.0, out=c[:, m:])
+        np.multiply(t, u, out=s[:, m:])
         c[:, :m] = c[:, :-m - 1:-1]
         np.negative(s[:, :-m - 1:-1], out=s[:, :m])
-        t = c * gr
-        t += s * gi
-        vals.real[i:i + _X_BLOCK] = np.add.reduce(t, axis=-1)
+        re = c * gr
+        re += s * gi
+        vals.real[i:i + _X_BLOCK] = np.add.reduce(re, axis=-1)
         c *= gi
         s *= gr
         c -= s

@@ -104,13 +104,17 @@ def _deformed_power(qv, b, d=None, scale=1.0):
     The kernel's base 1 + i(1-q) k X is (1 + d) + i b with c = (1-q) X,
     b = c Re k, d = -c Im k. In real arithmetic, which numpy runs in SIMD,
     the modulus comes from log1p(d(2+d) + b^2), keeping the digits of
-    |base|^2 - 1 near |base| = 1, and the phase from arctan2(b, 1 + d).
-    Where Re base >= 1, the transform's half-planes, the value is within a
-    few ulps of 1 + |w|, w = log(base)/(1-q). Where b^2 overflows the
-    modulus is 0, within |base|^-1 < 1e-154 of the true one; near the pole
-    on the other side it loses digits like eps/|base|^2. scale multiplies
-    the modulus before the complex multiply. b is overwritten; the caller
-    holds numpy's error state.
+    |base|^2 - 1 near |base| = 1, and the phase theta from arctan2(b, 1 + d).
+    The phase factor e^{i theta} comes from t = tan(theta/2), as
+    cos theta = (1 - t^2)/(1 + t^2) and sin theta = 2t/(1 + t^2): numpy's
+    tan is a SIMD loop, its cos and sin are scalar libm calls. Where
+    Re base >= 1, the transform's half-planes, the value is within a few
+    ulps of 1 + |w|, w = log(base)/(1-q). Where b^2 overflows the modulus
+    is 0, within |base|^-1 < 1e-154 of the true one; near the pole on the
+    other side it loses digits like eps/|base|^2. scale multiplies the
+    modulus. b is overwritten, and must be a fresh contiguous array:
+    numpy's SIMD loops can give other bits on a strided or reversed view.
+    The caller holds numpy's error state.
     """
     if d is None:
         r, e = b * b, 1.0
@@ -123,12 +127,24 @@ def _deformed_power(qv, b, d=None, scale=1.0):
     r *= 0.5 / (1.0 - qv)
     mod = np.exp(r, out=r)
     mod *= scale
-    phase = np.arctan2(b, e, out=b)
-    phase /= 1.0 - qv
+    # with h = mod/(1 + t^2), value = (2h - mod) + 2i t h; the real part
+    # is taken as (h - mod) + h, so that no term exceeds mod, which for
+    # t^2 <= 1 gives the bits of 2h - mod (Sterbenz: h - mod is exact).
+    # Each part is built in a contiguous temporary: numpy writes a strided
+    # output such as out.real slower than it copies one.
+    t = np.arctan2(b, e, out=b)
+    t *= 0.5 / (1.0 - qv)
+    np.tan(t, out=t)
+    h = t * t
+    h += 1.0
+    np.divide(mod, h, out=h)
+    re = h - mod
+    re += h
+    t *= h
+    t += t
     out = np.empty(b.shape, dtype=complex)
-    np.cos(phase, out=out.real)
-    np.sin(phase, out=out.imag)
-    out *= mod
+    out.real = re
+    out.imag = t
     return out
 
 

@@ -189,6 +189,9 @@ class Gaussian(FunctionSpec):
                  f"sigma must be finite and > 0, got {self.sigma}")
         _require(math.isfinite(2.0 * self.sigma * self.sigma),
                  f"2 sigma^2 overflows for sigma={self.sigma}")
+        # the denominator values() divides by, as it computes it
+        _require(2.0 * self.sigma ** 2 > 0.0,
+                 f"2 sigma^2 underflows to 0 for sigma={self.sigma}")
 
     def values(self, x):
         x = np.asarray(x, dtype=float)
@@ -306,18 +309,23 @@ class HalfPlanePoint:
     plane: PlaneTag
 
     def __post_init__(self):
+        # each message is formatted only when it is raised: a point is
+        # built for every transform evaluation
         k = complex(self.k)
-        _require(math.isfinite(k.real) and math.isfinite(k.imag),
-                 f"k must be finite, got {k!r}")
+        if not (math.isfinite(k.real) and math.isfinite(k.imag)):
+            raise ValueError(f"k must be finite, got {k!r}")
         object.__setattr__(self, "k", k)
         if self.plane is PlaneTag.UPPER:
-            _require(k.imag > 0, f"upper tag needs Im k > 0, got {k!r}")
+            if not k.imag > 0:
+                raise ValueError(f"upper tag needs Im k > 0, got {k!r}")
         elif self.plane is PlaneTag.LOWER:
-            _require(k.imag < 0, f"lower tag needs Im k < 0, got {k!r}")
+            if not k.imag < 0:
+                raise ValueError(f"lower tag needs Im k < 0, got {k!r}")
         elif self.plane in (PlaneTag.REAL_LIMIT_UPPER,
                             PlaneTag.REAL_LIMIT_LOWER):
-            _require(k.imag == 0,
-                     f"real_limit tags need Im k = 0, got {k!r}")
+            if k.imag != 0:
+                raise ValueError(
+                    f"real_limit tags need Im k = 0, got {k!r}")
         else:
             raise ValueError(f"unknown plane tag {self.plane!r}")
 
@@ -700,8 +708,9 @@ def qft_real_line(f: FunctionSpec, q, k, cfg: QuadratureConfig | None = None):
     A ConvergenceError's estimate sums both sides, the one that converged
     included; with array k it carries values, errs and failed per k.
     """
-    _require(not np.iscomplexobj(k),
-             f"k must be real for the real-line transform, got {k!r}")
+    if np.iscomplexobj(k):
+        raise ValueError(
+            f"k must be real for the real-line transform, got {k!r}")
     if np.ndim(k) == 0:
         points = [HalfPlanePoint(complex(float(k), 0.0), plane) for plane in
                   (PlaneTag.REAL_LIMIT_UPPER, PlaneTag.REAL_LIMIT_LOWER)]

@@ -105,6 +105,18 @@ class TestUsageErrors:
         assert err.startswith("qfourier: error:") and "overflows" in err
         assert err.count("\n") == 1 and "Traceback" not in err
 
+    def test_gaussian_underflow_is_a_usage_error(self, capsys):
+        # 2 sigma^2 below the float range is a bad parameter, not a
+        # transform of 0 with err 0
+        assert main(["transform", "--f", "gaussian", "--sigma", "1e-170",
+                     "--q", "1.5", "--kmin", "1", "--kmax", "1", "--nk", "1",
+                     "--plane", "real-line"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = captured.err
+        assert err.startswith("qfourier: error:") and "underflows" in err
+        assert err.count("\n") == 1 and "Traceback" not in err
+
     @pytest.mark.parametrize("argv, name", [
         (["transform", "--f", "gaussian", "--q", " , ", "--kmin", "0",
           "--kmax", "1", "--nk", "2"], "q"),
@@ -302,9 +314,9 @@ class TestTransformCommand:
         assert captured.out == (
             "k_re,k_im,plane,q,F_re,F_im,err\n"
             "0.5,0.0,real_line,1.5,2.3494052310523914,0.0,"
-            "2.7241542082184182e-14\n"
+            "2.7241542038459903e-14\n"
             "1.5,0.0,real_line,1.5,1.5248538435981884,0.0,"
-            "2.3562393559153667e-14\n")
+            "2.3562393559026247e-14\n")
         # each note carries its row's err, both sides summed
         assert captured.err == "".join(
             f"qfourier: {self.budget_note(e)}\n"
@@ -324,8 +336,8 @@ class TestTransformCommand:
       "k_im": 0.5,
       "plane": "upper",
       "q": 1.5,
-      "F_re": 2.0000000000000004,
-      "F_im": 2.0000000000000004,
+      "F_re": 2.0,
+      "F_im": 2.000000000000001,
       "err": 3.4878684980086376e-14
     },
     {
@@ -333,8 +345,8 @@ class TestTransformCommand:
       "k_im": 0.5,
       "plane": "upper",
       "q": 1.5,
-      "F_re": 0.4000000000000007,
-      "F_im": 1.2000000000000004,
+      "F_re": 0.4000000000000008,
+      "F_im": 1.2000000000000002,
       "err": 1.8489591671030064e-14
     }
   ],

@@ -208,16 +208,27 @@ def nonuniform_spectrum():
 
 
 def full_trig(G, k, x):
-    """inverse_ft with cos and sin taken over the whole of k in one block:
-    its former arithmetic, the reference for its bits."""
-    ph = np.outer(x, k)
+    """inverse_ft with its half-angle trig taken over the whole of k in one
+    block: the reference for its bits."""
+    t = np.tan(0.5 * np.outer(x, k))
+    u = 2.0 / (1.0 + t * t)
+    c, s = u - 1.0, t * u
     g = G * inversion.trapezoid_weights(np.diff(k))
-    c, s = np.cos(ph), np.sin(ph)
     vals = np.empty(x.size, dtype=complex)
     vals.real = np.add.reduce(c * g.real + s * g.imag, axis=-1)
     vals.imag = np.add.reduce(c * g.imag - s * g.real, axis=-1)
     vals /= 2.0 * math.pi
     return vals.real
+
+
+def cos_sin_sum(G, k, x):
+    """inverse_ft's sum with np.cos and np.sin, its arithmetic before the
+    half-angle trig, and the sum of |G| times the trapezoid weights."""
+    ph = np.outer(x, k)
+    g = G * inversion.trapezoid_weights(np.diff(k))
+    c, s = np.cos(ph), np.sin(ph)
+    vals = np.add.reduce(c * g.real + s * g.imag, axis=-1) / (2.0 * math.pi)
+    return vals, float(np.sum(np.abs(g)))
 
 
 def hermitian(k, rng):
@@ -252,6 +263,21 @@ class TestInverseFT:
         # not the mirrored half, whose phases would be off by up to
         # x * shift * k, about 3e-3 rad here
         assert got.tobytes() == full_trig(G, k, x).tobytes()
+
+    def test_matches_the_cos_sin_sum(self):
+        # the power-law window's grid: |k| up to 4096 at roundtrip's step
+        # for a reach of 3.5, so the phases kx reach 1.4e4; G is the
+        # spectrum of the indicator of [1, 2]
+        dk = 0.75 * math.pi / 3.5
+        half = dk * np.arange(int(math.ceil(4096.0 / dk)) + 1)
+        k = np.concatenate([-half[:0:-1], half])
+        kk = np.where(k == 0.0, 1.0, k)
+        G = np.where(k == 0.0, 1.0,
+                     (np.exp(2j * kk) - np.exp(1j * kk)) / (1j * kk))
+        x = np.linspace(-0.5, 3.5, 97)
+        want, total = cos_sin_sum(G, k, x)
+        got = inverse_ft(G, k, x)
+        assert np.max(np.abs(got - want)) <= 1e-14 * total
 
     def test_matches_trapezoid_reference(self):
         G, k = nonuniform_spectrum()

@@ -105,6 +105,18 @@ class TestFunctionSpecs:
         with pytest.raises(ValueError, match="overflows"):
             Gaussian(sigma)
 
+    @pytest.mark.parametrize("sigma", [1.2e-162, 1.5e-162, 1e-170, 5e-324])
+    def test_gaussian_rejects_underflowing_width(self, sigma):
+        # 2 sigma^2 is 0, so values() would divide 0 by 0 at x = 0 and the
+        # transform would come back as 0 with err 0
+        with pytest.raises(ValueError, match="underflows"):
+            Gaussian(sigma)
+
+    def test_gaussian_at_the_narrowest_sigma(self):
+        # sigma^2 is the smallest subnormal here: still a spike at 0
+        f = Gaussian(1.6e-162)
+        assert f.values(np.array([0.0, 1e-160])).tolist() == [1.0, 0.0]
+
     def test_gaussian_at_the_widest_sigma(self):
         f = Gaussian(9.4e153)
         assert f.values(np.array([0.0, 9.4e153])).tolist() == \
@@ -150,12 +162,20 @@ class TestHalfPlanePoint:
         HalfPlanePoint(1j, PlaneTag.UPPER)
         HalfPlanePoint(-2j, PlaneTag.LOWER)
         HalfPlanePoint(3.0, PlaneTag.REAL_LIMIT_UPPER)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"upper tag needs Im k > 0, "
+                           r"got \(1\+0j\)"):
             HalfPlanePoint(1.0, PlaneTag.UPPER)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"lower tag needs Im k < 0, "
+                           r"got 1j"):
             HalfPlanePoint(1j, PlaneTag.LOWER)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"real_limit tags need Im k = 0, "
+                           r"got \(1\+1j\)"):
             HalfPlanePoint(1 + 1j, PlaneTag.REAL_LIMIT_LOWER)
+        with pytest.raises(ValueError, match=r"k must be finite, got "
+                           r"\(nan\+1j\)"):
+            HalfPlanePoint(complex(math.nan, 1.0), PlaneTag.UPPER)
+        with pytest.raises(ValueError, match="unknown plane tag 'up'"):
+            HalfPlanePoint(1j, "up")
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -707,9 +727,12 @@ class TestBatchedK:
         complex(0.5, 0.0),
     ], ids=["array", "array-zero-imag", "scalar", "scalar-zero-imag"])
     def test_complex_k_is_refused(self, k):
-        # the real line has real k only; a complex k must not be cast
-        with pytest.raises(ValueError, match="k must be real"):
+        # the real line has real k only; a complex k must not be cast,
+        # and the message names k as given
+        with pytest.raises(ValueError) as exc:
             qft_real_line(Gaussian(1.0), 1.3, k)
+        assert str(exc.value) == \
+            f"k must be real for the real-line transform, got {k!r}"
 
     def test_huge_k_keeps_every_row(self):
         # the kernel underflows to its limit at k = 1e308 instead of
@@ -765,6 +788,26 @@ class TestKernel:
             want, w = mp_kernel(q, ki, xi, 1.0)
             got = q_exp_complex(ki, xi, q)
             assert abs(got - want) <= 8 * (1 + w) * EPS * abs(want)
+
+    @pytest.mark.parametrize("q", [1 + 1e-4, 1.01, 1.5])
+    def test_matches_mpmath_on_the_inversion_window(self, q):
+        # roundtrip's power-law window: real k with |k| up to 4096, the cap
+        # of inversion's default k_max, and x in [1, 2]. At q = 1 + 1e-4
+        # the modulus, about exp(-(q-1) (k x)^2 / 2), underflows to 0 past
+        # |k x| ~ 3.9e3, where the phase is 3.7e3 rad
+        f = PowerLaw(1.3, 2.0, 1.0, 2.0)
+        rng = np.random.default_rng(4096)
+        n = 60
+        k = rng.uniform(-4096.0, 4096.0, n).astype(complex)
+        k[:2] = 4096.0, -4096.0
+        u = rng.uniform(1.0, 2.0, n)
+        u[:2] = 2.0
+        out = transform_module._kernel_integrand(f, q, k, False)(
+            u[:, None], np.arange(n))[:, 0]
+        assert np.count_nonzero(out) >= n // 2
+        for ki, xi, yi, oi in zip(k, u, f.values(u), out):
+            want, w = mp_kernel(q, ki, xi, yi)
+            assert abs(oi - want) <= 8 * (1 + w) * EPS * abs(want)
 
     @settings(max_examples=300, deadline=None)
     @given(q=st.one_of(st.just(1.0), st.floats(1.0, 2.0, exclude_max=True)),
