@@ -12,7 +12,7 @@ from .closedform import (RegimeTag, constant_qft_delta_weight, heaviside_qft,
 from .errors import (AliasingError, BoundaryRegimeError, ConvergenceError,
                      CutAmbiguityError, InversionDomainError,
                      LimitFailureError, MembershipError, NonFiniteError,
-                     PoleError, TruncationError)
+                     PoleError, QFourierError, TruncationError)
 from .inversion import (EpsilonSchedule, InversionResult, inverse_ft,
                         q1_slice, roundtrip)
 from .qcore import (CutoffReal, QParam, as_qparam, q_exp, q_exp_complex,
@@ -57,6 +57,7 @@ __all__ = [
     "PlaneTag",
     "PoleError",
     "PowerLaw",
+    "QFourierError",
     "QGaussian",
     "QParam",
     "QuadratureConfig",

@@ -1,31 +1,40 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+Every type derives from QFourierError, so a caller can catch any failure
+of the package in one clause, and from ValueError (a bad or unsupported
+input) or RuntimeError (a computation that could not finish).
+"""
 
 
-class PoleError(ValueError):
+class QFourierError(Exception):
+    """Common base of every qfourier error."""
+
+
+class PoleError(QFourierError, ValueError):
     """Evaluation requested exactly at a pole."""
 
 
-class CutAmbiguityError(ValueError):
+class CutAmbiguityError(QFourierError, ValueError):
     """Argument lies on a branch cut and no side was supplied."""
 
 
-class MembershipError(ValueError):
+class MembershipError(QFourierError, ValueError):
     """Function is not transformable at this q (integrand not absolutely integrable)."""
 
 
-class BoundaryRegimeError(ValueError):
+class BoundaryRegimeError(QFourierError, ValueError):
     """Closed form degenerates at the regime boundary; use quadrature instead."""
 
 
-class InversionDomainError(ValueError):
+class InversionDomainError(QFourierError, ValueError):
     """Function has no classical Fourier transform; inversion pipeline does not apply."""
 
 
-class AliasingError(ValueError):
+class AliasingError(QFourierError, ValueError):
     """Sample grid too coarse for the requested reconstruction extent."""
 
 
-class ConvergenceError(RuntimeError):
+class ConvergenceError(QFourierError, RuntimeError):
     """Iteration or subdivision budget exhausted before reaching tolerance.
 
     Carries the best available estimate so callers can degrade gracefully.
@@ -50,11 +59,11 @@ class ConvergenceError(RuntimeError):
         self.failed = failed
 
 
-class NonFiniteError(RuntimeError):
+class NonFiniteError(QFourierError, RuntimeError):
     """An integrand produced NaN or inf where a finite value is required."""
 
 
-class TruncationError(RuntimeError):
+class TruncationError(QFourierError, RuntimeError):
     """Contour truncated too early: integrand tail at +-T is not negligible."""
 
     def __init__(self, message, suggested_T=None, tail=None):
@@ -63,5 +72,5 @@ class TruncationError(RuntimeError):
         self.tail = tail
 
 
-class LimitFailureError(RuntimeError):
+class LimitFailureError(QFourierError, RuntimeError):
     """Values along the epsilon schedule do not contract toward a limit."""

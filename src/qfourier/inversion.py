@@ -29,8 +29,8 @@ _JUMP_WINDOW = 0.05
 # imaginary part above this (relative) fraction draws a warning
 _IMAG_RESIDUE_TOL = 1e-6
 
-# x rows per block in inverse_ft: 16 rows of the 2451-point window grid
-# are 0.3 MB real arrays
+# x rows per block in inverse_ft: 16 rows of the inversion window's
+# 833-point k grid are 0.1 MB real arrays
 _X_BLOCK = 16
 
 
@@ -244,13 +244,18 @@ def roundtrip(f: FunctionSpec, sched: EpsilonSchedule | None = None,
     that slice's wide mollification into the windows; for the sharpest
     jump recovery pass a single small eps with extrapolation 'none'.
 
-    The default k step is 0.75 pi / reach, with reach the larger of max|x|
-    over x_grid and over f's default grid. The trapezoid in k repeats f
-    every 2 pi / dk, 8/3 reach here, so every image of f stays off the x
-    grid, and off f's own reach too when x_grid is narrower than f. Such a
-    narrow grid on a wide f therefore costs more k points than its own
-    width asks for, which is what keeps the images off. An explicit dk
-    overrides the rule.
+    The inverse integral is taken about x0, the midpoint of x_grid and
+    f's default grid together, and the default k step is 0.75 pi / reach,
+    with reach = max|x - x0| over both grids: half their joint span. The
+    trapezoid in k repeats f every 2 pi / dk, 8/3 reach here, so every
+    image of f stays off the x grid, and off f's own grid too when x_grid
+    is narrower than f. Such a narrow grid on a wide f therefore costs
+    more k points than its own width asks for, which is what keeps the
+    images off. Half the span about its midpoint is never more than the
+    reach from 0, so no input takes more k points than it would about
+    x = 0; an off-centre compact f, such as a window on [1, 2], takes
+    fewer. When x0 is 0 (both grids symmetric) nothing is shifted. An
+    explicit dk overrides the step rule.
     """
     sched = sched if sched is not None else EpsilonSchedule()
     _require_classical_member(f)
@@ -261,9 +266,13 @@ def roundtrip(f: FunctionSpec, sched: EpsilonSchedule | None = None,
         raise ValueError("x_grid must be nonempty and finite")
     km = float(k_max) if k_max is not None \
         else _default_k_max(f, sched.eps_list[-1])
+    # invert about the centre of both grids: the images of f then need
+    # room for half their joint span only, not for their reach from 0
+    lo = min(float(np.min(x)), float(np.min(x_f)))
+    hi = max(float(np.max(x)), float(np.max(x_f)))
+    x0 = 0.5 * (lo + hi)
     if dk is None:
-        reach = max(float(np.max(np.abs(x))), float(np.max(np.abs(x_f))),
-                    1e-9)
+        reach = max(hi - x0, x0 - lo, 1e-9)
         dk = 0.75 * math.pi / reach
     step = float(dk)
     if not (0.0 < step and km >= step):
@@ -272,10 +281,13 @@ def roundtrip(f: FunctionSpec, sched: EpsilonSchedule | None = None,
 
     slices = _slices(f, kn, sched, cfg)
     g_half = _collapse(slices, sched)
+    if x0 != 0.0:
+        # f(x) = (1/2pi) int G(k) e^{-ik x0} e^{-ik(x - x0)} dk
+        g_half *= np.exp(-1j * x0 * kn)
     # f is real, so the negative-k half follows by conjugation
     k_full = np.concatenate([-kn[:0:-1], kn])
     g_full = np.concatenate([np.conj(g_half[:0:-1]), g_half])
-    f_rec = inverse_ft(g_full, k_full, x)
+    f_rec = inverse_ft(g_full, k_full, x - x0)
 
     truth = f.values(x)
     mask = np.ones(x.size, dtype=bool)

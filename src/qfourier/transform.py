@@ -34,6 +34,7 @@ integrands check their own values.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 
@@ -189,9 +190,11 @@ class Gaussian(FunctionSpec):
                  f"sigma must be finite and > 0, got {self.sigma}")
         _require(math.isfinite(2.0 * self.sigma * self.sigma),
                  f"2 sigma^2 overflows for sigma={self.sigma}")
-        # the denominator values() divides by, as it computes it
-        _require(2.0 * self.sigma ** 2 > 0.0,
-                 f"2 sigma^2 underflows to 0 for sigma={self.sigma}")
+        # values() divides x * x by 2 sigma^2, as it computes it; a
+        # subnormal sigma^2 (and x * x near x = sigma) has lost its digits
+        _require(self.sigma ** 2 >= sys.float_info.min,
+                 f"sigma^2 underflows below the normal float range for "
+                 f"sigma={self.sigma}")
 
     def values(self, x):
         x = np.asarray(x, dtype=float)

@@ -117,6 +117,17 @@ class TestUsageErrors:
         assert err.startswith("qfourier: error:") and "underflows" in err
         assert err.count("\n") == 1 and "Traceback" not in err
 
+    def test_gaussian_subnormal_width_is_a_usage_error(self, capsys):
+        # sigma^2 is subnormal: values() would have lost its digits
+        assert main(["transform", "--f", "gaussian", "--sigma", "1e-160",
+                     "--q", "1.5", "--kmin", "1", "--kmax", "1", "--nk", "1",
+                     "--plane", "real-line"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = captured.err
+        assert err.startswith("qfourier: error:") and "underflows" in err
+        assert err.count("\n") == 1 and "Traceback" not in err
+
     @pytest.mark.parametrize("argv, name", [
         (["transform", "--f", "gaussian", "--q", " , ", "--kmin", "0",
           "--kmax", "1", "--nk", "2"], "q"),

@@ -356,6 +356,19 @@ class TestInverseFT:
             inverse_ft(np.ones(5, dtype=complex), np.linspace(-1, 1, 7), [0.0])
 
 
+@pytest.fixture()
+def slice_sizes(monkeypatch):
+    """The k grid size of every slice roundtrip takes, in call order."""
+    sizes = []
+
+    def spy(f, q, k, cfg=None):
+        sizes.append(np.size(k))
+        return qft_real_line(f, q, k, cfg)
+
+    monkeypatch.setattr(inversion, "qft_real_line", spy)
+    return sizes
+
+
 class TestRoundtrip:
     def test_gaussian_default_grids(self):
         r = roundtrip(Gaussian(1.0))
@@ -416,19 +429,13 @@ class TestRoundtrip:
         r = roundtrip(Gaussian(5.0), x_grid=np.linspace(-1.0, 1.0, 41))
         assert r.residual <= 1e-6
 
-    def test_step_follows_the_reach_of_f(self, monkeypatch):
-        # the window's default grid reaches x = 3.5, so dk = 0.75 pi / 3.5
-        # up to k_max = 490: 729 k values where the 0.4 cap gave 1226
-        sizes = []
-
-        def spy(f, q, k, cfg=None):
-            sizes.append(np.size(k))
-            return qft_real_line(f, q, k, cfg)
-
-        monkeypatch.setattr(inversion, "qft_real_line", spy)
+    def test_step_follows_the_reach_of_f(self, slice_sizes):
+        # the window's default grid [-0.5, 3.5] has half-span 2 about
+        # x0 = 1.5, so dk = 0.75 pi / 2 up to k_max = 490: 417 k values
+        # where its reach of 3.5 from 0 gave 729 and the 0.4 cap 1226
         roundtrip(PowerLaw(1.0, 2.0, 1.0, 2.0),
                   EpsilonSchedule((1e-4,), "none"))
-        assert sizes == [729]
+        assert slice_sizes == [417]
 
     @pytest.mark.parametrize("f, sched", [
         (Gaussian(0.2), None),
@@ -441,6 +448,70 @@ class TestRoundtrip:
         capped = min(0.4, 0.75 * math.pi / float(np.max(np.abs(x))))
         r = roundtrip(f, sched)
         assert r.residual <= 1.001 * roundtrip(f, sched, dk=capped).residual
+
+    @pytest.mark.parametrize("f, sched", [
+        (Gaussian(1.0), None),
+        (QGaussian(1.5, 1.0), None),
+        (Box(1.0), EpsilonSchedule((1e-4,), "none")),
+    ], ids=["gaussian", "qgaussian", "box"])
+    def test_centred_f_is_not_shifted(self, f, sched):
+        # symmetric grids put x0 at 0: the plain mirrored inverse at the
+        # step 0.75 pi / max|x|, bit for bit
+        r = roundtrip(f, sched)
+        sched = sched if sched is not None else EpsilonSchedule()
+        x = inversion._default_x_grid(f)
+        step = 0.75 * math.pi / float(np.max(np.abs(x)))
+        km = inversion._default_k_max(f, sched.eps_list[-1])
+        kn = step * np.arange(int(math.ceil(km / step)) + 1)
+        g = q1_slice(f, kn, sched)
+        f_rec = inverse_ft(np.concatenate([np.conj(g[:0:-1]), g]),
+                           np.concatenate([-kn[:0:-1], kn]), x)
+        assert r.x_grid.tobytes() == x.tobytes()
+        assert r.f_rec.tobytes() == f_rec.tobytes()
+
+    @pytest.mark.parametrize("sched", [
+        None, EpsilonSchedule((1e-4,), "none")], ids=["default", "fine"])
+    @pytest.mark.parametrize("window", [
+        (1.0, 2.0, 1.0, 2.0), (1.0, 1.0, 0.5, 3.0), (2.0, 3.0, 2.0, 5.0),
+        (1.0, 0.5, 4.0, 4.5), (1.0, 2.0, 0.2, 0.5), (1.0, 2.0, 3.0, 3.5),
+    ], ids=str)
+    def test_off_centre_window_is_as_accurate_as_the_reach_step(self, window,
+                                                                sched):
+        # about x0 the step follows the half-span of the grid; the reach
+        # from 0 gave the finer step 0.75 pi / max|x|
+        f = PowerLaw(*window)
+        x = inversion._default_x_grid(f)
+        assert x[0] + x[-1] != 0.0
+        reach_step = 0.75 * math.pi / float(np.max(np.abs(x)))
+        r = roundtrip(f, sched)
+        assert r.residual <= 1.001 * roundtrip(f, sched,
+                                               dk=reach_step).residual
+
+    @pytest.mark.parametrize("sched, bound", [
+        (None, 1.33e-2), (EpsilonSchedule((1e-4,), "none"), 3.32e-2),
+    ], ids=["default", "fine"])
+    def test_window_jumping_below_the_k_max_floor(self, sched, bound):
+        # the jump at x = 0.1 lies below _default_k_max's x_ref floor of
+        # 0.25, so the slice is not damped at k_max and truncation ripple
+        # is left near x = 0.15, where f is about 44; its sampling moves
+        # with dk. At the reach step the residuals were 1.111e-2 and
+        # 3.128e-2, about x0 they are 1.322e-2 and 3.317e-2
+        f = PowerLaw(1.0, 2.0, 0.1, 0.3)
+        assert roundtrip(f, sched).residual <= bound
+
+    @pytest.mark.parametrize("x_grid", [
+        np.linspace(-4.0, 0.0, 81), np.linspace(2.0, 9.0, 141),
+    ], ids=["left", "right"])
+    def test_no_input_takes_more_k_points(self, slice_sizes, x_grid):
+        # an x grid beside f's own grid takes fewer k points: half the
+        # joint span about its midpoint is below the reach from 0
+        f = PowerLaw(1.0, 2.0, 3.0, 3.5)
+        roundtrip(f, EpsilonSchedule((1e-4,), "none"), x_grid=x_grid)
+        reach = max(float(np.max(np.abs(x_grid))),
+                    float(np.max(np.abs(inversion._default_x_grid(f)))))
+        step = 0.75 * math.pi / reach
+        km = inversion._default_k_max(f, 1e-4)
+        assert slice_sizes[0] < int(math.ceil(km / step)) + 1
 
     def test_bad_steps(self):
         with pytest.raises(ValueError):

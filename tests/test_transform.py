@@ -1,4 +1,5 @@
 import math
+import sys
 
 import mpmath
 import numpy as np
@@ -27,6 +28,10 @@ from qfourier.transform import (
 from qfourier import quadrature
 from qfourier import transform as transform_module
 from qfourier.transform import _osc_panels
+
+
+# the smallest sigma whose sigma^2 is a normal float, about 1.49e-154
+NARROWEST_SIGMA = math.sqrt(sys.float_info.min)
 
 
 def up(k):
@@ -105,17 +110,25 @@ class TestFunctionSpecs:
         with pytest.raises(ValueError, match="overflows"):
             Gaussian(sigma)
 
-    @pytest.mark.parametrize("sigma", [1.2e-162, 1.5e-162, 1e-170, 5e-324])
+    @pytest.mark.parametrize("sigma", [1.2e-162, 1.5e-162, 1e-170, 5e-324,
+                                       1.6e-162, 1e-158,
+                                       math.nextafter(NARROWEST_SIGMA, 0.0)])
     def test_gaussian_rejects_underflowing_width(self, sigma):
         # 2 sigma^2 is 0, so values() would divide 0 by 0 at x = 0 and the
-        # transform would come back as 0 with err 0
+        # transform would come back as 0 with err 0; or sigma^2 is
+        # subnormal, and values() gave 1.0 and 0.368 at x = 0.7 sigma and
+        # 2 sigma for sigma = 1.6e-162, where the Gaussian is 0.783 and 0.135
         with pytest.raises(ValueError, match="underflows"):
             Gaussian(sigma)
 
     def test_gaussian_at_the_narrowest_sigma(self):
-        # sigma^2 is the smallest subnormal here: still a spike at 0
-        f = Gaussian(1.6e-162)
-        assert f.values(np.array([0.0, 1e-160])).tolist() == [1.0, 0.0]
+        # sigma^2 is the smallest normal float here: values() keeps its
+        # digits at x = sigma and 2 sigma
+        f = Gaussian(NARROWEST_SIGMA)
+        assert NARROWEST_SIGMA ** 2 >= sys.float_info.min
+        np.testing.assert_allclose(
+            f.values(NARROWEST_SIGMA * np.array([0.0, 1.0, 2.0])),
+            [1.0, math.exp(-0.5), math.exp(-2.0)], rtol=4e-16, atol=0.0)
 
     def test_gaussian_at_the_widest_sigma(self):
         f = Gaussian(9.4e153)
