@@ -105,32 +105,44 @@ def _deformed_power(qv, b, d=None, scale=1.0):
     b = c Re k, d = -c Im k. In real arithmetic, which numpy runs in SIMD,
     the modulus comes from log1p(d(2+d) + b^2), keeping the digits of
     |base|^2 - 1 near |base| = 1, and the phase theta from arctan2(b, 1 + d).
-    The phase factor e^{i theta} comes from t = tan(theta/2), as
-    cos theta = (1 - t^2)/(1 + t^2) and sin theta = 2t/(1 + t^2): numpy's
-    tan is a SIMD loop, its cos and sin are scalar libm calls. Where
-    Re base >= 1, the transform's half-planes, the value is within a few
-    ulps of 1 + |w|, w = log(base)/(1-q). Where b^2 overflows the modulus
-    is 0, within |base|^-1 < 1e-154 of the true one; near the pole on the
-    other side it loses digits like eps/|base|^2. scale multiplies the
-    modulus. b is overwritten, and must be a fresh contiguous array:
-    numpy's SIMD loops can give other bits on a strided or reversed view.
-    The caller holds numpy's error state.
+    Where 1 + d < 1/2, on the side of the pole the transform never
+    integrates, |base|^2 - 1 is near -1 and the log-modulus is taken as
+    log(hypot(1 + d, b)) instead. The phase factor e^{i theta} comes from
+    t = tan(theta/2), as cos theta = (1 - t^2)/(1 + t^2) and
+    sin theta = 2t/(1 + t^2): numpy's tan is a SIMD loop, its cos and sin
+    are scalar libm calls. The value is within a few ulps of 1 + |w|,
+    w = log(base)/(1-q). Where b^2 overflows the modulus is 0, within
+    |base|^-1 < 1e-154 of the true one. scale multiplies the modulus.
+
+    The call writes only into arrays it allocated and into b, which is
+    overwritten; d and scale are left alone. b must be a fresh contiguous
+    array: numpy's SIMD loops can give other bits on a strided or reversed
+    view. The caller holds numpy's error state.
     """
     if d is None:
         r, e = b * b, 1.0
     else:
-        r = d * (2.0 + d)
+        r = 2.0 + d
+        r *= d
         r += b * b
         e = 1.0 + d
+        near = e < 0.5
     # |value| = scale |base|^(1/(1-q)), |base|^2 = 1 + r
-    np.log1p(r, out=r)
+    if d is not None and np.count_nonzero(near):
+        # 2 log|base| there; log1p is kept off those nodes, where r can
+        # round to -1
+        r[near] = 0.0
+        np.log1p(r, out=r)
+        r[near] = 2.0 * np.log(np.hypot(e[near], b[near]))
+    else:
+        np.log1p(r, out=r)
     r *= 0.5 / (1.0 - qv)
     mod = np.exp(r, out=r)
     mod *= scale
     # with h = mod/(1 + t^2), value = (2h - mod) + 2i t h; the real part
     # is taken as (h - mod) + h, so that no term exceeds mod, which for
     # t^2 <= 1 gives the bits of 2h - mod (Sterbenz: h - mod is exact).
-    # Each part is built in a contiguous temporary: numpy writes a strided
+    # Each part is built in a contiguous array: numpy writes a strided
     # output such as out.real slower than it copies one.
     t = np.arctan2(b, e, out=b)
     t *= 0.5 / (1.0 - qv)
@@ -138,10 +150,12 @@ def _deformed_power(qv, b, d=None, scale=1.0):
     h = t * t
     h += 1.0
     np.divide(mod, h, out=h)
-    re = h - mod
+    re = np.subtract(h, mod, out=mod)
     re += h
     t *= h
     t += t
+    # h goes before the complex result comes, which lowers the peak
+    del h
     out = np.empty(b.shape, dtype=complex)
     out.real = re
     out.imag = t

@@ -111,11 +111,16 @@ class PowerLaw(FunctionSpec):
 
     def values(self, x):
         x = np.asarray(x, dtype=float)
-        m = (x >= self.a) & (x <= self.b)
+        m = x >= self.a
+        m &= x <= self.b
         # x is moved into [a, b] off the window, so nothing divides by 0
-        # or overflows there
-        return np.where(m, (self.lam / np.where(m, x, self.a)) ** self.beta,
-                        0.0)
+        # or overflows there, and v is finite for the product with the
+        # mask to clear it
+        v = np.where(m, x, self.a)
+        np.divide(self.lam, v, out=v)
+        v **= self.beta
+        v *= m
+        return v
 
     def support(self):
         return (self.a, self.b)
@@ -197,8 +202,11 @@ class Gaussian(FunctionSpec):
                  f"sigma={self.sigma}")
 
     def values(self, x):
-        x = np.asarray(x, dtype=float)
-        return np.exp(-x * x / (2.0 * self.sigma ** 2))
+        # -x^2 / (2 sigma^2) as x^2 / -(2 sigma^2), the same bits
+        v = np.array(x, dtype=float)
+        v *= v
+        v /= -2.0 * self.sigma ** 2
+        return np.exp(v, out=v)
 
     def support(self):
         return (-math.inf, math.inf)
@@ -439,7 +447,9 @@ def _kernel_integrand(f: FunctionSpec, qv: float, k, reflect: bool):
     integrand(u, rows) evaluates u[i] with wavenumber k[rows[i]];
     reflect=False puts the nodes at x = u, reflect=True at x = -u. A node
     on the wrong side of the kernel's branch point raises PoleError, and a
-    kernel value that is not finite raises NonFiniteError.
+    kernel value that is not finite raises NonFiniteError. It writes only
+    into arrays it allocated: u and rows are left alone, and the array it
+    returns shares no memory with u.
 
     For q != 1 the kernel is qcore._deformed_power at X = x f^(q-1), scaled
     by f, with no d when every k is real. The caller holds numpy's error
@@ -461,17 +471,23 @@ def _kernel_integrand(f: FunctionSpec, qv: float, k, reflect: bool):
         # evaluated on every node, then cleared off the support: a node
         # outside it (y = 0, possibly at x = inf) has no kernel value
         if qv == 1.0:
-            out = y * np.exp(1j * k[rows][:, None] * x)
+            out = 1j * k[rows][:, None] * x
+            np.exp(out, out=out)
+            out *= y
         else:
-            c = (1.0 - qv) * x * y ** (qv - 1.0)
+            c = (1.0 - qv) * x
+            c *= y ** (qv - 1.0)
             d = None
             if not real:
                 d = c * minus_im[rows][:, None]
                 _check(d < -1e-9, PoleError,
                        "kernel pole on the integration path", qv, rows, k, x)
-            out = _deformed_power(qv, c * k_re[rows][:, None], d, y)
-        _check(~np.isfinite(out) & m, NonFiniteError,
-               "kernel value is not finite", qv, rows, k, x)
+            c *= k_re[rows][:, None]
+            out = _deformed_power(qv, c, d, y)
+        bad = ~np.isfinite(out)
+        bad &= m
+        _check(bad, NonFiniteError, "kernel value is not finite", qv, rows,
+               k, x)
         if on < m.size:
             out[~m] = 0.0
         return out

@@ -1,6 +1,7 @@
 import cmath
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -82,6 +83,20 @@ class TestQExpComplex:
         # |base|^-2 is below the least subnormal; the base's parts
         # overflow float on the way, with no warning (warnings are errors)
         assert q_exp_complex(k, 1.0, 1.5) == 0
+
+    @pytest.mark.parametrize("k", [3e-5 - 1.9999j, 3e-7 - 1.999999j])
+    def test_far_side_of_the_pole_matches_mpmath(self, k):
+        # x Im k < 0 with |base| about 5e-5 and 5e-7, the side the
+        # transform never integrates; the log1p modulus was 1.9e8 and
+        # 8.6e11 ulps off here. The bound is the kernel's, 8 (1 + |w|) ulps
+        # with w = log(base)/(1-q), as in test_transform's TestKernel
+        q, x = 1.5, 1.0
+        with mpmath.workdps(40):
+            w = mpmath.log(1 + 1j * (1 - mpmath.mpf(q)) * mpmath.mpc(k) * x) \
+                / (1 - mpmath.mpf(q))
+            want, w = complex(mpmath.exp(w)), abs(complex(w))
+        got = q_exp_complex(k, x, q)
+        assert abs(got - want) <= 8 * (1 + w) * np.finfo(float).eps * abs(want)
 
     def test_overflow_raises(self):
         # base 1 - 0.9999 = 1e-4 to the power 1/(1-q) = -100

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -7,8 +8,9 @@ from hypothesis import given, settings, strategies as st
 from numpy.polynomial import polynomial as P
 from scipy import integrate
 
-from qfourier import quadrature
+from qfourier import quadrature, transform
 from qfourier.quadrature import adaptive_quad, gk15_panel, graded_line_nodes
+from qfourier.transform import Gaussian, PowerLaw
 
 
 def one_panel(func, a, b):
@@ -148,6 +150,57 @@ class TestPanelErrors:
                     for lo, hi in zip(edges[:-1], edges[1:])]
             assert v.tolist() == [t[0] for t in lone]
             assert e.tolist() == [t[1] for t in lone]
+
+
+class TestPanelMemory:
+    """gk15_panel leaves its inputs alone, and a seed chunk of the kernel
+    integrand holds no more full-size arrays at once than it did when
+    pinned."""
+
+    def test_limits_and_rows_left_alone(self):
+        a0 = np.linspace(0.0, 2.0, 41)[:-1]
+        b0 = a0 + 0.05
+        rows0 = np.arange(40) % 3
+        a, b, rows = a0.copy(), b0.copy(), rows0.copy()
+        seen = []
+
+        def func(x, r):
+            y = np.exp(1j * x) + r[:, None]
+            seen.append((x, y, y.copy()))
+            return y
+
+        gk15_panel(func, a, b, rows)
+        assert (a.tobytes(), b.tobytes(), rows.tobytes()) == \
+            (a0.tobytes(), b0.tobytes(), rows0.tobytes())
+        (x, y, y0), = seen
+        assert y.tobytes() == y0.tobytes()
+        assert not (np.shares_memory(x, a) or np.shares_memory(x, b))
+
+    # tracemalloc peak of one _SEED_CHUNK-panel call, in bytes per node,
+    # on numpy 2.4: one full-size float array is 8 bytes per node, a
+    # complex one 16. Before the in-place panel sums, integrand and
+    # densities these read 74.1 and 98.1
+    @pytest.mark.skipif(not np.__version__.startswith("2.4."),
+                        reason="pinned on numpy 2.4's allocations")
+    @pytest.mark.parametrize("f, im, reflect, pinned", [
+        (PowerLaw(1.0, 2.0, 1.0, 2.0), 0.0, False, 50.1),
+        (Gaussian(1.0), -0.5, True, 75.1)], ids=["powerlaw", "gaussian"])
+    def test_seed_chunk_peak(self, f, im, reflect, pinned):
+        n = quadrature._SEED_CHUNK
+        k = np.linspace(0.5, 40.0, 16) + 1j * im
+        g = transform._kernel_integrand(f, 1.0001, k, reflect)
+        j = np.arange(n)
+        lo, hi, rows = j * (2.0 / n), (j + 1) * (2.0 / n), j % k.size
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            gk15_panel(g, lo, hi, rows)
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                gk15_panel(g, lo, hi, rows)
+                peak = tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+        assert peak / (15 * n) <= pinned + 0.5
 
 
 def signed_zeros(rng, shape):

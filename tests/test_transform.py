@@ -876,6 +876,44 @@ class TestKernel:
             (want[0].real, want[0].imag, want[1])
 
 
+class TestInputsLeftAlone:
+    """The densities and the kernel integrand build their results in
+    arrays of their own: the caller's nodes keep their bits, and nothing
+    returned is a view of them."""
+
+    X = np.linspace(-3.0, 3.0, 61).reshape(-1, 1) * np.ones(15)
+
+    @pytest.mark.parametrize("f", [
+        PowerLaw(1.0, 2.0, 0.5, 2.0), Gaussian(1.3), Constant(2.0),
+        QGaussian(0.5, 1.0), QGaussian(1.0, 1.0), QGaussian(1.5, 1.0),
+        Heaviside(1), Heaviside(-1),
+        Sampled([-1.0, 0.0, 2.0], [0.5, 1.0, 0.25])],
+        ids=["powerlaw", "gaussian", "constant", "qgaussian-0.5",
+             "qgaussian-1", "qgaussian-1.5", "heaviside+1", "heaviside-1",
+             "sampled"])
+    def test_values(self, f):
+        x = self.X.copy()
+        out = f.values(x)
+        assert x.tobytes() == self.X.tobytes()
+        assert not np.shares_memory(out, x)
+
+    @pytest.mark.parametrize("q", [1.0, 1.3])
+    @pytest.mark.parametrize("reflect", [False, True])
+    @pytest.mark.parametrize("im", [0.0, 0.5], ids=["real-k", "complex-k"])
+    @pytest.mark.parametrize("f", [PowerLaw(1.0, 2.0, 0.5, 2.0),
+                                   Gaussian(1.3)], ids=lambda f: f.kind)
+    def test_kernel_integrand(self, f, im, reflect, q):
+        # Im k takes the sign of the half-line's x, off the pole
+        k = np.array([0.5, -2.0, 7.0]) + (-im if reflect else im) * 1j
+        u0 = np.abs(self.X[:3])
+        rows = np.array([2, 0, 1])
+        u, r = u0.copy(), rows.copy()
+        out = transform_module._kernel_integrand(f, q, k, reflect)(u, r)
+        assert u.tobytes() == u0.tobytes()
+        assert r.tobytes() == rows.tobytes()
+        assert not np.shares_memory(out, u)
+
+
 def mp_half_line(density, q, k, pts):
     """Integral of density(x) times the deformed kernel over the pieces pts,
     in mpmath arithmetic."""
