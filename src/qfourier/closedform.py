@@ -154,8 +154,15 @@ def hilhorst_lambda(a: float, b: float, q) -> float:
     if not (math.isfinite(a) and math.isfinite(b) and 0.0 < a < b):
         raise ValueError("need 0 < a < b finite")
     e = (qp.q - 2.0) / (qp.q - 1.0)
-    bracket = ((qp.q - 1.0) / (2.0 - qp.q)) * (a ** e - b ** e)
-    return bracket ** (1.0 - qp.q)
+    try:
+        # powers of order 1/(q-1): near q = 1 they overflow float, or both
+        # underflow to 0 and leave a bracket of 0 to raise to 1 - q < 0
+        bracket = ((qp.q - 1.0) / (2.0 - qp.q)) * (a ** e - b ** e)
+        return bracket ** (1.0 - qp.q)
+    except (OverflowError, ZeroDivisionError):
+        raise BoundaryRegimeError(
+            f"q - 1 = {qp.q - 1.0:g} is too small here: a^((q-2)/(q-1)) and "
+            "b^((q-2)/(q-1)) overflow or underflow float") from None
 
 
 def hilhorst_qft(lam: float, q, k: HalfPlanePoint) -> complex:

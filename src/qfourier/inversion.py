@@ -275,8 +275,8 @@ def roundtrip(f: FunctionSpec, sched: EpsilonSchedule | None = None,
         reach = max(hi - x0, x0 - lo, 1e-9)
         dk = 0.75 * math.pi / reach
     step = float(dk)
-    if not (0.0 < step and km >= step):
-        raise ValueError("need 0 < dk <= k_max")
+    if not 0.0 < step <= km < math.inf:
+        raise ValueError("need 0 < dk <= k_max < inf")
     kn = step * np.arange(int(math.ceil(km / step)) + 1)
 
     slices = _slices(f, kn, sched, cfg)

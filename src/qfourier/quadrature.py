@@ -289,9 +289,15 @@ def _run_block(func, rows, a, b, counts, values, errs, why, rel_tol,
             heap, s = heaps[i], state[i]
             finite = math.isfinite(s[2]) and cmath.isfinite(s[1])
             if not (finite and s[2] > max(abs_tol, rel_tol * abs(s[1]))):
-                values[i], errs[i] = _collect(heap)
-                why[i] = None if finite else _NOT_FINITE
-                continue
+                # a huge panel error added to the running totals and taken
+                # out again wipes out every smaller one: the row stops on
+                # its re-summed panels, or goes on from them
+                s[1], s[2] = value, err = _collect(heap)
+                finite = math.isfinite(err) and cmath.isfinite(value)
+                if not (finite and err > max(abs_tol, rel_tol * abs(value))):
+                    values[i], errs[i] = value, err
+                    why[i] = None if finite else _NOT_FINITE
+                    continue
             if s[3] + 1 > max_subdivisions:
                 values[i], errs[i] = _collect(heap)
                 why[i] = ("quadrature did not reach tolerance within "

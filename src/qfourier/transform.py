@@ -510,7 +510,7 @@ def _check(bad, error, what, qv, rows, k, x):
 _SEED_FLOOR = 8
 
 
-def _osc_panels(A, B, freq, qv, cap=256):
+def _osc_panels(A, B, freq, qv, cap):
     """Seed panel counts of the rows [A, B[i]], one panel per 0.8 kernel
     periods at frequency freq[i].
 
@@ -560,66 +560,6 @@ def _raise_failed(values, errs, why):
             values=values, errs=errs, failed=failed)
 
 
-def _half_line(gfun, A, B, cfg: QuadratureConfig, *, qv, freq, decay,
-               trunc_scale):
-    """Integrate gfun over [A, B] for every row, A < B <= inf.
-
-    freq and decay are per-row arrays, and qv is q. Returns (values, errs,
-    why) as adaptive_quad's row form does, with the pieces of the half-line
-    summed per row and each row's why the reason of its first failing piece. A
-    finite B is one interval; an infinite one is cut where an explicit
-    remainder bound (added to err) falls under abs_tol when decay is
-    super-algebraic, and mapped onto (0, 1] otherwise.
-    """
-    n = freq.size
-    rows = np.arange(n)
-    cap = min(256, max(cfg.max_subdivisions // 4, 1))
-    tol = dict(rel_tol=cfg.rel_tol, abs_tol=cfg.abs_tol,
-               max_subdivisions=cfg.max_subdivisions)
-
-    def split_quad(hi):
-        # gfun over [A, hi[i]] for every row, split by its oscillation
-        return adaptive_quad(gfun, np.full(n, A), hi, **tol,
-                             panels=_osc_panels(A, hi, freq, qv, cap))
-
-    if math.isfinite(B):
-        return split_quad(np.full(n, B))
-
-    if math.isinf(decay[0]):
-        # explicit cut where the remainder bound drops under abs_tol
-        width = max(trunc_scale, 1.0)
-        T = A + width * (math.sqrt(2.0 * math.log(1.0 / cfg.abs_tol)) + 1.5)
-        val, err, why = split_quad(np.full(n, T))
-        g = gfun(np.full((n, 1), T), rows)[:, 0]
-        return val, err + np.hypot(g.real, g.imag) * width, why
-
-    # algebraic tail: finite oscillatory part, then the compactifying map
-    amp = np.maximum(freq, 0.0)
-    X1 = A + np.where(amp > 1e-9, 12.0 / amp, 1.0)
-    X1 = np.minimum(X1, A + 1e9)
-    X1 = np.maximum(X1, A + 1.0)
-    p = np.minimum(60.0, np.maximum(1.0, 2.0 / (decay - 1.0)))
-
-    def mapped(v, rows):
-        v = np.asarray(v, dtype=float)
-        x = np.empty_like(v)
-        jac = np.empty_like(v)
-        X1r, pr = X1[rows][:, None], p[rows]
-        # one scalar exponent at a time: numpy's power takes other
-        # paths for an exponent array, and the bits would move
-        exps = set(pr.tolist())
-        for pu in exps:
-            s = pr == pu if len(exps) > 1 else slice(None)
-            x[s] = X1r[s] * v[s] ** (-pu)
-            jac[s] = X1r[s] * pu * v[s] ** (-pu - 1.0)
-        return _zero_nonfinite(gfun(x, rows) * jac)
-
-    v1, e1, why1 = split_quad(X1)
-    v2, e2, why2 = adaptive_quad(mapped, np.zeros(n), np.ones(n), **tol,
-                                 panels=np.full(n, min(_SEED_FLOOR, cap)))
-    return v1 + v2, e1 + e2, _merge(why1, why2)
-
-
 def _zero_nonfinite(out):
     """Set the entries of the mapped tail's integrand that are not finite
     to 0, in place, and return it.
@@ -649,26 +589,28 @@ def _admitted(f: FunctionSpec, q) -> QParam:
 def _qft_rows(f: FunctionSpec, qp: QParam, k, positive_side: bool,
               cfg: QuadratureConfig | None):
     """One half-line piece of the transform for every entry of a 1-d k, at
-    a qp that _admitted has passed.
+    a qp that _admitted has passed; returns (values, errs, why) as
+    adaptive_quad's row form does, one row per k.
 
-    Returns (values, errs, why) as _half_line does, one row per k: a row
-    that missed tolerance keeps the sum of all pieces as its best estimate.
+    The piece integrates over u = x on [max(lo, 0), hi], or over u = -x on
+    [-min(hi, 0), -lo] for the negative side, whose sum is negated at the
+    end. A finite end is one interval; an infinite one is cut where an
+    explicit remainder bound (added to err) falls under abs_tol when the
+    decay is super-algebraic, and otherwise mapped onto (0, 1] past a finite
+    oscillatory part. A row sums its parts and takes the reason of its first
+    failing part: a row that missed tolerance keeps the sum as its best
+    estimate.
     """
     cfg = cfg if cfg is not None else QuadratureConfig()
     n = k.size
     lo, hi = f.support()
-    if positive_side:
-        A, B = max(lo, 0.0), hi
-    else:
-        A, B = lo, min(hi, 0.0)
+    A, B = (max(lo, 0.0), hi) if positive_side else (-min(hi, 0.0), -lo)
     if B <= A or n == 0:
         return np.zeros(n, dtype=complex), np.zeros(n), [None] * n
 
     qv = qp.q
     gamma_f = f.tail_exponent()
-    unbounded = (B == math.inf) if positive_side else (A == -math.inf)
-    decay = None
-    if unbounded:
+    if B == math.inf:
         decay = np.full(n, _integrand_decay(gamma_f, qv), dtype=float)
         at_zero = k == 0
         if at_zero.any():
@@ -680,34 +622,71 @@ def _qft_rows(f: FunctionSpec, qp: QParam, k, positive_side: bool,
 
     # np.hypot rounds like the scalar abs(); np.abs on a complex array does not
     freq = np.hypot(k.real, k.imag) * f.peak_value() ** (qv - 1.0)
-    trunc_scale = f.length_scale()
-
     gfun = _kernel_integrand(f, qv, k, reflect=not positive_side)
+    cap = min(256, max(cfg.max_subdivisions // 4, 1))
+    tol = dict(rel_tol=cfg.rel_tol, abs_tol=cfg.abs_tol,
+               max_subdivisions=cfg.max_subdivisions)
+
+    def split_quad(ends):
+        # gfun over [A, ends[i]] for every row, split by its oscillation
+        return adaptive_quad(gfun, np.full(n, A), ends, **tol,
+                             panels=_osc_panels(A, ends, freq, qv, cap))
+
     # one error state for the whole piece: the kernel's real parts overflow
     # to the true limit, a node off the support (f = 0, x possibly inf)
     # gives inf * 0, and the tail map's 12/freq divides by 0 at k = 0;
     # _kernel_integrand and mapped check what they return
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        if positive_side:
-            return _half_line(gfun, A, B, cfg, qv=qv, freq=freq,
-                              decay=decay, trunc_scale=trunc_scale)
-        val, err, why = _half_line(gfun, -B, -A, cfg, qv=qv, freq=freq,
-                                   decay=decay, trunc_scale=trunc_scale)
-    return -val, err, why
+        if B < math.inf:
+            val, err, why = split_quad(np.full(n, B))
+        elif math.isinf(decay[0]):
+            # explicit cut where the remainder bound drops under abs_tol
+            width = max(f.length_scale(), 1.0)
+            T = A + width * (math.sqrt(2.0 * math.log(1.0 / cfg.abs_tol))
+                             + 1.5)
+            val, err, why = split_quad(np.full(n, T))
+            g = gfun(np.full((n, 1), T), np.arange(n))[:, 0]
+            err = err + np.hypot(g.real, g.imag) * width
+        else:
+            # algebraic tail: finite oscillatory part, then the
+            # compactifying map
+            amp = np.maximum(freq, 0.0)
+            X1 = A + np.where(amp > 1e-9, 12.0 / amp, 1.0)
+            X1 = np.minimum(X1, A + 1e9)
+            X1 = np.maximum(X1, A + 1.0)
+            p = np.minimum(60.0, np.maximum(1.0, 2.0 / (decay - 1.0)))
+
+            def mapped(v, rows):
+                v = np.asarray(v, dtype=float)
+                x = np.empty_like(v)
+                jac = np.empty_like(v)
+                X1r, pr = X1[rows][:, None], p[rows]
+                # one scalar exponent at a time: numpy's power takes other
+                # paths for an exponent array, and the bits would move
+                exps = set(pr.tolist())
+                for pu in exps:
+                    s = pr == pu if len(exps) > 1 else slice(None)
+                    x[s] = X1r[s] * v[s] ** (-pu)
+                    jac[s] = X1r[s] * pu * v[s] ** (-pu - 1.0)
+                return _zero_nonfinite(gfun(x, rows) * jac)
+
+            v1, e1, why1 = split_quad(X1)
+            v2, e2, why2 = adaptive_quad(
+                mapped, np.zeros(n), np.ones(n), **tol,
+                panels=np.full(n, min(_SEED_FLOOR, cap)))
+            val, err, why = v1 + v2, e1 + e2, _merge(why1, why2)
+    return (val if positive_side else -val), err, why
 
 
 def qft_complex(f: FunctionSpec, q, point: HalfPlanePoint,
-                cfg: QuadratureConfig | None = None, *,
-                _checked: bool = False):
+                cfg: QuadratureConfig | None = None):
     """One half-plane piece of the transform; returns (value, err).
 
     Raises MembershipError when the integrand is not integrable for this q,
     and ConvergenceError (with the best estimate attached) when the
-    subdivision budget runs out. _checked=True means the caller has already
-    passed q through _admitted, which the two pieces of one real-line
-    point share.
+    subdivision budget runs out.
     """
-    qp = q if _checked else _admitted(f, q)
+    qp = _admitted(f, q)
     positive_side = point.plane in (PlaneTag.UPPER,
                                     PlaneTag.REAL_LIMIT_UPPER)
     val, err, why = _qft_rows(f, qp, np.array([point.k]), positive_side, cfg)
@@ -733,12 +712,10 @@ def qft_real_line(f: FunctionSpec, q, k, cfg: QuadratureConfig | None = None):
     if np.ndim(k) == 0:
         points = [HalfPlanePoint(complex(float(k), 0.0), plane) for plane in
                   (PlaneTag.REAL_LIMIT_UPPER, PlaneTag.REAL_LIMIT_LOWER)]
-        qp = _admitted(f, q)
         sides = []
         for pt in points:
             try:
-                sides.append((*qft_complex(f, qp, pt, cfg, _checked=True),
-                              None))
+                sides.append((*qft_complex(f, q, pt, cfg), None))
             except ConvergenceError as exc:
                 sides.append((exc.value, exc.err, exc.reason))
         (v1, e1, why1), (v2, e2, why2) = sides
@@ -770,7 +747,6 @@ def qft_surface(f: FunctionSpec, q_list, k_grid,
     (membership, divergent k = 0) or a NonFiniteError (a kernel value
     that overflows).
     """
-    cfg = cfg if cfg is not None else QuadratureConfig()
     q_list = tuple(as_qparam(q) for q in q_list)
     k_grid = tuple(k_grid)
     shape = (len(q_list), len(k_grid))

@@ -83,6 +83,21 @@ class TestHilhorstLambda:
         assert math.isfinite(lam)
         assert lam > 50.0
 
+    @pytest.mark.parametrize("a, b", [(0.5, 2.0), (2.0, 3.0)])
+    def test_q_near_one_is_a_boundary_error(self, a, b):
+        # a^((q-2)/(q-1)) overflows at a = 0.5; at (2, 3) both powers
+        # underflow to 0
+        with pytest.raises(BoundaryRegimeError, match=r"q - 1 = 0\.0001 "):
+            hilhorst_lambda(a, b, 1.0001)
+
+    def test_q_near_one_at_unit_a(self):
+        # 1^e is 1 and 2^e underflows to 0, so lam is ((q-1)/(2-q))^(1-q)
+        q = 1.0001
+        lam = hilhorst_lambda(1.0, 2.0, q)
+        np.testing.assert_allclose(lam, ((q - 1.0) / (2.0 - q)) ** (1.0 - q),
+                                   rtol=1e-14)
+        assert abs(lam - 1.00092) < 1e-5
+
     @pytest.mark.parametrize("a, b, q", [
         (2.0, 1.0, 1.5), (1.0, 1.0, 1.5), (-1.0, 2.0, 1.5), (0.0, 2.0, 1.5),
         (1.0, 2.0, 1.0),

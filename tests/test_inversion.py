@@ -355,6 +355,17 @@ class TestInverseFT:
         with pytest.raises(ValueError):
             inverse_ft(np.ones(5, dtype=complex), np.linspace(-1, 1, 7), [0.0])
 
+    def test_empty_x_grid(self):
+        with pytest.raises(ValueError, match="x_grid must not be empty"):
+            inverse_ft(np.ones(5, dtype=complex), np.linspace(-1, 1, 5), [])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.nan)])
+    def test_non_finite_spectrum(self, bad):
+        g = np.ones(5, dtype=complex)
+        g[3] = bad
+        with pytest.raises(ValueError, match="inputs must be finite"):
+            inverse_ft(g, np.linspace(-1, 1, 5), [0.0])
+
 
 @pytest.fixture()
 def slice_sizes(monkeypatch):
@@ -416,6 +427,20 @@ class TestRoundtrip:
     def test_rejects_non_integrable(self, f):
         with pytest.raises(InversionDomainError):
             roundtrip(f)
+
+    @pytest.mark.parametrize("x_grid", [[0.0, np.nan], [-np.inf, 1.0]])
+    def test_non_finite_x_grid(self, x_grid):
+        with pytest.raises(ValueError, match="x_grid must be nonempty and finite"):
+            roundtrip(Gaussian(1.0), x_grid=x_grid)
+
+    @pytest.mark.parametrize("k_max", [math.inf, math.nan, 0.1])
+    def test_k_max_must_be_finite_and_reach_dk(self, k_max):
+        # an infinite k_max would ask for an infinite k grid
+        with pytest.raises(ValueError, match="need 0 < dk <= k_max < inf"):
+            roundtrip(Gaussian(1.0), k_max=k_max, dk=0.25)
+        if k_max == math.inf:
+            with pytest.raises(ValueError, match="need 0 < dk <= k_max < inf"):
+                roundtrip(Gaussian(1.0), k_max=k_max)
 
     def test_explicit_grid_controls(self):
         r = roundtrip(Gaussian(1.0), x_grid=np.linspace(-3, 3, 61),

@@ -1,5 +1,7 @@
+import heapq
 import math
 import tracemalloc
+import types
 import warnings
 
 import numpy as np
@@ -532,6 +534,70 @@ class TestNonFiniteRows:
                               np.full(1, 3.0))
         assert why == [None, quadrature._NOT_FINITE]
         assert (values[0], errs[0]) == (alone[0][0], alone[1][0])
+
+
+
+class TestStopTest:
+    """A row stops as converged only when its re-summed panels meet
+    tolerance, and a panel at floating-point resolution is parked."""
+
+    BUDGET = "quadrature did not reach tolerance within 2000 subdivisions"
+    peaks = np.array([1.0 / math.pi, 0.9 / math.e, 0.5, 0.3, 2.0 / 3.0])
+
+    @classmethod
+    def rows(cls, name):
+        c = cls.peaks
+        return {
+            "peak": lambda x, rows:
+                (np.abs(x - c[rows][:, None]) + 1e-300) ** -0.9,
+            "step": lambda x, rows: (x > c[rows][:, None]).astype(float),
+            "oscillating": lambda x, rows:
+                np.exp(40j * c[rows][:, None] * x) * x ** -0.5,
+        }[name]
+
+    def test_running_totals_do_not_stop_a_row(self):
+        # a panel error of about 4e254 enters the running total and is taken
+        # out again, which leaves that total near 0 while the re-summed
+        # panels still carry about 0.5: the row must not stop as converged
+        c = 1.0 / math.pi
+        v, e, why = one_row(lambda x: (np.abs(x - c) + 1e-300) ** -0.9,
+                            0.0, 1.0, rel_tol=1e-300, abs_tol=1e-300)
+        assert why == self.BUDGET
+        assert 0.0 < e < 1e-6
+        assert math.isfinite(v.real) and v.imag == 0.0
+
+    @pytest.mark.parametrize("tol", [1e-300, 1e-14, 1e-10, 1e-6])
+    @pytest.mark.parametrize("name", ["peak", "step", "oscillating"])
+    def test_converged_rows_meet_tolerance(self, name, tol):
+        n = self.peaks.size
+        values, errs, why = adaptive_quad(self.rows(name), np.zeros(n),
+                                          np.ones(n), rel_tol=tol,
+                                          abs_tol=tol)
+        for v, e, w in zip(values, errs, why):
+            assert w is None and e <= max(tol, tol * abs(v)) \
+                or w == self.BUDGET
+
+    def test_resolution_panel_is_parked(self, monkeypatch):
+        # |x - s|^-1/2 with s = 1/2 + 2^-56 strictly between the floats 1/2
+        # and 1/2 + 2^-53, so no node hits it: the panel between them keeps
+        # an error above every other and cannot be bisected
+        parked = []
+
+        def heappush(heap, item):
+            if item[0] == 0.0 and math.copysign(1.0, item[0]) > 0.0:
+                parked.append(item[2:4])
+            heapq.heappush(heap, item)
+
+        monkeypatch.setattr(quadrature, "heapq", types.SimpleNamespace(
+            heappush=heappush, heappop=heapq.heappop,
+            heapify=heapq.heapify))
+        s = 0.5 + 2.0 ** -56
+        v, e, why = one_row(lambda x: np.abs((x - 0.5) - 2.0 ** -56) ** -0.5,
+                            0.0, 1.0, rel_tol=1e-300, abs_tol=1e-300)
+        assert parked == [(0.5, 0.5 + 2.0 ** -53)]
+        assert why == self.BUDGET
+        exact = 2.0 * (math.sqrt(s) + math.sqrt(1.0 - s))
+        assert abs(v - exact) <= e < 1e-8
 
 
 class TestGradedLine:

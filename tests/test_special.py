@@ -189,6 +189,10 @@ class TestHyp2F1:
         (0.35, 1.75, 2.9, 1.2 + 0.5j),
         (0.35, 1.75, 2.9, 1.2 - 0.5j),
         (1.4, 0.9, 3.3, 0.9 + 0j),
+        # a - b within 0.1 of a negative integer: the 1/z route swaps a
+        # and b to take its log-case limit
+        (1, 3, 2.5, 5 + 0.1j),
+        (1, 3.05, 2.5, 5 + 0.1j),
     ])
     def test_against_mpmath(self, a, b, c, z):
         ref = complex(mpmath.hyp2f1(a, b, c, z))
