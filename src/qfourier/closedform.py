@@ -70,7 +70,14 @@ def _moment(p: PowerLaw) -> float:
     # plain integral of (lam/x)^beta over [a, b]
     if p.beta == 1.0:
         return p.lam * math.log(p.b / p.a)
-    return p.lam ** p.beta * (p.b ** (1.0 - p.beta) - p.a ** (1.0 - p.beta)) / (1.0 - p.beta)
+    try:
+        return p.lam ** p.beta * (p.b ** (1.0 - p.beta)
+                                  - p.a ** (1.0 - p.beta)) / (1.0 - p.beta)
+    except OverflowError:
+        raise BoundaryRegimeError(
+            f"beta = {p.beta:g} is too large here: the moment's powers "
+            "lam^beta, a^(1-beta) and b^(1-beta) overflow float; use the "
+            "quadrature route (qft_complex)") from None
 
 
 def powerlaw_qft_boundary(p: PowerLaw, q, k: HalfPlanePoint) -> complex:
@@ -87,8 +94,15 @@ def powerlaw_qft_boundary(p: PowerLaw, q, k: HalfPlanePoint) -> complex:
     if 1.0 - p.beta * (qp.q - 1.0) != 0.0:
         raise ValueError("parameters are not on the boundary beta = 1/(q-1)")
     e = (qp.q - 2.0) / (qp.q - 1.0)
-    pref = p.lam ** (1.0 / (qp.q - 1.0)) \
-        * ((qp.q - 1.0) / (2.0 - qp.q)) * (p.a ** e - p.b ** e)
+    try:
+        # powers of order 1/(q-1), which overflow float as q -> 1
+        pref = p.lam ** (1.0 / (qp.q - 1.0)) \
+            * ((qp.q - 1.0) / (2.0 - qp.q)) * (p.a ** e - p.b ** e)
+    except OverflowError:
+        raise BoundaryRegimeError(
+            f"q - 1 = {qp.q - 1.0:g} is too small here: the boundary powers "
+            "lam^(1/(q-1)), a^((q-2)/(q-1)) and b^((q-2)/(q-1)) overflow "
+            "float; use the quadrature route (qft_complex)") from None
     return pref * q_exp_complex(kv, p.lam, qp)
 
 
@@ -98,7 +112,8 @@ def powerlaw_qft_closed(p: PowerLaw, q, k: HalfPlanePoint) -> complex:
     Exact boundary parameters take the collapsed form; a 1e-6 neighborhood
     of the boundary raises BoundaryRegimeError because the hypergeometric
     parameters diverge there (the quadrature route stays accurate). So does
-    a q near 1 where the low-regime powers of order 1/(q-1) overflow float.
+    a q near 1 where the low-regime or boundary powers of order 1/(q-1)
+    overflow float, and a k = 0 whose moment powers of order beta do.
     """
     qp = as_qparam(q)
     if qp.classical:

@@ -23,7 +23,8 @@ class MembershipError(QFourierError, ValueError):
 
 
 class BoundaryRegimeError(QFourierError, ValueError):
-    """Closed form degenerates at the regime boundary; use quadrature instead."""
+    """Closed form degenerates at the regime boundary, or its powers leave
+    float range; use quadrature instead."""
 
 
 class InversionDomainError(QFourierError, ValueError):

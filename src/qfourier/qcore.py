@@ -111,8 +111,12 @@ def _deformed_power(qv, b, d=None, scale=1.0):
     t = tan(theta/2), as cos theta = (1 - t^2)/(1 + t^2) and
     sin theta = 2t/(1 + t^2): numpy's tan is a SIMD loop, its cos and sin
     are scalar libm calls. The value is within a few ulps of 1 + |w|,
-    w = log(base)/(1-q). Where b^2 overflows the modulus is 0, within
-    |base|^-1 < 1e-154 of the true one. scale multiplies the modulus.
+    w = log(base)/(1-q). Where |base|^2 overflows (|b| above about
+    1.3e154), the log-modulus is 2 log(hypot(1 + d, b)) instead of inf:
+    the modulus there is tiny but not 0, and a caller may scale it up
+    again, as the algebraic-tail map's Jacobian of order 1e160 does. One
+    reduction over the log-moduli finds such nodes. scale multiplies the
+    modulus.
 
     The call writes only into arrays it allocated and into b, which is
     overwritten; d and scale are left alone. b must be a fresh contiguous
@@ -136,6 +140,10 @@ def _deformed_power(qv, b, d=None, scale=1.0):
         r[near] = 2.0 * np.log(np.hypot(e[near], b[near]))
     else:
         np.log1p(r, out=r)
+    if r.size and r.max() == math.inf:
+        # |base|^2 overflowed: 2 log|base| there, from the unsquared sides
+        big = r == math.inf
+        r[big] = 2.0 * np.log(np.hypot(e if d is None else e[big], b[big]))
     r *= 0.5 / (1.0 - qv)
     mod = np.exp(r, out=r)
     mod *= scale

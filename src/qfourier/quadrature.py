@@ -161,41 +161,125 @@ def adaptive_quad(func, a, b, *, rel_tol: float = 1e-8,
     tolerance: why[i] is None for a converged row, else the reason it
     stopped short, with values[i] and errs[i] its best estimate and its
     err.
+
+    Every row is checked before the first integrand call; the rows then
+    advance in blocks of _BLOCK_ROWS, zero-width rows left out. Per row,
+    the steps and their order are those of a lone heap-driven bisection
+    loop: the stop test (tolerance met, or a nan or inf value or err), the
+    budget test, pop the worst panel, bisect it. Only the integrand calls
+    are shared. A row stops only on its panels' left-to-right sum
+    (_ordered_sum): seed order is left-endpoint order, so a row that stops
+    on its seeds never builds a heap and has the bits the heap would give.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     if a.ndim != 1 or a.shape != b.shape:
         raise ValueError("row limits must be matching 1-d arrays")
-    n = a.size
     if panels is None:
-        counts = [1] * n
+        counts = [1] * a.size
     else:
         panels = np.asarray(panels)
         if panels.shape != a.shape or panels.dtype.kind not in "iu":
             raise ValueError("need one integer seed panel count per row")
         counts = panels.tolist()
     a, b = a.tolist(), b.tolist()
-    values = np.zeros(n, dtype=complex)
-    errs = np.zeros(n)
-    why = [None] * n
-    for start in range(0, n, _BLOCK_ROWS):
-        block = []
-        for i in range(start, min(n, start + _BLOCK_ROWS)):
-            lo, hi, p = a[i], b[i], counts[i]
-            if not hi > lo:
-                if hi == lo:
-                    # zero width: 0 with err 0, and no integrand call
-                    continue
-                raise ValueError("need a < b")
-            if not 0 < p <= max_subdivisions:
-                raise ValueError("need 1 to max_subdivisions seed panels")
-            if p > 1 and (hi - lo) / p <= 4.0 * math.ulp(max(-lo, hi)):
-                # seed edges within rounding of each other could coincide
-                p = 1
-            block.append((i, lo, hi, p))
-        if block:
-            _run_block(func, *zip(*block), values, errs, why, rel_tol,
-                       abs_tol, max_subdivisions)
+    for i, (lo, hi, p) in enumerate(zip(a, b, counts)):
+        if not hi > lo:
+            if hi == lo:
+                # zero width: 0 with err 0, and no integrand call
+                counts[i] = 0
+                continue
+            raise ValueError("need a < b")
+        if not 0 < p <= max_subdivisions:
+            raise ValueError("need 1 to max_subdivisions seed panels")
+        if p > 1 and (hi - lo) / p <= 4.0 * math.ulp(max(-lo, hi)):
+            # seed edges within rounding of each other could coincide
+            counts[i] = 1
+    values = np.zeros(len(a), dtype=complex)
+    errs = np.zeros(len(a))
+    why = [None] * len(a)
+    for start in range(0, len(a), _BLOCK_ROWS):
+        block = [(i, a[i], b[i], p) for i, p in
+                 enumerate(counts[start:start + _BLOCK_ROWS], start) if p]
+        if not block:
+            continue
+        lo, hi, v, e = _seed_panels(func, *_seed_edges(*zip(*block)))
+        v, e = v.tolist(), e.tolist()
+        # per row: [row, heap (None before its first bisection), first seed,
+        # value, err, panels, insertion counter, totals are the ordered sum]
+        active, j = [], 0
+        for i, _, _, p in block:
+            value, err = _ordered_sum(v[j:j + p], e[j:j + p])
+            active.append([i, None, j, value, err, p, p, True])
+            j += p
+        while active:
+            waiting, split = [], []
+            for s in active:
+                value, err = s[3], s[4]
+                finite = math.isfinite(err) and cmath.isfinite(value)
+                if not (finite and err > max(abs_tol, rel_tol * abs(value))):
+                    if not s[7]:
+                        # a huge panel error added to the running totals and
+                        # taken out again wipes out every smaller one: the
+                        # row comes round again, later in this round, to be
+                        # tested on its re-summed panels
+                        s[3], s[4] = _collect(s[1])
+                        s[7] = True
+                        active.append(s)
+                        continue
+                    reason = None if finite else _NOT_FINITE
+                elif s[5] + 1 > max_subdivisions:
+                    reason = ("quadrature did not reach tolerance within "
+                              f"{max_subdivisions} subdivisions")
+                else:
+                    if s[1] is None:
+                        j, p = s[2], s[5]
+                        p_lo, p_hi = lo[j:j + p].tolist(), hi[j:j + p].tolist()
+                        s[1] = [(-e[j + t], t, p_lo[t], p_hi[t], v[j + t],
+                                 e[j + t]) for t in range(p)]
+                        heapq.heapify(s[1])
+                    prio, _, p_lo, p_hi, p_v, p_e = heapq.heappop(s[1])
+                    mid = 0.5 * (p_lo + p_hi)
+                    if prio != 0.0:
+                        if mid <= p_lo or mid >= p_hi:
+                            # interval at floating-point resolution; park it
+                            # with lowest priority so it is never re-split,
+                            # but keep its true error
+                            heapq.heappush(s[1],
+                                           (0.0, s[6], p_lo, p_hi, p_v, p_e))
+                            s[6] += 1
+                        else:
+                            split.append((s[0], p_lo, mid, p_hi, p_v, p_e, s))
+                        waiting.append(s)
+                        continue
+                    # a parked resolution-limit panel is popped only once
+                    # nothing else carries error, so the tolerance is
+                    # unreachable
+                    heapq.heappush(s[1], (prio, s[6], p_lo, p_hi, p_v, p_e))
+                    reason = ("tolerance unreachable: remaining error sits "
+                              "on intervals at floating-point resolution")
+                if not s[7]:
+                    s[3], s[4] = _collect(s[1])
+                values[s[0]], errs[s[0]], why[s[0]] = s[3], s[4], reason
+            # the rows that stopped and the seeds, which every row that goes
+            # on holds in its heap now, go before the integrand call
+            active, lo, hi, v, e = waiting, None, None, None, None
+            if split:
+                rows, los, mids, his, _, _, _ = zip(*split)
+                pv, pe = gk15_panel(func, los + mids, mids + his,
+                                    np.array(rows + rows))
+                pv, pe = pv.tolist(), pe.tolist()
+                m = len(split)
+                for t, (_, p_lo, mid, p_hi, v_old, e_old, s) in \
+                        enumerate(split):
+                    v1, v2, e1, e2 = pv[t], pv[t + m], pe[t], pe[t + m]
+                    s[3] += v1 + v2 - v_old
+                    s[4] += e1 + e2 - e_old
+                    s[7] = False
+                    heapq.heappush(s[1], (-e1, s[6], p_lo, mid, v1, e1))
+                    heapq.heappush(s[1], (-e2, s[6] + 1, mid, p_hi, v2, e2))
+                    s[6] += 2
+                    s[5] += 1
     return values, errs, why
 
 
@@ -227,125 +311,13 @@ def _seed_edges(rows, lo, hi, counts):
     return edges, np.repeat(rows, per_row)
 
 
-def _seed_sums(v, e, counts):
-    """Per-row left-to-right sums 0 + v[0] + v[1] + ... of the flat seed
-    values v and errs e, counts[i] of them per row in turn, as two lists.
-
-    The sums start from 0j and 0.0, which turns an all -0.0 row into +0.0,
-    and run in seed order, the order of the heap's final sum: a row that
-    converges on its seeds has the bits the heap would give.
-    """
-    v, e = v.tolist(), e.tolist()
-    values, errs, j = [], [], 0
-    for n in counts:
-        value, err = 0j, 0.0
-        for t in range(j, j + n):
-            value += v[t]
-            err += e[t]
-        values.append(value)
-        errs.append(err)
-        j += n
-    return values, errs
-
-
-def _run_block(func, rows, a, b, counts, values, errs, why, rel_tol,
-               abs_tol, max_subdivisions):
-    """Advance rows of one block to tolerance, row rows[i] over [a[i],
-    b[i]] on counts[i] seed panels, filling in their slots of values, errs
-    and why.
-
-    Per row, the steps and their order are those of a lone heap-driven
-    bisection loop: test the tolerance (a nan or inf stops the row), test
-    the budget, pop the worst panel, bisect it. Only the integrand calls
-    are shared. A row that meets tolerance on its seed panels never builds
-    a heap: the seed order is left-endpoint order, so its seed sums are
-    the bits the heap would give.
-    """
-    lo, hi, _, v, e = _seed_panels(func, *_seed_edges(rows, a, b, counts))
-    heaps = {}
-    # per row: [insertion counter, total value, total error, panels]
-    state = {}
-    j = 0
-    for i, n, value, err in zip(rows, counts, *_seed_sums(v, e, counts)):
-        finite = math.isfinite(err) and cmath.isfinite(value)
-        if not (finite and err > max(abs_tol, rel_tol * abs(value))):
-            values[i], errs[i] = value, err
-            why[i] = None if finite else _NOT_FINITE
-        else:
-            p_lo, p_hi, p_v, p_e = [c[j:j + n].tolist()
-                                    for c in (lo, hi, v, e)]
-            heap = [(-p_e[t], t, p_lo[t], p_hi[t], p_v[t], p_e[t])
-                    for t in range(n)]
-            heapq.heapify(heap)
-            heaps[i] = heap
-            state[i] = [n, value, err, n]
-        j += n
-
-    active = list(heaps)
-    while active:
-        waiting = []
-        split = []
-        for i in active:
-            heap, s = heaps[i], state[i]
-            finite = math.isfinite(s[2]) and cmath.isfinite(s[1])
-            if not (finite and s[2] > max(abs_tol, rel_tol * abs(s[1]))):
-                # a huge panel error added to the running totals and taken
-                # out again wipes out every smaller one: the row stops on
-                # its re-summed panels, or goes on from them
-                s[1], s[2] = value, err = _collect(heap)
-                finite = math.isfinite(err) and cmath.isfinite(value)
-                if not (finite and err > max(abs_tol, rel_tol * abs(value))):
-                    values[i], errs[i] = value, err
-                    why[i] = None if finite else _NOT_FINITE
-                    continue
-            if s[3] + 1 > max_subdivisions:
-                values[i], errs[i] = _collect(heap)
-                why[i] = ("quadrature did not reach tolerance within "
-                          f"{max_subdivisions} subdivisions")
-                continue
-            prio, _, lo, hi, v, e_old = heapq.heappop(heap)
-            if prio == 0.0:
-                # a parked resolution-limit panel is popped only once nothing
-                # else carries error, so the tolerance is unreachable
-                heapq.heappush(heap, (prio, s[0], lo, hi, v, e_old))
-                values[i], errs[i] = _collect(heap)
-                why[i] = ("tolerance unreachable: remaining error sits on "
-                          "intervals at floating-point resolution")
-                continue
-            mid = 0.5 * (lo + hi)
-            if mid <= lo or mid >= hi:
-                # interval at floating-point resolution; park it with lowest
-                # priority so it is never re-split, but keep its true error
-                heapq.heappush(heap, (0.0, s[0], lo, hi, v, e_old))
-                s[0] += 1
-            else:
-                split.append((i, lo, mid, hi, v, e_old))
-            waiting.append(i)
-        if split:
-            idx, los, mids, his, _, _ = zip(*split)
-            v, e = gk15_panel(func, los + mids, mids + his,
-                              np.array(idx + idx))
-            v, e = v.tolist(), e.tolist()
-            m = len(split)
-            for j, (i, lo, mid, hi, v_old, e_old) in enumerate(split):
-                v1, v2, e1, e2 = v[j], v[j + m], e[j], e[j + m]
-                heap, s = heaps[i], state[i]
-                s[1] += v1 + v2 - v_old
-                s[2] += e1 + e2 - e_old
-                heapq.heappush(heap, (-e1, s[0], lo, mid, v1, e1))
-                heapq.heappush(heap, (-e2, s[0] + 1, mid, hi, v2, e2))
-                s[0] += 2
-                s[3] += 1
-        active = waiting
-
-
 def _seed_panels(func, edges, rows):
     """Evaluate the initial panels of every row, _SEED_CHUNK panels per
     integrand call.
 
     edges holds each row's seed points in turn and rows[j] names the row of
     edges[j]; a panel spans two consecutive points of one row. Returns
-    (lo, hi, row, value, err) arrays, one entry per panel in seed order.
+    (lo, hi, value, err) arrays, one entry per panel in seed order.
     Each panel's sums run along its own nodes, so the chunking leaves the
     bits as they are.
     """
@@ -356,17 +328,28 @@ def _seed_panels(func, edges, rows):
              for s in range(0, lo.size, _SEED_CHUNK)]
     v = np.concatenate([p[0] for p in parts])
     e = np.concatenate([p[1] for p in parts])
-    return lo, hi, prow, v, e
+    return lo, hi, v, e
+
+
+def _ordered_sum(values, errs):
+    """Left-to-right sums 0 + values[0] + values[1] + ... and the same of
+    errs, of one row's panels in left-endpoint order.
+
+    The sums start from 0j and 0.0, which turns an all -0.0 row into +0.0.
+    A row's seeds and its heap are both summed here, so a row that stops
+    on its seeds has the bits its heap would give.
+    """
+    value, err = 0j, 0.0
+    for x in values:
+        value += x
+    for x in errs:
+        err += x
+    return value, err
 
 
 def _collect(heap):
     panels = sorted(heap, key=lambda item: item[2])
-    value = 0j
-    err = 0.0
-    for _, _, _, _, v, e in panels:
-        value += v
-        err += e
-    return value, err
+    return _ordered_sum([p[4] for p in panels], [p[5] for p in panels])
 
 
 def trapezoid_weights(h):

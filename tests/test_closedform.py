@@ -255,6 +255,22 @@ class TestPowerLawClosed:
         with pytest.raises(BoundaryRegimeError, match="q - 1 .*quadrature"):
             powerlaw_qft_closed(p, q, up(k))
 
+    # beta = 1024 puts 0.4^-1023 in the boundary prefactor (q = 1 + 2^-10,
+    # on the boundary) and in the k = 0 moment (q = 1.5)
+    @pytest.mark.parametrize("evaluate, q, k, match", [
+        (powerlaw_qft_boundary, 1.0 + 2.0 ** -10, 1.0,
+         r"q - 1 = 0\.000976562 .*a\^\(\(q-2\)/\(q-1\)\).*quadrature"),
+        (powerlaw_qft_closed, 1.0 + 2.0 ** -10, 1.0,
+         r"q - 1 = 0\.000976562 .*a\^\(\(q-2\)/\(q-1\)\).*quadrature"),
+        (powerlaw_qft_closed, 1.5, 0.0,
+         r"beta = 1024 .*a\^\(1-beta\).*quadrature"),
+    ], ids=["boundary", "closed-on-boundary", "closed-moment"])
+    def test_overflowing_powers_at_large_beta_raise(self, evaluate, q, k,
+                                                    match):
+        p = PowerLaw(0.7, 1024.0, 0.4, 2.0)
+        with pytest.raises(BoundaryRegimeError, match=match):
+            evaluate(p, q, up(k))
+
     def test_exact_boundary_collapses(self):
         p = PowerLaw(1.3, 2.0, 1.0, 2.0)
         assert powerlaw_qft_closed(p, 1.5, up(2.0)) \

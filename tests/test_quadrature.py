@@ -303,7 +303,13 @@ class TestSeedPaths:
             want[0].append(value)
             want[1].append(err)
             j += n
-        got = quadrature._seed_sums(v, e, counts)
+        got, j = ([], []), 0
+        for n in counts:
+            value, err = quadrature._ordered_sum(v[j:j + n].tolist(),
+                                                 e[j:j + n].tolist())
+            got[0].append(value)
+            got[1].append(err)
+            j += n
         for g, w in zip(got, want):
             assert np.array(g).tobytes() == np.array(w).tobytes()
         assert math.copysign(1.0, got[1][0]) == 1.0
@@ -489,6 +495,26 @@ class TestRows:
         # one integral is one row: scalar limits are not a form
         with pytest.raises(ValueError, match="matching 1-d arrays"):
             adaptive_quad(self.row_integrand(np.ones(1)), 0.0, 1.0)
+
+    def test_rows_checked_before_any_integrand_call(self):
+        # row 200 of 201 lies in the second block and has a > b: the call
+        # raises before the first block's rows are evaluated
+        calls = []
+
+        def func(x, rows):
+            calls.append(rows.size)
+            return np.ones(x.shape)
+
+        a, b = np.zeros(201), np.ones(201)
+        a[200] = 2.0
+        with pytest.raises(ValueError, match="need a < b"):
+            adaptive_quad(func, a, b)
+        assert calls == []
+        b[200] = 3.0
+        with pytest.raises(ValueError, match="seed panels"):
+            adaptive_quad(func, np.zeros(201), b,
+                          panels=np.array([1] * 200 + [0]))
+        assert calls == []
 
 
 class TestNonFiniteRows:

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 from scipy.integrate import quad
 
+from qfourier.closedform import heaviside_qft
 from qfourier.errors import ConvergenceError, MembershipError, NonFiniteError
 from qfourier.qcore import q_exp_complex
 from qfourier.transform import (
@@ -267,6 +268,24 @@ class TestHeavisideTransform:
     def test_k_zero_diverges(self):
         with pytest.raises(ValueError, match="diverges"):
             qft_complex(Heaviside(1), 1.5, up(0.0))
+
+    # near q = 2 the algebraic-tail map reaches nodes where |base|^2
+    # overflows, with a Jacobian near 1e160: from q = 1.96 a kernel modulus
+    # cleared to 0 there lost up to 1.7e-5 of the tail. Past q = 1.97 the
+    # mass beyond the largest float x is lost instead, which this sweep
+    # leaves out. Each cell is within its err of i/((2-q)k) on the step's
+    # own side and of 0 on the other.
+    @pytest.mark.parametrize("q", [1.9, 1.955, 1.96, 1.965, 1.97])
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_steep_tail_sweep_within_err(self, q, sign):
+        off_axis = {PlaneTag.UPPER: 0.5j, PlaneTag.LOWER: -0.5j,
+                    PlaneTag.REAL_LIMIT_UPPER: 0.0,
+                    PlaneTag.REAL_LIMIT_LOWER: 0.0}
+        for tag, im in off_axis.items():
+            for k in [s * 10.0 ** n for s in (1, -1) for n in range(-2, 5)]:
+                point = HalfPlanePoint(k + im, tag)
+                v, err = qft_complex(Heaviside(sign), q, point)
+                assert abs(v - heaviside_qft(sign, q, point)) <= err
 
 
 class TestConstantTransform:
