@@ -40,8 +40,8 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import (ConvergenceError, MembershipError, NonFiniteError,
-                     PoleError)
+from .errors import (BoundaryRegimeError, ConvergenceError, MembershipError,
+                     NonFiniteError, PoleError)
 from .qcore import QParam, _deformed_power, as_qparam
 from .quadrature import adaptive_quad
 
@@ -441,15 +441,17 @@ def membership_check(f: FunctionSpec, q) -> MembershipReport:
                             exponent, "; ".join(notes))
 
 
-def _kernel_integrand(f: FunctionSpec, qv: float, k, reflect: bool):
+def _kernel_integrand(f: FunctionSpec, qv: float, k, reflect):
     """Vectorized integrand on a positive half-line variable u, one row per k.
 
     integrand(u, rows) evaluates u[i] with wavenumber k[rows[i]];
-    reflect=False puts the nodes at x = u, reflect=True at x = -u. A node
-    on the wrong side of the kernel's branch point raises PoleError, and a
-    kernel value that is not finite raises NonFiniteError. It writes only
-    into arrays it allocated: u and rows are left alone, and the array it
-    returns shares no memory with u.
+    reflect=False puts the nodes at x = u, reflect=True at x = -u, and a
+    boolean array reflect picks the side per k. A call whose rows all lie
+    on one side takes u or -u whole. A node on the wrong side of the
+    kernel's branch point raises PoleError, and a kernel value that is not
+    finite raises NonFiniteError. It writes only into arrays it allocated:
+    u and rows are left alone, and the array it returns shares no memory
+    with u.
 
     For q != 1 the kernel is qcore._deformed_power at X = x f^(q-1), scaled
     by f, with no d when every k is real. The caller holds numpy's error
@@ -458,10 +460,19 @@ def _kernel_integrand(f: FunctionSpec, qv: float, k, reflect: bool):
     k = np.asarray(k, dtype=complex)
     k_re, minus_im = k.real, -k.imag
     real = not np.count_nonzero(minus_im)
+    sides = np.asarray(reflect, dtype=bool)
 
     def integrand(u, rows):
         u = np.asarray(u, dtype=float)
-        x = -u if reflect else u
+        flip = sides[rows] if sides.ndim else sides
+        n_flip = np.count_nonzero(flip)
+        if not n_flip:
+            x = u
+        elif n_flip == flip.size:
+            x = -u
+        else:
+            x = np.array(u)
+            np.negative(x, out=x, where=flip[:, None])
         y = f.values(x)
         m = y > 0
         # np.count_nonzero costs a third of ndarray.any() on a short mask
@@ -511,8 +522,8 @@ _SEED_FLOOR = 8
 
 
 def _osc_panels(A, B, freq, qv, cap):
-    """Seed panel counts of the rows [A, B[i]], one panel per 0.8 kernel
-    periods at frequency freq[i].
+    """Seed panel counts of the rows [A[i], B[i]] (or [A, B[i]] for a
+    scalar A), one panel per 0.8 kernel periods at frequency freq[i].
 
     The phase is freq (B - A), capped at pi/(q-1): the kernel's phase stays
     within +-pi/(2(q-1)), so it turns by no more than that. Near q = 1 a
@@ -526,8 +537,7 @@ def _osc_panels(A, B, freq, qv, cap):
     turn = math.pi / (qv - 1.0) if qv > 1.0 else math.inf
     period = 2.0 * math.pi * 0.8
     counts = []
-    for b, f in zip(B.tolist(), freq.tolist()):
-        width = b - A
+    for width, f in zip((B - A).tolist(), freq.tolist()):
         if not (width > 0 and math.isfinite(width)):
             counts.append(1)
             continue
@@ -586,96 +596,152 @@ def _admitted(f: FunctionSpec, q) -> QParam:
     return qp
 
 
-def _qft_rows(f: FunctionSpec, qp: QParam, k, positive_side: bool,
+def _qft_rows(f: FunctionSpec, qp: QParam, k, reflect,
               cfg: QuadratureConfig | None):
-    """One half-line piece of the transform for every entry of a 1-d k, at
-    a qp that _admitted has passed; returns (values, errs, why) as
+    """Half-line pieces of the transform, one per entry of a 1-d k: over
+    x < 0 where the boolean array reflect is true, else over x > 0, at a
+    qp that _admitted has passed. Returns (values, errs, why) as
     adaptive_quad's row form does, one row per k.
 
-    The piece integrates over u = x on [max(lo, 0), hi], or over u = -x on
+    A piece integrates over u = x on [max(lo, 0), hi], or over u = -x on
     [-min(hi, 0), -lo] for the negative side, whose sum is negated at the
     end. A finite end is one interval; an infinite one is cut where an
     explicit remainder bound (added to err) falls under abs_tol when the
-    decay is super-algebraic, and otherwise mapped onto (0, 1] past a finite
-    oscillatory part. A row sums its parts and takes the reason of its first
-    failing part: a row that missed tolerance keeps the sum as its best
-    estimate.
+    decay is super-algebraic, and otherwise mapped onto (0, 1] past a
+    finite oscillatory part. Every interval of every piece, finite parts
+    and mapped tails alike, is a row of one table that one adaptive_quad
+    call integrates in one numpy error state; each row has the bits it
+    would have alone. A piece sums its parts and takes the reason of its
+    first failing part: a piece that missed tolerance keeps the sum as its
+    best estimate.
+
+    The map clears the nodes where x or its Jacobian passes the largest
+    float (_zero_nonfinite), and the mass past them is lost. A piece that
+    cleared nodes adds a bound on that mass to its err: |g| x/(d - 1) at
+    its largest finite node x, the integrand's modulus |g| falling like
+    x^-d there. Where that bound alone exceeds the piece's tolerance it
+    raises BoundaryRegimeError.
     """
     cfg = cfg if cfg is not None else QuadratureConfig()
     n = k.size
+    values, errs, why = np.zeros(n, dtype=complex), np.zeros(n), [None] * n
     lo, hi = f.support()
-    A, B = (max(lo, 0.0), hi) if positive_side else (-min(hi, 0.0), -lo)
-    if B <= A or n == 0:
-        return np.zeros(n, dtype=complex), np.zeros(n), [None] * n
-
-    qv = qp.q
-    gamma_f = f.tail_exponent()
-    if B == math.inf:
-        decay = np.full(n, _integrand_decay(gamma_f, qv), dtype=float)
-        at_zero = k == 0
-        if at_zero.any():
-            if gamma_f is not None and gamma_f != math.inf and gamma_f <= 1.0:
-                raise ValueError(
-                    "k=0 reduces the transform to the plain integral of f, "
-                    f"which diverges for {f.kind}")
-            decay[at_zero] = gamma_f
+    A = np.where(reflect, -min(hi, 0.0), max(lo, 0.0))
+    ends = np.where(reflect, -lo, hi)
+    live = np.flatnonzero(ends > A)
+    if not live.size:
+        return values, errs, why
+    k, reflect, A, ends = k[live], reflect[live], A[live], ends[live]
+    m, qv, gamma_f = live.size, qp.q, f.tail_exponent()
+    tail = np.flatnonzero(ends == math.inf)
+    at_zero = k[tail] == 0
+    if at_zero.any() and gamma_f is not None and gamma_f <= 1.0:
+        raise ValueError(
+            "k=0 reduces the transform to the plain integral of f, "
+            f"which diverges for {f.kind}")
+    # the mapped tails' count; table rows m + j are those of pieces tail[j]
+    nt = tail.size if gamma_f != math.inf else 0
 
     # np.hypot rounds like the scalar abs(); np.abs on a complex array does not
     freq = np.hypot(k.real, k.imag) * f.peak_value() ** (qv - 1.0)
-    gfun = _kernel_integrand(f, qv, k, reflect=not positive_side)
     cap = min(256, max(cfg.max_subdivisions // 4, 1))
-    tol = dict(rel_tol=cfg.rel_tol, abs_tol=cfg.abs_tol,
-               max_subdivisions=cfg.max_subdivisions)
-
-    def split_quad(ends):
-        # gfun over [A, ends[i]] for every row, split by its oscillation
-        return adaptive_quad(gfun, np.full(n, A), ends, **tol,
-                             panels=_osc_panels(A, ends, freq, qv, cap))
-
-    # one error state for the whole piece: the kernel's real parts overflow
+    # one error state for the whole table: the kernel's real parts overflow
     # to the true limit, a node off the support (f = 0, x possibly inf)
     # gives inf * 0, and the tail map's 12/freq divides by 0 at k = 0;
-    # _kernel_integrand and mapped check what they return
+    # _kernel_integrand and the map's integrand check what they return
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        if B < math.inf:
-            val, err, why = split_quad(np.full(n, B))
-        elif math.isinf(decay[0]):
+        if tail.size and not nt:
             # explicit cut where the remainder bound drops under abs_tol
             width = max(f.length_scale(), 1.0)
-            T = A + width * (math.sqrt(2.0 * math.log(1.0 / cfg.abs_tol))
-                             + 1.5)
-            val, err, why = split_quad(np.full(n, T))
-            g = gfun(np.full((n, 1), T), np.arange(n))[:, 0]
-            err = err + np.hypot(g.real, g.imag) * width
-        else:
+            ends[tail] = A[tail] + width * (
+                math.sqrt(2.0 * math.log(1.0 / cfg.abs_tol)) + 1.5)
+        elif nt:
             # algebraic tail: finite oscillatory part, then the
             # compactifying map
-            amp = np.maximum(freq, 0.0)
-            X1 = A + np.where(amp > 1e-9, 12.0 / amp, 1.0)
-            X1 = np.minimum(X1, A + 1e9)
-            X1 = np.maximum(X1, A + 1.0)
+            amp = np.maximum(freq[tail], 0.0)
+            X1 = A[tail] + np.where(amp > 1e-9, 12.0 / amp, 1.0)
+            X1 = np.minimum(X1, A[tail] + 1e9)
+            X1 = np.maximum(X1, A[tail] + 1.0)
+            ends[tail] = X1
+            decay = np.where(at_zero, gamma_f, _integrand_decay(gamma_f, qv))
             p = np.minimum(60.0, np.maximum(1.0, 2.0 / (decay - 1.0)))
+            # per mapped tail, the least lost-mass bound of its calls that
+            # cleared a node (nan until one does)
+            lost = np.full(nt, math.nan)
+        table = np.concatenate([np.arange(m), tail[:nt]])
+        gfun = _kernel_integrand(f, qv, k[table], reflect[table])
 
-            def mapped(v, rows):
-                v = np.asarray(v, dtype=float)
-                x = np.empty_like(v)
-                jac = np.empty_like(v)
-                X1r, pr = X1[rows][:, None], p[rows]
-                # one scalar exponent at a time: numpy's power takes other
-                # paths for an exponent array, and the bits would move
-                exps = set(pr.tolist())
-                for pu in exps:
-                    s = pr == pu if len(exps) > 1 else slice(None)
-                    x[s] = X1r[s] * v[s] ** (-pu)
-                    jac[s] = X1r[s] * pu * v[s] ** (-pu - 1.0)
-                return _zero_nonfinite(gfun(x, rows) * jac)
+        def mapped(u, rows):
+            on = rows >= m
+            n_on = np.count_nonzero(on)
+            if not n_on:
+                return gfun(u, rows)
+            whole = n_on == on.size
+            v = u if whole else u[on]
+            t = rows[on] - m
+            x, jac = np.empty_like(v), np.empty_like(v)
+            X1t, pt = X1[t][:, None], p[t]
+            # one scalar exponent at a time: numpy's power takes other
+            # paths for an exponent array, and the bits would move
+            exps = set(pt.tolist())
+            for pu in exps:
+                s = pt == pu if len(exps) > 1 else slice(None)
+                x[s] = X1t[s] * v[s] ** (-pu)
+                jac[s] = X1t[s] * pu * v[s] ** (-pu - 1.0)
+            if not whole:
+                x_all = np.array(u)
+                x_all[on] = x
+                x = x_all
+            out = gfun(x, rows)
+            part = out if whole else out[on]
+            part *= jac
+            cleared = ~np.isfinite(part)
+            if cleared.any():
+                for j in set(t[cleared.any(axis=1)].tolist()):
+                    # the row's largest finite x, where |g| x = |h| v/p
+                    # (h = g jac, jac = p x/v); inf if it has none here
+                    vj = np.where(cleared | (t != j)[:, None], math.inf, v)
+                    i = np.unravel_index(np.argmin(vj), vj.shape)
+                    lost[j] = np.fmin(lost[j], math.inf if vj[i] == math.inf
+                                      else abs(part[i]) * vj[i]
+                                      / (p[j] * (decay[j] - 1.0)))
+            if not whole:
+                out[on] = part
+            return _zero_nonfinite(out)
 
-            v1, e1, why1 = split_quad(X1)
-            v2, e2, why2 = adaptive_quad(
-                mapped, np.zeros(n), np.ones(n), **tol,
-                panels=np.full(n, min(_SEED_FLOOR, cap)))
-            val, err, why = v1 + v2, e1 + e2, _merge(why1, why2)
-    return (val if positive_side else -val), err, why
+        val, err, reasons = adaptive_quad(
+            mapped if nt else gfun,
+            np.concatenate([A, np.zeros(nt)]),
+            np.concatenate([ends, np.ones(nt)]),
+            rel_tol=cfg.rel_tol, abs_tol=cfg.abs_tol,
+            max_subdivisions=cfg.max_subdivisions,
+            panels=np.concatenate([_osc_panels(A, ends, freq, qv, cap),
+                                   np.full(nt, min(_SEED_FLOOR, cap))]))
+        if tail.size and not nt:
+            g = gfun(ends[tail][:, None], tail)[:, 0]
+            err[tail] = err[tail] + np.hypot(g.real, g.imag) * width
+    if nt:
+        val[tail] += val[m:]
+        err[tail] += err[m:]
+        for i, w in zip(tail.tolist(), reasons[m:]):
+            reasons[i] = reasons[i] or w
+        val, err, reasons = val[:m], err[:m], reasons[:m]
+        for j in np.flatnonzero(~np.isnan(lost)).tolist():
+            i = tail[j]
+            err[i] += lost[j]
+            tol = max(cfg.abs_tol, cfg.rel_tol * abs(val[i]))
+            if not lost[j] <= tol:
+                raise BoundaryRegimeError(
+                    "the algebraic tail's mass past the largest float x is "
+                    f"lost at q={qv!r}, k={complex(k[i])!r}: its bound "
+                    f"{lost[j]:.3e} exceeds the tolerance {tol:.3e}")
+    np.negative(val, out=val, where=reflect)
+    if m == n:
+        return val, err, reasons
+    values[live], errs[live] = val, err
+    for i, w in zip(live.tolist(), reasons):
+        why[i] = w
+    return values, errs, why
 
 
 def qft_complex(f: FunctionSpec, q, point: HalfPlanePoint,
@@ -687,9 +753,9 @@ def qft_complex(f: FunctionSpec, q, point: HalfPlanePoint,
     subdivision budget runs out.
     """
     qp = _admitted(f, q)
-    positive_side = point.plane in (PlaneTag.UPPER,
-                                    PlaneTag.REAL_LIMIT_UPPER)
-    val, err, why = _qft_rows(f, qp, np.array([point.k]), positive_side, cfg)
+    reflect = point.plane in (PlaneTag.LOWER, PlaneTag.REAL_LIMIT_LOWER)
+    val, err, why = _qft_rows(f, qp, np.array([point.k]), np.array([reflect]),
+                              cfg)
     _raise_failed(val, err, why)
     return val[0], err[0]
 
@@ -700,9 +766,10 @@ def qft_real_line(f: FunctionSpec, q, k, cfg: QuadratureConfig | None = None):
     The two half-plane pieces are boundary values of one sectionally
     analytic function, and the transform is their jump across the axis:
     upper minus lower, which unfolds to the integral over all of x.
-    Returns (value, err). k may be a 1-d array: every k then runs in one
-    batch, values and errs come back as arrays with the bits of the
-    one-k calls, and a ConvergenceError is that of the lowest failing k.
+    Returns (value, err). k may be a 1-d array: both sides of every k
+    then run in one quadrature call, values and errs come back as arrays
+    with the bits of the one-k calls, and a ConvergenceError is that of
+    the lowest failing k. A scalar k makes one qft_complex call per side.
     A ConvergenceError's estimate sums both sides, the one that converged
     included; with array k it carries values, errs and failed per k.
     """
@@ -724,11 +791,12 @@ def qft_real_line(f: FunctionSpec, q, k, cfg: QuadratureConfig | None = None):
         kv = np.asarray(k, dtype=float)
         _require(kv.ndim == 1, "k must be a scalar or a 1-d array")
         _require(bool(np.all(np.isfinite(kv))), "k must be finite")
-        kc = kv.astype(complex)
-        qp = _admitted(f, q)
-        v1, e1, why1 = _qft_rows(f, qp, kc, True, cfg)
-        v2, e2, why2 = _qft_rows(f, qp, kc, False, cfg)
-        why = _merge(why1, why2)
+        n = kv.size
+        val, err, why = _qft_rows(f, _admitted(f, q),
+                                  np.tile(kv.astype(complex), 2),
+                                  np.arange(2 * n) >= n, cfg)
+        (v1, v2), (e1, e2) = np.split(val, 2), np.split(err, 2)
+        why = _merge(why[:n], why[n:])
     val, err = v1 - v2, e1 + e2
     _raise_failed(val, err, why)
     return val, err
@@ -740,12 +808,16 @@ def qft_surface(f: FunctionSpec, q_list, k_grid,
 
     A HalfPlanePoint in k_grid is that half-plane piece (qft_complex); a
     real number is the full real-line transform at that k (qft_real_line).
-    A failing cell is recorded rather than aborting the surface. Its why
-    is "did not converge (<message>)" when the subdivision budget ran out,
-    and the cell keeps its best estimate. It is the error text when the
-    cell has no value, with value nan+nanj and err inf: a ValueError
-    (membership, divergent k = 0) or a NonFiniteError (a kernel value
-    that overflows).
+    A finite float k goes to qft_real_line as a one-element array, so both
+    of its sides run in one quadrature call; any other k takes the scalar
+    call and its error. Every cell has the bits of its own call: k points
+    are not batched across cells. A failing cell is recorded rather than
+    aborting the surface. Its why is "did not converge (<message>)" when
+    the subdivision budget ran out, and the cell keeps its best estimate.
+    It is the error text when the cell has no value, with value nan+nanj
+    and err inf: a ValueError (membership, divergent k = 0, an algebraic
+    tail's mass lost past the largest float x) or a NonFiniteError (a
+    kernel value that overflows).
     """
     q_list = tuple(as_qparam(q) for q in q_list)
     k_grid = tuple(k_grid)
@@ -758,6 +830,9 @@ def qft_surface(f: FunctionSpec, q_list, k_grid,
             try:
                 if isinstance(pt, HalfPlanePoint):
                     values[i, j], err[i, j] = qft_complex(f, qp, pt, cfg)
+                elif _finite(pt):
+                    v, e = qft_real_line(f, qp, np.array([float(pt)]), cfg)
+                    values[i, j], err[i, j] = v[0], e[0]
                 else:
                     values[i, j], err[i, j] = qft_real_line(f, qp, pt, cfg)
             except ConvergenceError as exc:
