@@ -771,11 +771,14 @@ def qft_real_line(f: FunctionSpec, q, k, cfg: QuadratureConfig | None = None):
     with the bits of the one-k calls, and a ConvergenceError is that of
     the lowest failing k. A scalar k makes one qft_complex call per side.
     A ConvergenceError's estimate sums both sides, the one that converged
-    included; with array k it carries values, errs and failed per k.
+    included; with array k it carries values, errs and failed per k. A
+    complex or non-finite k is refused with the first such k's value, in
+    the same words for a scalar and an array.
     """
-    if np.iscomplexobj(k):
-        raise ValueError(
-            f"k must be real for the real-line transform, got {k!r}")
+    kv = np.ravel(k)
+    if np.iscomplexobj(kv):
+        raise ValueError("k must be real for the real-line transform, got "
+                         f"{complex(kv[0]) if kv.size else k!r}")
     if np.ndim(k) == 0:
         points = [HalfPlanePoint(complex(float(k), 0.0), plane) for plane in
                   (PlaneTag.REAL_LIMIT_UPPER, PlaneTag.REAL_LIMIT_LOWER)]
@@ -788,9 +791,11 @@ def qft_real_line(f: FunctionSpec, q, k, cfg: QuadratureConfig | None = None):
         (v1, e1, why1), (v2, e2, why2) = sides
         why = _merge([why1], [why2])
     else:
-        kv = np.asarray(k, dtype=float)
-        _require(kv.ndim == 1, "k must be a scalar or a 1-d array")
-        _require(bool(np.all(np.isfinite(kv))), "k must be finite")
+        _require(np.ndim(k) == 1, "k must be a scalar or a 1-d array")
+        kv = kv.astype(float)
+        bad = kv[~np.isfinite(kv)]
+        if bad.size:
+            raise ValueError(f"k must be finite, got {complex(bad[0])!r}")
         n = kv.size
         val, err, why = _qft_rows(f, _admitted(f, q),
                                   np.tile(kv.astype(complex), 2),
@@ -808,10 +813,9 @@ def qft_surface(f: FunctionSpec, q_list, k_grid,
 
     A HalfPlanePoint in k_grid is that half-plane piece (qft_complex); a
     real number is the full real-line transform at that k (qft_real_line).
-    A finite float k goes to qft_real_line as a one-element array, so both
-    of its sides run in one quadrature call; any other k takes the scalar
-    call and its error. Every cell has the bits of its own call: k points
-    are not batched across cells. A failing cell is recorded rather than
+    A real k goes to qft_real_line as a one-element array, so both of its
+    sides run in one quadrature call; the cell has the bits and the error
+    text of its own scalar call. k points are not batched across cells. A failing cell is recorded rather than
     aborting the surface. Its why is "did not converge (<message>)" when
     the subdivision budget ran out, and the cell keeps its best estimate.
     It is the error text when the cell has no value, with value nan+nanj
@@ -830,11 +834,9 @@ def qft_surface(f: FunctionSpec, q_list, k_grid,
             try:
                 if isinstance(pt, HalfPlanePoint):
                     values[i, j], err[i, j] = qft_complex(f, qp, pt, cfg)
-                elif _finite(pt):
-                    v, e = qft_real_line(f, qp, np.array([float(pt)]), cfg)
-                    values[i, j], err[i, j] = v[0], e[0]
                 else:
-                    values[i, j], err[i, j] = qft_real_line(f, qp, pt, cfg)
+                    v, e = qft_real_line(f, qp, np.array([pt]), cfg)
+                    values[i, j], err[i, j] = v[0], e[0]
             except ConvergenceError as exc:
                 values[i, j], err[i, j] = exc.value, exc.err
                 why[i][j] = f"did not converge ({exc})"

@@ -769,11 +769,11 @@ class TestBatchedK:
     ], ids=["array", "array-zero-imag", "scalar", "scalar-zero-imag"])
     def test_complex_k_is_refused(self, k):
         # the real line has real k only; a complex k must not be cast,
-        # and the message names k as given
+        # and the message names the first k, as a Python complex
         with pytest.raises(ValueError) as exc:
             qft_real_line(Gaussian(1.0), 1.3, k)
-        assert str(exc.value) == \
-            f"k must be real for the real-line transform, got {k!r}"
+        assert str(exc.value) == ("k must be real for the real-line "
+                                  f"transform, got {complex(np.ravel(k)[0])!r}")
 
     def test_huge_k_keeps_every_row(self):
         # the kernel underflows to its limit at k = 1e308 instead of
@@ -993,16 +993,10 @@ class TestKernel:
         # at q near 2 the map's exponent is 60, so x overflows on the
         # panels next to v = 0; those entries clear to the bits that
         # np.nan_to_num(posinf=0, neginf=0) gives. At q = 1.99 the mass
-        # lost past the largest float x exceeds the tolerance, and both
-        # forms raise the same BoundaryRegimeError
-        def outcome():
-            try:
-                v, e = qft_real_line(f, q, 3.0)
-            except BoundaryRegimeError as exc:
-                return str(exc)
-            return v.real, v.imag, e
-
-        want = outcome()
+        # lost past the largest float x is about 3e-2, so that cell runs
+        # at a tolerance loose enough for its bound not to raise
+        cfg = QuadratureConfig(rel_tol=1e-2) if q == 1.99 else None
+        want = qft_real_line(f, q, 3.0, cfg)
         cleared = []
 
         def nan_to_num(out):
@@ -1010,10 +1004,20 @@ class TestKernel:
             return np.nan_to_num(out, copy=False, posinf=0.0, neginf=0.0)
 
         monkeypatch.setattr(transform_module, "_zero_nonfinite", nan_to_num)
-        got = outcome()
+        got = qft_real_line(f, q, 3.0, cfg)
         assert sum(cleared) > 0
-        assert got == want
-        assert isinstance(got, str) == (q == 1.99)
+        assert (got[0].real, got[0].imag, got[1]) == \
+            (want[0].real, want[0].imag, want[1])
+
+    @pytest.mark.parametrize("f", [Heaviside(1), Constant(1.0)])
+    def test_map_lost_mass_raises_past_the_tolerance(self, f):
+        # at the default tolerance the same cell's lost-mass bound alone
+        # exceeds the tolerance, and the error names q, k and the bound
+        with pytest.raises(BoundaryRegimeError) as info:
+            qft_real_line(f, 1.99, 3.0)
+        assert str(info.value).startswith(
+            "the algebraic tail's mass past the largest float x is lost at "
+            "q=1.99, k=(3+0j): its bound 2.972e-02 exceeds the tolerance ")
 
 
 class TestInputsLeftAlone:
