@@ -17,7 +17,7 @@ import cmath
 import math
 from enum import Enum
 
-from .errors import BoundaryRegimeError, PoleError
+from .errors import BoundaryRegimeError, PoleError, float_range
 from .qcore import as_qparam, q_exp_complex
 from .special import Hyp2F1Params, hyp2f1
 from .transform import HalfPlanePoint, PlaneTag, PowerLaw
@@ -70,14 +70,12 @@ def _moment(p: PowerLaw) -> float:
     # plain integral of (lam/x)^beta over [a, b]
     if p.beta == 1.0:
         return p.lam * math.log(p.b / p.a)
-    try:
+    with float_range(BoundaryRegimeError, "beta = {:g} is too large here: "
+                     "the moment's powers lam^beta, a^(1-beta) and b^(1-beta) "
+                     "overflow float; use the quadrature route (qft_complex)",
+                     p.beta):
         return p.lam ** p.beta * (p.b ** (1.0 - p.beta)
                                   - p.a ** (1.0 - p.beta)) / (1.0 - p.beta)
-    except OverflowError:
-        raise BoundaryRegimeError(
-            f"beta = {p.beta:g} is too large here: the moment's powers "
-            "lam^beta, a^(1-beta) and b^(1-beta) overflow float; use the "
-            "quadrature route (qft_complex)") from None
 
 
 def powerlaw_qft_boundary(p: PowerLaw, q, k: HalfPlanePoint) -> complex:
@@ -94,15 +92,13 @@ def powerlaw_qft_boundary(p: PowerLaw, q, k: HalfPlanePoint) -> complex:
     if 1.0 - p.beta * (qp.q - 1.0) != 0.0:
         raise ValueError("parameters are not on the boundary beta = 1/(q-1)")
     e = (qp.q - 2.0) / (qp.q - 1.0)
-    try:
-        # powers of order 1/(q-1), which overflow float as q -> 1
+    # powers of order 1/(q-1), which overflow float as q -> 1
+    with float_range(BoundaryRegimeError, "q - 1 = {:g} is too small here: "
+                     "the boundary powers lam^(1/(q-1)), a^((q-2)/(q-1)) and "
+                     "b^((q-2)/(q-1)) overflow float; use the quadrature "
+                     "route (qft_complex)", qp.q - 1.0):
         pref = p.lam ** (1.0 / (qp.q - 1.0)) \
             * ((qp.q - 1.0) / (2.0 - qp.q)) * (p.a ** e - p.b ** e)
-    except OverflowError:
-        raise BoundaryRegimeError(
-            f"q - 1 = {qp.q - 1.0:g} is too small here: the boundary powers "
-            "lam^(1/(q-1)), a^((q-2)/(q-1)) and b^((q-2)/(q-1)) overflow "
-            "float; use the quadrature route (qft_complex)") from None
     return pref * q_exp_complex(kv, p.lam, qp)
 
 
@@ -113,7 +109,8 @@ def powerlaw_qft_closed(p: PowerLaw, q, k: HalfPlanePoint) -> complex:
     of the boundary raises BoundaryRegimeError because the hypergeometric
     parameters diverge there (the quadrature route stays accurate). So does
     a q near 1 where the low-regime or boundary powers of order 1/(q-1)
-    overflow float, and a k = 0 whose moment powers of order beta do.
+    overflow float, a k = 0 whose moment powers of order beta do, and
+    either regime whose powers of order beta leave float range.
     """
     qp = as_qparam(q)
     if qp.classical:
@@ -135,30 +132,39 @@ def powerlaw_qft_closed(p: PowerLaw, q, k: HalfPlanePoint) -> complex:
         return (top[0] - top[1]) / (1j * (2.0 - qp.q) * kv)
 
     nu = 1.0 / (qp.q - 1.0)
-    c = 1j * (1.0 - qp.q) * kv * p.lam ** (p.beta * (qp.q - 1.0))
+    # powers of order beta in both regimes, where s = 1 - beta(q-1)
+    beta_powers = float_range(
+        BoundaryRegimeError, "beta = {:g}, lam = {:g}: the powers lam^beta, "
+        "lam^(beta(q-1)), a^(1-beta), b^(1-beta), a^s and b^s leave float "
+        "range; use the quadrature route (qft_complex)", p.beta, p.lam)
     if s > 0.0:
         p2 = (2.0 - qp.q) / ((qp.q - 1.0) * s)
         p3 = nu + p.beta * (2.0 - qp.q) / s
         e = (qp.q - 2.0) / (qp.q - 1.0)
-        try:
-            # powers of order 1/(q-1), which overflow float as q -> 1
+        # powers of order 1/(q-1), which overflow float as q -> 1
+        with float_range(BoundaryRegimeError, "q - 1 = {:g} is too small "
+                         "here: the low-regime powers a^((q-2)/(q-1)), "
+                         "b^((q-2)/(q-1)) and (i(1-q)k)^(-1/(q-1)) overflow "
+                         "float; use the quadrature route (qft_complex)",
+                         qp.q - 1.0):
             wa, wb = p.a ** e, p.b ** e
             pref = ((qp.q - 1.0) / (2.0 - qp.q)) \
                 * cmath.exp(-nu * cmath.log(1j * (1.0 - qp.q) * kv))
-        except OverflowError:
-            raise BoundaryRegimeError(
-                f"q - 1 = {qp.q - 1.0:g} is too small here: the low-regime "
-                "powers a^((q-2)/(q-1)), b^((q-2)/(q-1)) and "
-                "(i(1-q)k)^(-1/(q-1)) overflow float; use the quadrature "
-                "route (qft_complex)") from None
-        term_a = wa * hyp2f1(Hyp2F1Params(nu, p2, p3, -1.0 / (c * p.a ** s)))
-        term_b = wb * hyp2f1(Hyp2F1Params(nu, p2, p3, -1.0 / (c * p.b ** s)))
+        with beta_powers:
+            c = 1j * (1.0 - qp.q) * kv * p.lam ** (p.beta * (qp.q - 1.0))
+            za, zb = -1.0 / (c * p.a ** s), -1.0 / (c * p.b ** s)
+        term_a = wa * hyp2f1(Hyp2F1Params(nu, p2, p3, za))
+        term_b = wb * hyp2f1(Hyp2F1Params(nu, p2, p3, zb))
         return pref * (term_a - term_b)
     t1 = (1.0 - p.beta) / s
     t2 = (2.0 - p.beta * qp.q) / s
-    term_a = p.a ** (1.0 - p.beta) * hyp2f1(Hyp2F1Params(nu, t1, t2, -c * p.a ** s))
-    term_b = p.b ** (1.0 - p.beta) * hyp2f1(Hyp2F1Params(nu, t1, t2, -c * p.b ** s))
-    return p.lam ** p.beta / (p.beta - 1.0) * (term_a - term_b)
+    with beta_powers:
+        c = 1j * (1.0 - qp.q) * kv * p.lam ** (p.beta * (qp.q - 1.0))
+        wa, wb = p.a ** (1.0 - p.beta), p.b ** (1.0 - p.beta)
+        za, zb, scale = -c * p.a ** s, -c * p.b ** s, p.lam ** p.beta
+    term_a = wa * hyp2f1(Hyp2F1Params(nu, t1, t2, za))
+    term_b = wb * hyp2f1(Hyp2F1Params(nu, t1, t2, zb))
+    return scale / (p.beta - 1.0) * (term_a - term_b)
 
 
 def hilhorst_lambda(a: float, b: float, q) -> float:
@@ -169,15 +175,13 @@ def hilhorst_lambda(a: float, b: float, q) -> float:
     if not (math.isfinite(a) and math.isfinite(b) and 0.0 < a < b):
         raise ValueError("need 0 < a < b finite")
     e = (qp.q - 2.0) / (qp.q - 1.0)
-    try:
-        # powers of order 1/(q-1): near q = 1 they overflow float, or both
-        # underflow to 0 and leave a bracket of 0 to raise to 1 - q < 0
+    # powers of order 1/(q-1): near q = 1 they overflow float, or both
+    # underflow to 0 and leave a bracket of 0 to raise to 1 - q < 0
+    with float_range(BoundaryRegimeError, "q - 1 = {:g} is too small here: "
+                     "a^((q-2)/(q-1)) and b^((q-2)/(q-1)) overflow or "
+                     "underflow float", qp.q - 1.0):
         bracket = ((qp.q - 1.0) / (2.0 - qp.q)) * (a ** e - b ** e)
         return bracket ** (1.0 - qp.q)
-    except (OverflowError, ZeroDivisionError):
-        raise BoundaryRegimeError(
-            f"q - 1 = {qp.q - 1.0:g} is too small here: a^((q-2)/(q-1)) and "
-            "b^((q-2)/(q-1)) overflow or underflow float") from None
 
 
 def hilhorst_qft(lam: float, q, k: HalfPlanePoint) -> complex:

@@ -1,8 +1,12 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and its one float-range guard.
 
 Every type derives from QFourierError, so a caller can catch any failure
 of the package in one clause, and from ValueError (a bad or unsupported
 input) or RuntimeError (a computation that could not finish).
+
+Arithmetic past float range raises a typed error, through float_range
+alone: BoundaryRegimeError naming the powers or the route from the closed
+forms and 2F1, NonFiniteError from the deformed exponentials and kernel.
 """
 
 
@@ -75,3 +79,25 @@ class TruncationError(QFourierError, RuntimeError):
 
 class LimitFailureError(QFourierError, RuntimeError):
     """Values along the epsilon schedule do not contract toward a limit."""
+
+
+class float_range:
+    """Turn an OverflowError or ZeroDivisionError raised in the block into
+    kind(message.format(*args)), formatted only then; error() is that
+    error, for a non-finite value found without an exception."""
+
+    __slots__ = ("kind", "message", "args")
+
+    def __init__(self, kind, message, *args):
+        self.kind, self.message, self.args = kind, message, args
+
+    def error(self):
+        return self.kind(self.message.format(*self.args))
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, exc_type, exc, tb):
+        if exc_type and issubclass(exc_type,
+                                   (OverflowError, ZeroDivisionError)):
+            raise self.error() from None

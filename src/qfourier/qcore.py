@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import PoleError
+from .errors import NonFiniteError, PoleError, float_range
 
 
 @dataclass(frozen=True)
@@ -59,17 +59,20 @@ def q_exp(x: float, q) -> CutoffReal:
 
     Returns the plain exponential at q = 1. The truncation flag is carried
     explicitly so integrators can detect support cutoffs instead of silently
-    integrating zeros.
+    integrating zeros. A value past float range raises NonFiniteError, at
+    q = 1 as for a base near 0 at q != 1.
     """
     qp = as_qparam(q)
     if not math.isfinite(x):
         raise ValueError("x must be finite")
-    if qp.classical:
-        return CutoffReal(math.exp(x), False)
-    base = 1.0 + (1.0 - qp.q) * x
-    if base <= 0.0:
-        return CutoffReal(0.0, True)
-    return CutoffReal(base ** (1.0 / (1.0 - qp.q)), False)
+    with float_range(NonFiniteError, "deformed exponential overflows float "
+                     "at q={!r}, x={!r}", qp.q, x):
+        if qp.classical:
+            return CutoffReal(math.exp(x), False)
+        base = 1.0 + (1.0 - qp.q) * x
+        if base <= 0.0:
+            return CutoffReal(0.0, True)
+        return CutoffReal(base ** (1.0 / (1.0 - qp.q)), False)
 
 
 def q_exp_complex(k: complex, x: float, q) -> complex:
@@ -77,14 +80,18 @@ def q_exp_complex(k: complex, x: float, q) -> complex:
 
     exp(ikx) at q = 1. For real k the modulus is (1+(1-q)^2 k^2 x^2)^{1/(2(1-q))},
     which never exceeds 1 for q in (1,2). For q != 1 the value is
-    _deformed_power's; a value past float range raises OverflowError.
+    _deformed_power's. A value past float range raises NonFiniteError, as
+    the transform's kernel does, at q = 1 and at q != 1.
     """
     qp = as_qparam(q)
     k = complex(k)
     if not (math.isfinite(x) and cmath.isfinite(k)):
         raise ValueError("k and x must be finite")
+    guard = float_range(NonFiniteError, "deformed exponential overflows "
+                        "float at q={!r}, k={!r}, x={!r}", qp.q, k, x)
     if qp.classical:
-        return cmath.exp(1j * k * x)
+        with guard:
+            return cmath.exp(1j * k * x)
     c = (1.0 - qp.q) * x
     b, d = c * k.real, -c * k.imag
     if b == 0.0 and d == -1.0:
@@ -92,7 +99,7 @@ def q_exp_complex(k: complex, x: float, q) -> complex:
     with np.errstate(over="ignore", invalid="ignore"):
         w = complex(_deformed_power(qp.q, np.array([b]), np.array([d]))[0])
     if not cmath.isfinite(w):
-        raise OverflowError("deformed exponential overflows float")
+        raise guard.error()
     return w
 
 

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .errors import (BoundaryRegimeError, ConvergenceError,
-                     CutAmbiguityError, PoleError)
+                     CutAmbiguityError, PoleError, float_range)
 from .qcore import as_qparam
 
 _LANCZOS_G = 7.0
@@ -54,6 +54,8 @@ _SERIES_RADIUS = 0.8
 # form of _log_case. It is accurate on the whole band but costs about twice
 # the plain two-term form, whose 1/eps cancellation is mild beyond it.
 _LOG_CASE_BAND = 0.1
+# a gamma ratio or power past float range (parameters ~1e4, |z| near 1)
+_OVERFLOW = "2F1 overflows float on the {} at a={:g}, b={:g}, c={:g}, z={:g}"
 
 
 class CutSide(Enum):
@@ -270,10 +272,9 @@ def hyp2f1(p: Hyp2F1Params, cut_side: CutSide | None = None) -> complex:
         if (c - a - b).real <= 0:
             raise ValueError(
                 "2F1 diverges at z=1 when Re(c-a-b) <= 0")
-        try:
+        with float_range(BoundaryRegimeError, _OVERFLOW, "z=1 Gauss sum",
+                         a, b, c, z):
             return _coeff(c, c - a - b, c - a, c - b)
-        except OverflowError:
-            raise _overflow("z=1 Gauss sum", a, b, c, z) from None
     on_cut = z.imag == 0.0 and z.real > 1.0
     if on_cut and cut_side is None:
         raise CutAmbiguityError(
@@ -313,17 +314,9 @@ def _dispatch(a, b, c, z, side):
             candidates = [("z", w_direct), ("z/(z-1)", w_pfaff)] + candidates
 
     name, w = min(candidates, key=lambda item: abs(item[1]))
-    try:
+    with float_range(BoundaryRegimeError, _OVERFLOW, name + " route",
+                     a, b, c, z):
         return _route(name, a, b, c, w, log_1mz, log_mz, log_z_1mz)
-    except OverflowError:
-        raise _overflow(f"{name} route", a, b, c, z) from None
-
-
-def _overflow(route, a, b, c, z):
-    """The error for a gamma ratio or power past float range on route, as
-    for parameters in the ten thousands near |z| = 1."""
-    return BoundaryRegimeError(f"2F1 overflows float on the {route} at "
-                               f"a={a:g}, b={b:g}, c={c:g}, z={z:g}")
 
 
 def _route(name, a, b, c, w, log_1mz, log_mz, log_z_1mz):

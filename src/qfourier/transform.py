@@ -547,11 +547,6 @@ def _osc_panels(A, B, freq, qv, cap):
     return np.array(counts, dtype=int)
 
 
-def _merge(why1, why2):
-    """Per-row reasons of two pieces summed per row: the first piece's wins."""
-    return [w1 or w2 for w1, w2 in zip(why1, why2)] if any(why2) else why1
-
-
 def _raise_failed(values, errs, why):
     """Raise the ConvergenceError of the lowest row with a reason in why.
 
@@ -789,7 +784,7 @@ def qft_real_line(f: FunctionSpec, q, k, cfg: QuadratureConfig | None = None):
             except ConvergenceError as exc:
                 sides.append((exc.value, exc.err, exc.reason))
         (v1, e1, why1), (v2, e2, why2) = sides
-        why = _merge([why1], [why2])
+        why = [why1 or why2]
     else:
         _require(np.ndim(k) == 1, "k must be a scalar or a 1-d array")
         kv = kv.astype(float)
@@ -798,10 +793,10 @@ def qft_real_line(f: FunctionSpec, q, k, cfg: QuadratureConfig | None = None):
             raise ValueError(f"k must be finite, got {complex(bad[0])!r}")
         n = kv.size
         val, err, why = _qft_rows(f, _admitted(f, q),
-                                  np.tile(kv.astype(complex), 2),
+                                  np.concatenate((kv, kv), dtype=complex),
                                   np.arange(2 * n) >= n, cfg)
-        (v1, v2), (e1, e2) = np.split(val, 2), np.split(err, 2)
-        why = _merge(why[:n], why[n:])
+        v1, v2, e1, e2 = val[:n], val[n:], err[:n], err[n:]
+        why = [w1 or w2 for w1, w2 in zip(why[:n], why[n:])]
     val, err = v1 - v2, e1 + e2
     _raise_failed(val, err, why)
     return val, err

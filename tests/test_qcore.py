@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qfourier.errors import PoleError
+from qfourier.errors import NonFiniteError, PoleError
 from qfourier.qcore import CutoffReal, QParam, as_qparam, q_exp, q_exp_complex, ultra_kernel
 
 finite_small = st.floats(min_value=-50.0, max_value=50.0, allow_nan=False, allow_infinity=False)
@@ -100,7 +100,7 @@ class TestQExpComplex:
 
     def test_overflow_raises(self):
         # base 1 - 0.9999 = 1e-4 to the power 1/(1-q) = -100
-        with pytest.raises(OverflowError):
+        with pytest.raises(NonFiniteError):
             q_exp_complex(-99.99j, 1.0, 1.01)
 
     @given(k=finite_small, x=finite_small, q=q_values)
