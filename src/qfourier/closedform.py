@@ -109,8 +109,10 @@ def powerlaw_qft_closed(p: PowerLaw, q, k: HalfPlanePoint) -> complex:
     of the boundary raises BoundaryRegimeError because the hypergeometric
     parameters diverge there (the quadrature route stays accurate). So does
     a q near 1 where the low-regime or boundary powers of order 1/(q-1)
-    overflow float, a k = 0 whose moment powers of order beta do, and
-    either regime whose powers of order beta leave float range.
+    overflow float, a q near 1 or tiny |k| where the low-regime prefactor
+    (i(1-q)k)^(-1/(q-1)) does (its message names both), a k = 0 whose
+    moment powers of order beta do, and either regime whose powers of
+    order beta leave float range.
     """
     qp = as_qparam(q)
     if qp.classical:
@@ -141,13 +143,17 @@ def powerlaw_qft_closed(p: PowerLaw, q, k: HalfPlanePoint) -> complex:
         p2 = (2.0 - qp.q) / ((qp.q - 1.0) * s)
         p3 = nu + p.beta * (2.0 - qp.q) / s
         e = (qp.q - 2.0) / (qp.q - 1.0)
-        # powers of order 1/(q-1), which overflow float as q -> 1
+        # powers of order 1/(q-1), which overflow float as q -> 1; the
+        # prefactor's does too as |k| -> 0
         with float_range(BoundaryRegimeError, "q - 1 = {:g} is too small "
-                         "here: the low-regime powers a^((q-2)/(q-1)), "
-                         "b^((q-2)/(q-1)) and (i(1-q)k)^(-1/(q-1)) overflow "
-                         "float; use the quadrature route (qft_complex)",
-                         qp.q - 1.0):
+                         "here: the low-regime powers a^((q-2)/(q-1)) and "
+                         "b^((q-2)/(q-1)) overflow float; use the "
+                         "quadrature route (qft_complex)", qp.q - 1.0):
             wa, wb = p.a ** e, p.b ** e
+        with float_range(BoundaryRegimeError, "q - 1 = {:g}, |k| = {!r}: "
+                         "the low-regime prefactor (i(1-q)k)^(-1/(q-1)) "
+                         "overflows float; use the quadrature route "
+                         "(qft_complex)", qp.q - 1.0, abs(kv)):
             pref = ((qp.q - 1.0) / (2.0 - qp.q)) \
                 * cmath.exp(-nu * cmath.log(1j * (1.0 - qp.q) * kv))
         with beta_powers:

@@ -34,6 +34,7 @@ integrands check their own values.
 from __future__ import annotations
 
 import math
+import numbers
 import sys
 from dataclasses import dataclass
 from enum import Enum
@@ -810,13 +811,26 @@ def qft_surface(f: FunctionSpec, q_list, k_grid,
     real number is the full real-line transform at that k (qft_real_line).
     A real k goes to qft_real_line as a one-element array, so both of its
     sides run in one quadrature call; the cell has the bits and the error
-    text of its own scalar call. k points are not batched across cells. A failing cell is recorded rather than
+    text of its own scalar call. A failing cell is recorded rather than
     aborting the surface. Its why is "did not converge (<message>)" when
     the subdivision budget ran out, and the cell keeps its best estimate.
     It is the error text when the cell has no value, with value nan+nanj
     and err inf: a ValueError (membership, divergent k = 0, an algebraic
     tail's mass lost past the largest float x) or a NonFiniteError (a
     kernel value that overflows).
+
+    Each mirror pair of a q row is computed once. For a real f the kernel
+    at -conj(k) is the conjugate of the kernel at k node by node (the
+    modulus is even in Re k, arctan2 and tan are odd), so the seeds and
+    every stop decision match and F(-conj k) = conj F(k) bit for bit. The
+    mirror of a real k is -k, that of a half-plane point -conj(k) with the
+    same tag. A cell whose mirror converged earlier in its row copies that
+    cell's err and its value with the imaginary part negated; a zero
+    imaginary part keeps its sign, as the direct call gives it (the
+    engine's sums start from +0 and a negative side negates its sum). A
+    failed cell is not copied, nor is a real-line k that is not a real
+    number: each is computed on its own. k is not batched across cells
+    otherwise.
     """
     q_list = tuple(as_qparam(q) for q in q_list)
     k_grid = tuple(k_grid)
@@ -824,8 +838,18 @@ def qft_surface(f: FunctionSpec, q_list, k_grid,
     values = np.zeros(shape, dtype=complex)
     err = np.zeros(shape, dtype=float)
     why = [[None] * len(k_grid) for _ in q_list]
+    # each cell's key and its mirror's; None where the cell has no mirror
+    keys = [_mirror_keys(pt) for pt in k_grid]
     for i, qp in enumerate(q_list):
+        # key -> column of each converged cell of this row
+        done = {}
         for j, pt in enumerate(k_grid):
+            key, mirror = keys[j]
+            if mirror in done:
+                v = values[i, done[mirror]]
+                values[i, j] = complex(v.real, -v.imag if v.imag else v.imag)
+                err[i, j] = err[i, done[mirror]]
+                continue
             try:
                 if isinstance(pt, HalfPlanePoint):
                     values[i, j], err[i, j] = qft_complex(f, qp, pt, cfg)
@@ -838,5 +862,18 @@ def qft_surface(f: FunctionSpec, q_list, k_grid,
             except (ValueError, NonFiniteError) as exc:
                 values[i, j], err[i, j] = complex(math.nan, math.nan), np.inf
                 why[i][j] = str(exc)
+            else:
+                if key is not None:
+                    done[key] = j
     return TransformSurface(k_grid=k_grid, q_list=q_list, values=values,
                             err=err, why=why)
+
+
+def _mirror_keys(pt):
+    """(key, mirror key) of a qft_surface k; (None, None) for a real-line
+    k that is not a real number, which qft_real_line refuses."""
+    if isinstance(pt, HalfPlanePoint):
+        return (pt.k, pt.plane), (-pt.k.conjugate(), pt.plane)
+    if isinstance(pt, numbers.Real):
+        return pt, -pt
+    return None, None

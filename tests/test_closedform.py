@@ -255,6 +255,17 @@ class TestPowerLawClosed:
         with pytest.raises(BoundaryRegimeError, match="q - 1 .*quadrature"):
             powerlaw_qft_closed(p, q, up(k))
 
+    @pytest.mark.parametrize("k", [1e-320, 1e-320j])
+    def test_tiny_k_overflowing_the_prefactor_names_k(self, k):
+        # at q = 1.5 the prefactor is (i(1-q)k)^-2, which a tiny |k|
+        # lifts past float range; q - 1 = 0.5 is not what is too small
+        with pytest.raises(BoundaryRegimeError) as info:
+            powerlaw_qft_closed(PowerLaw(1.0, 0.5, 1.0, 2.0), 1.5, up(k))
+        assert str(info.value).startswith(
+            "q - 1 = 0.5, |k| = 1e-320: the low-regime prefactor "
+            "(i(1-q)k)^(-1/(q-1)) overflows float")
+        assert "too small" not in str(info.value)
+
     # beta = 1024 puts 0.4^-1023 in the boundary prefactor (q = 1 + 2^-10,
     # on the boundary) and in the k = 0 moment (q = 1.5)
     @pytest.mark.parametrize("evaluate, q, k, match", [

@@ -522,6 +522,93 @@ class TestSurface:
         assert np.array_equal(s1.values[0], s2.values[1])
         assert np.array_equal(s1.values[1], s2.values[0])
 
+    @staticmethod
+    def lone(f, q, pt, cfg=None):
+        """(value, err, why) of a cell as its own direct call gives it."""
+        try:
+            if isinstance(pt, HalfPlanePoint):
+                return (*qft_complex(f, q, pt, cfg), None)
+            return (*qft_real_line(f, q, pt, cfg), None)
+        except ConvergenceError as exc:
+            return exc.value, exc.err, f"did not converge ({exc})"
+        except (ValueError, NonFiniteError) as exc:
+            return complex(math.nan, math.nan), math.inf, str(exc)
+
+    @staticmethod
+    def spy(monkeypatch):
+        """Record the k of every qft_complex and qft_real_line call."""
+        calls = []
+        for name in ("qft_complex", "qft_real_line"):
+            def record(f, q, k, cfg=None, _call=getattr(transform_module,
+                                                         name)):
+                calls.append(k)
+                return _call(f, q, k, cfg)
+            monkeypatch.setattr(transform_module, name, record)
+        return calls
+
+    # a symmetric grid with k = 0 on the real line and on every plane tag;
+    # the last density is 0 on x < 0, so its negative side is a sum of
+    # zeros, negated to -0.0 in both parts
+    @pytest.mark.parametrize("f", [
+        Gaussian(1.0), QGaussian(1.5, 1.0), PowerLaw(1.0, 2.0, 1.0, 2.0),
+        Heaviside(1), Heaviside(-1),
+        Sampled([-1.0, -0.5, 0.5, 1.0], [0.2, 1.0, 0.5, 0.1]),
+        Sampled([-1.0, 0.0, 0.5, 1.0], [0.0, 0.0, 0.5, 0.1])],
+        ids=lambda f: f.kind)
+    @pytest.mark.parametrize("plane, k_im", [
+        (None, 0.0), (PlaneTag.UPPER, 0.7), (PlaneTag.LOWER, -0.7),
+        (PlaneTag.REAL_LIMIT_UPPER, 0.0), (PlaneTag.REAL_LIMIT_LOWER, 0.0)],
+        ids=["real-line", "upper", "lower", "real-upper", "real-lower"])
+    def test_mirror_cells_are_their_direct_calls(self, f, plane, k_im):
+        qs = (1.0, 1.0001, 1.3, 1.9)
+        ks = np.linspace(-2.5, 2.5, 5).tolist()
+        grid = ks if plane is None else \
+            [HalfPlanePoint(complex(k, k_im), plane) for k in ks]
+        surf = qft_surface(f, qs, grid)
+        for i, q in enumerate(qs):
+            for j, pt in enumerate(grid):
+                v, e, why = self.lone(f, q, pt)
+                # the bytes tell -0.0 from 0.0
+                assert np.complex128(surf.values[i, j]).tobytes() == \
+                    np.complex128(v).tobytes(), (q, pt)
+                assert (surf.err[i, j], surf.why[i][j]) == (e, why)
+
+    @pytest.mark.parametrize("n", [6, 7])
+    @pytest.mark.parametrize("plane", [None, PlaneTag.UPPER])
+    def test_mirror_pair_is_computed_once(self, monkeypatch, n, plane):
+        # built by hand: np.linspace(-3, 3, 6) is not exactly symmetric
+        pos = [0.5 * (j + 1) for j in range(n // 2)]
+        ks = [-k for k in reversed(pos)] + [0.0] * (n % 2) + pos
+        grid = ks if plane is None else \
+            [HalfPlanePoint(complex(k, 0.5), plane) for k in ks]
+        calls = self.spy(monkeypatch)
+        surf = qft_surface(Gaussian(1.0), [1.5], grid)
+        assert len(calls) == math.ceil(n / 2)
+        assert not surf.failed.any()
+
+    def test_complex_real_line_k_is_not_a_mirror(self):
+        # complex(1, 0) equals 1.0 and hashes alike, the mirror of -1.0,
+        # yet it is refused as its scalar call refuses it
+        surf = qft_surface(Gaussian(1.0), [1.5], [-1.0, complex(1, 0)])
+        with pytest.raises(ValueError) as info:
+            qft_real_line(Gaussian(1.0), 1.5, complex(1, 0))
+        assert surf.why[0] == [None, str(info.value)]
+        assert "k must be real" in surf.why[0][1]
+        assert np.isnan(surf.values[0, 1]) and surf.err[0, 1] == np.inf
+
+    @pytest.mark.parametrize("grid", [(1.0, -1.0), (up(1.0), up(-1.0))],
+                             ids=["real-line", "real-upper"])
+    def test_failed_cell_is_not_mirrored(self, monkeypatch, grid):
+        cfg = QuadratureConfig(max_subdivisions=4)
+        expected = [self.lone(Gaussian(1.0), 1.5, pt, cfg) for pt in grid]
+        calls = self.spy(monkeypatch)
+        surf = qft_surface(Gaussian(1.0), [1.5], grid, cfg)
+        assert len(calls) == 2
+        for j, (v, e, why) in enumerate(expected):
+            assert why.startswith("did not converge (")
+            assert (surf.values[0, j], surf.err[0, j], surf.why[0][j]) == \
+                (v, e, why)
+
 
 class TestSeedRule:
     """One seed panel per 0.8 kernel periods, the phase capped at pi/(q-1),
