@@ -11,14 +11,16 @@ contributes minus the integral over x < 0, and the real_limit tags evaluate
 the same one-sided integrals at real k. The full real-axis transform is the
 sum of the two real_limit pieces (see qft_real_line).
 
-Infinite tails are handled two ways. Super-algebraic densities are cut at a
-point where an explicit bound on the remainder drops below the absolute
-tolerance, and the bound is added to the error estimate. Algebraically
-decaying integrands are mapped onto (0, 1] by x = X1 v^(-p); p is chosen
-from the decay exponent so the transformed integrand vanishes at v = 0, and
-no truncation error remains. Past the linear-phase region the kernel's
-total remaining phase is bounded by pi/(2(q-1)), so the mapped tail is at
-most mildly oscillatory.
+Infinite tails are handled three ways. Super-algebraic densities are cut
+at a point where an explicit bound on the remainder drops below the
+absolute tolerance, and the bound is added to the error estimate. Past a
+finite oscillatory part up to X1, a constant tail (Heaviside, Constant)
+has the kernel's closed primitive, and its remainder is exact up to
+rounding. Other algebraically decaying integrands are mapped onto (0, 1]
+by x = X1 v^(-p); p is chosen from the decay exponent so the transformed
+integrand vanishes at v = 0, and no truncation error remains. Past the
+linear-phase region the kernel's total remaining phase is bounded by
+pi/(2(q-1)), so the mapped tail is at most mildly oscillatory.
 
 Every finite piece starts from equal seed panels, one per 0.8 kernel
 periods and never fewer than eight (the mapped tail on (0, 1] included),
@@ -42,9 +44,9 @@ from enum import Enum
 import numpy as np
 
 from .errors import (BoundaryRegimeError, ConvergenceError, MembershipError,
-                     NonFiniteError, PoleError)
+                     NonFiniteError, PoleError, float_range)
 from .qcore import QParam, _deformed_power, as_qparam
-from .quadrature import adaptive_quad
+from .quadrature import _EPS, _XGK, adaptive_quad
 
 
 class FunctionSpec:
@@ -64,7 +66,10 @@ class FunctionSpec:
 
     def tail_exponent(self):
         """None for compact support, math.inf for faster-than-algebraic
-        decay, otherwise the exponent g with f ~ |x|^-g at infinity."""
+        decay, otherwise the exponent g with f ~ |x|^-g at infinity. g = 0
+        promises f = peak_value() on all of each half-line, x > 0 or x < 0,
+        that the support reaches infinity on: the transform integrates
+        such a tail in closed form."""
         raise NotImplementedError
 
     def length_scale(self) -> float:
@@ -314,6 +319,11 @@ class PlaneTag(Enum):
     REAL_LIMIT_LOWER = "real_limit_lower"
 
 
+# the "k must be finite" error of a k that float() cannot take, such as
+# an int of 2^1024 or more
+_K_OUT_OF_RANGE = "k must be finite, got a number beyond float range"
+
+
 @dataclass(frozen=True)
 class HalfPlanePoint:
     """A transform evaluation point: k plus which half-plane piece."""
@@ -323,7 +333,8 @@ class HalfPlanePoint:
     def __post_init__(self):
         # each message is formatted only when it is raised: a point is
         # built for every transform evaluation
-        k = complex(self.k)
+        with float_range(ValueError, _K_OUT_OF_RANGE):
+            k = complex(self.k)
         if not (math.isfinite(k.real) and math.isfinite(k.imag)):
             raise ValueError(f"k must be finite, got {k!r}")
         object.__setattr__(self, "k", k)
@@ -521,6 +532,16 @@ def _check(bad, error, what, qv, rows, k, x):
 # 12 made its Heaviside rows less accurate.
 _SEED_FLOOR = 8
 
+# The first Gauss-Kronrod node of a panel sits this fraction of its width
+# in from the panel's start
+_NODE_INSET = 0.5 * (1.0 - float(_XGK[0]))
+
+# Ratio of consecutive edges A + l R^j of the rows that grade a piece's
+# start, and the least l graded: its rows' panels can still be bisected
+# about 18 times before their width leaves the normal float range
+_GRADE = 16.0
+_ELL_MIN = 2.0 ** -1000
+
 
 def _osc_panels(A, B, freq, qv, cap):
     """Seed panel counts of the rows [A[i], B[i]] (or [A, B[i]] for a
@@ -592,6 +613,90 @@ def _admitted(f: FunctionSpec, q) -> QParam:
     return qp
 
 
+def _head_rows(A, ends, panels, freq, qv, k):
+    """Rows that grade the start of each row [A[i], ends[i]] where the
+    kernel falls off before the first node of the row's first seed panel.
+
+    For q > 1 the kernel's modulus falls like |base|^(-1/(q-1)), and
+    |base| passes sqrt(2) within l = 1/((q-1) freq) of x = 0. Where l lies
+    below that node, a Gauss-Kronrod inset of the first panel's width, no
+    node sees the piece's mass and the err cannot see it either. Such a
+    row starts at A + l R^J instead, the least such edge at or past that
+    node (R = _GRADE), and rows [A, A + l], [A + l, A + l R], ...,
+    [A + l R^(J-1), A + l R^J], each clipped to the row's end, cover what
+    it left: a row of at least 8 seed panels has its first node within 1%
+    of its start's distance from A. Returns the new rows as (piece, start,
+    end) triples, and every row's start (A itself when none moved). The
+    rule runs row by row in Python floats.
+
+    An l below _ELL_MIN raises BoundaryRegimeError naming q and k: the
+    panels there would be too narrow for gk15_panel, whose panel mean
+    divides by the width.
+    """
+    heads, starts = [], A
+    if qv == 1.0:
+        return heads, starts
+    # l < first for first = inset (b - a)/n, in a form without 1/freq
+    slope = (qv - 1.0) * _NODE_INSET
+    for i, (a, b, n, fr) in enumerate(zip(A.tolist(), ends.tolist(),
+                                          panels.tolist(), freq.tolist())):
+        if not slope * fr * (b - a) > n:
+            continue
+        edge = 1.0 / ((qv - 1.0) * fr)
+        if edge < _ELL_MIN:
+            raise BoundaryRegimeError(
+                f"the kernel at q={qv!r}, k={complex(k[i])!r} falls off "
+                f"within {edge:.3e} of x = {a!r}, below the panel width "
+                "the quadrature resolves")
+        first, start = _NODE_INSET * (b - a) / n, a
+        while start < b:
+            end = min(a + edge, b)
+            heads.append((i, start, end))
+            start = end
+            if edge >= first:
+                break
+            edge *= _GRADE
+        if starts is A:
+            starts = A.copy()
+        starts[i] = start
+    return heads, starts
+
+
+def _closed_tail(g, qv, k, reflect, X1, c):
+    """Integral of a constant tail c past u = X1, per row, and a bound on
+    its rounding error; g is the integrand at X1.
+
+    On x > 0 the integrand c base^(1/(1-q)), base = 1 + i(1-q) k x
+    c^(q-1), has the primitive c base^((2-q)/(1-q)) / (i(2-q) k c^(q-1)),
+    which vanishes at infinity for 1 < q < 2. The side x < 0, over
+    u = -x, is the same with k_s = -k. The remainder is therefore
+    -g base / (i(2-q) k_s c^(q-1)) at X1, of modulus at most that of the
+    whole half-line integral, so nothing cancels when it is added. g is
+    within 8 (1 + |w|) ulps, w = log(base)/(1-q) (TestKernel pins this),
+    and base, the product and the quotient add at most 24 more: the
+    bound is (32 + 8|w|) eps |rem|. A remainder or bound that is not
+    finite raises BoundaryRegimeError naming q and the first such k.
+    """
+    ks = np.where(reflect, -k, k)
+    cq = c ** (qv - 1.0)
+    # base = (1 + d) + i b as the kernel forms it, d = -s Im k_s
+    s = (1.0 - qv) * X1 * cq
+    base = np.empty_like(ks)
+    base.real = 1.0 - s * ks.imag
+    base.imag = s * ks.real
+    rem = 1j * (g * base) / (((2.0 - qv) * cq) * ks)
+    logb = np.log(base)
+    w = np.hypot(logb.real, logb.imag) / (qv - 1.0)
+    bound = (32.0 + 8.0 * w) * _EPS * np.hypot(rem.real, rem.imag)
+    bad = ~(np.isfinite(rem) & np.isfinite(bound))
+    if np.count_nonzero(bad):
+        raise float_range(
+            BoundaryRegimeError, "the constant tail's closed-form remainder "
+            "leaves float range at q={!r}, k={!r}", qv,
+            complex(k[np.argmax(bad)])).error()
+    return rem, bound
+
+
 def _qft_rows(f: FunctionSpec, qp: QParam, k, reflect,
               cfg: QuadratureConfig | None):
     """Half-line pieces of the transform, one per entry of a 1-d k: over
@@ -601,15 +706,20 @@ def _qft_rows(f: FunctionSpec, qp: QParam, k, reflect,
 
     A piece integrates over u = x on [max(lo, 0), hi], or over u = -x on
     [-min(hi, 0), -lo] for the negative side, whose sum is negated at the
-    end. A finite end is one interval; an infinite one is cut where an
+    end. A finite end is one interval. An infinite one is cut where an
     explicit remainder bound (added to err) falls under abs_tol when the
-    decay is super-algebraic, and otherwise mapped onto (0, 1] past a
-    finite oscillatory part. Every interval of every piece, finite parts
-    and mapped tails alike, is a row of one table that one adaptive_quad
-    call integrates in one numpy error state; each row has the bits it
-    would have alone. A piece sums its parts and takes the reason of its
-    first failing part: a piece that missed tolerance keeps the sum as its
-    best estimate.
+    decay is super-algebraic. An algebraic tail has a finite part to
+    X1 = A + 12/freq (at most A + 1e9); past X1, a constant tail
+    (Heaviside, Constant) adds its closed-form remainder and that
+    remainder's rounding bound (_closed_tail), and any other is mapped
+    onto (0, 1]. A piece whose kernel falls off before its first seed
+    node also takes grading rows at its start (_head_rows). Every
+    interval of every piece (finite parts, grading rows and mapped tails
+    alike) is a row of one table that one adaptive_quad call integrates
+    in one numpy error state; each row has the bits it would have alone.
+    A piece sums its parts and takes the reason of its first failing
+    part: a piece that missed tolerance keeps the sum as its best
+    estimate.
 
     The map clears the nodes where x or its Jacobian passes the largest
     float (_zero_nonfinite), and the mass past them is lost. A piece that
@@ -635,46 +745,62 @@ def _qft_rows(f: FunctionSpec, qp: QParam, k, reflect,
         raise ValueError(
             "k=0 reduces the transform to the plain integral of f, "
             f"which diverges for {f.kind}")
-    # the mapped tails' count; table rows m + j are those of pieces tail[j]
-    nt = tail.size if gamma_f != math.inf else 0
+    cut, closed = gamma_f == math.inf, gamma_f == 0.0
+    # the mapped tails' count; the last nt table rows are those of tail
+    nt = tail.size if not (cut or closed) else 0
 
     # np.hypot rounds like the scalar abs(); np.abs on a complex array does not
     freq = np.hypot(k.real, k.imag) * f.peak_value() ** (qv - 1.0)
     cap = min(256, max(cfg.max_subdivisions // 4, 1))
     # one error state for the whole table: the kernel's real parts overflow
     # to the true limit, a node off the support (f = 0, x possibly inf)
-    # gives inf * 0, and the tail map's 12/freq divides by 0 at k = 0;
+    # gives inf * 0, and the tail's 12/freq divides by 0 at k = 0;
     # _kernel_integrand and the map's integrand check what they return
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        if tail.size and not nt:
+        if tail.size and cut:
             # explicit cut where the remainder bound drops under abs_tol
             width = max(f.length_scale(), 1.0)
             ends[tail] = A[tail] + width * (
                 math.sqrt(2.0 * math.log(1.0 / cfg.abs_tol)) + 1.5)
-        elif nt:
-            # algebraic tail: finite oscillatory part, then the
-            # compactifying map
+        elif tail.size:
+            # algebraic tail: finite oscillatory part, then the closed
+            # form or the compactifying map
             amp = np.maximum(freq[tail], 0.0)
             X1 = A[tail] + np.where(amp > 1e-9, 12.0 / amp, 1.0)
             X1 = np.minimum(X1, A[tail] + 1e9)
-            X1 = np.maximum(X1, A[tail] + 1.0)
             ends[tail] = X1
+        if nt:
             decay = np.where(at_zero, gamma_f, _integrand_decay(gamma_f, qv))
             p = np.minimum(60.0, np.maximum(1.0, 2.0 / (decay - 1.0)))
             # per mapped tail, the least lost-mass bound of its calls that
             # cleared a node (nan until one does)
             lost = np.full(nt, math.nan)
-        table = np.concatenate([np.arange(m), tail[:nt]])
+        panels = _osc_panels(A, ends, freq, qv, cap)
+        heads, row_lo = _head_rows(A, ends, panels, freq, qv, k)
+        # rows past m add into their piece, owner[row - m]: the grading
+        # rows, then from m0 on the mapped tails
+        m0, owner, row_hi = m + len(heads), tail[:nt], ends
+        if heads:
+            piece, h_lo, h_hi = (np.array(v) for v in zip(*heads))
+            moved = np.unique(piece)
+            panels[moved] = _osc_panels(row_lo[moved], ends[moved],
+                                        freq[moved], qv, cap)
+            row_lo = np.concatenate([row_lo, h_lo])
+            row_hi = np.concatenate([ends, h_hi])
+            panels = np.concatenate([panels, _osc_panels(
+                h_lo, h_hi, freq[piece], qv, cap)])
+            owner = np.concatenate([piece, owner])
+        table = np.concatenate([np.arange(m), owner])
         gfun = _kernel_integrand(f, qv, k[table], reflect[table])
 
         def mapped(u, rows):
-            on = rows >= m
+            on = rows >= m0
             n_on = np.count_nonzero(on)
             if not n_on:
                 return gfun(u, rows)
             whole = n_on == on.size
             v = u if whole else u[on]
-            t = rows[on] - m
+            t = rows[on] - m0
             x, jac = np.empty_like(v), np.empty_like(v)
             X1t, pt = X1[t][:, None], p[t]
             # one scalar exponent at a time: numpy's power takes other
@@ -707,21 +833,29 @@ def _qft_rows(f: FunctionSpec, qp: QParam, k, reflect,
 
         val, err, reasons = adaptive_quad(
             mapped if nt else gfun,
-            np.concatenate([A, np.zeros(nt)]),
-            np.concatenate([ends, np.ones(nt)]),
+            np.concatenate([row_lo, np.zeros(nt)]),
+            np.concatenate([row_hi, np.ones(nt)]),
             rel_tol=cfg.rel_tol, abs_tol=cfg.abs_tol,
             max_subdivisions=cfg.max_subdivisions,
-            panels=np.concatenate([_osc_panels(A, ends, freq, qv, cap),
+            panels=np.concatenate([panels,
                                    np.full(nt, min(_SEED_FLOOR, cap))]))
-        if tail.size and not nt:
+        if tail.size and (cut or closed):
+            # one kernel call for every cut point or X1
             g = gfun(ends[tail][:, None], tail)[:, 0]
-            err[tail] = err[tail] + np.hypot(g.real, g.imag) * width
-    if nt:
-        val[tail] += val[m:]
-        err[tail] += err[m:]
-        for i, w in zip(tail.tolist(), reasons[m:]):
+            if cut:
+                err[tail] = err[tail] + np.hypot(g.real, g.imag) * width
+            else:
+                rem, bound = _closed_tail(g, qv, k[tail], reflect[tail], X1,
+                                          f.peak_value())
+                val[tail] += rem
+                err[tail] += bound
+    if owner.size:
+        np.add.at(val, owner, val[m:])
+        np.add.at(err, owner, err[m:])
+        for i, w in zip(owner.tolist(), reasons[m:]):
             reasons[i] = reasons[i] or w
         val, err, reasons = val[:m], err[:m], reasons[:m]
+    if nt:
         for j in np.flatnonzero(~np.isnan(lost)).tolist():
             i = tail[j]
             err[i] += lost[j]
@@ -771,12 +905,16 @@ def qft_real_line(f: FunctionSpec, q, k, cfg: QuadratureConfig | None = None):
     complex or non-finite k is refused with the first such k's value, in
     the same words for a scalar and an array.
     """
-    kv = np.ravel(k)
+    guard = float_range(ValueError, _K_OUT_OF_RANGE)
+    with guard:
+        kv = np.ravel(k)
     if np.iscomplexobj(kv):
         raise ValueError("k must be real for the real-line transform, got "
                          f"{complex(kv[0]) if kv.size else k!r}")
     if np.ndim(k) == 0:
-        points = [HalfPlanePoint(complex(float(k), 0.0), plane) for plane in
+        with guard:
+            k = float(k)
+        points = [HalfPlanePoint(complex(k, 0.0), plane) for plane in
                   (PlaneTag.REAL_LIMIT_UPPER, PlaneTag.REAL_LIMIT_LOWER)]
         sides = []
         for pt in points:
@@ -788,7 +926,8 @@ def qft_real_line(f: FunctionSpec, q, k, cfg: QuadratureConfig | None = None):
         why = [why1 or why2]
     else:
         _require(np.ndim(k) == 1, "k must be a scalar or a 1-d array")
-        kv = kv.astype(float)
+        with guard:
+            kv = kv.astype(float)
         bad = kv[~np.isfinite(kv)]
         if bad.size:
             raise ValueError(f"k must be finite, got {complex(bad[0])!r}")
@@ -815,9 +954,10 @@ def qft_surface(f: FunctionSpec, q_list, k_grid,
     aborting the surface. Its why is "did not converge (<message>)" when
     the subdivision budget ran out, and the cell keeps its best estimate.
     It is the error text when the cell has no value, with value nan+nanj
-    and err inf: a ValueError (membership, divergent k = 0, an algebraic
-    tail's mass lost past the largest float x) or a NonFiniteError (a
-    kernel value that overflows).
+    and err inf: a ValueError (membership, a k that is not finite,
+    divergent k = 0, an algebraic tail's mass lost past the largest float
+    x, a constant tail's remainder past float range) or a NonFiniteError
+    (a kernel value that overflows).
 
     Each mirror pair of a q row is computed once. For a real f the kernel
     at -conj(k) is the conjugate of the kernel at k node by node (the

@@ -333,39 +333,42 @@ class TestTransformCommand:
             f"qfourier: {self.budget_note(e)}\n"
             for e in (("0.5", "2.724e-14"), ("1.5", "2.356e-14")))
 
-    def test_non_converged_upper_cells_in_json(self, capsys):
-        rc = main(["transform", "--f", "heaviside+", "--plane", "upper",
+    # one density per algebraic-tail path: a q-Gaussian's tail takes the
+    # map (finite part and mapped tail), the step's the closed form past X1
+    @pytest.mark.parametrize("f_args, rows", [
+        (["qgaussian", "--q-g", "2.5", "--beta-g", "1.0"],
+         [("1.36919206425397", "0.5290459430156454",
+           "1.6779920163981707e-14", "1.678e-14"),
+          ("0.7035685624379708", "0.7715274235529779",
+           "1.3092344402926398e-14", "1.309e-14")]),
+        (["heaviside+"],
+         [("2.0", "2.000000000000001", "3.621303922472349e-14",
+           "3.621e-14"),
+          ("0.40000000000000047", "1.2000000000000006",
+           "1.9206811946668643e-14", "1.921e-14")]),
+    ], ids=["map", "closed"])
+    def test_non_converged_upper_cells_in_json(self, capsys, f_args, rows):
+        rc = main(["transform", "--f", *f_args, "--plane", "upper",
                    "--kim", "0.5", "--format", "json",
                    *self._UNREACHABLE_TOL])
         out = capsys.readouterr().out
         assert rc == 2
         results = out[out.index('  "results"'):out.index('  "diagnostics"')]
-        assert results == """\
-  "results": [
-    {
-      "k_re": 0.5,
+        cells = ",\n".join(f"""\
+    {{
+      "k_re": {k},
       "k_im": 0.5,
       "plane": "upper",
       "q": 1.5,
-      "F_re": 2.0,
-      "F_im": 2.000000000000001,
-      "err": 3.4878684980086376e-14
-    },
-    {
-      "k_re": 1.5,
-      "k_im": 0.5,
-      "plane": "upper",
-      "q": 1.5,
-      "F_re": 0.4000000000000008,
-      "F_im": 1.2000000000000002,
-      "err": 1.8489591671030064e-14
-    }
-  ],
-"""
-        # each note carries its row's err, the mapped tail's included
+      "F_re": {re},
+      "F_im": {im},
+      "err": {err}
+    }}""" for k, (re, im, err, _) in zip(("0.5", "1.5"), rows))
+        assert results == f'  "results": [\n{cells}\n  ],\n'
+        # each note carries its row's err, every part of the piece included
         assert json.loads(out)["diagnostics"] == [
-            self.budget_note(e)
-            for e in (("0.5", "3.488e-14"), ("1.5", "1.849e-14"))]
+            self.budget_note((k, note))
+            for k, (_, _, _, note) in zip(("0.5", "1.5"), rows)]
 
     def test_q_list_sweeps_q_major(self, capsys):
         rc = main(["transform", "--f", "heaviside+", "--q", "1.2,1.5",

@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qfourier.errors import NonFiniteError, PoleError
-from qfourier.qcore import CutoffReal, QParam, as_qparam, q_exp, q_exp_complex, ultra_kernel
+from qfourier.qcore import (CutoffReal, QParam, _deformed_power, as_qparam,
+                            q_exp, q_exp_complex, ultra_kernel)
 
 finite_small = st.floats(min_value=-50.0, max_value=50.0, allow_nan=False, allow_infinity=False)
 q_values = st.sampled_from([1.1, 1.25, 1.5, 1.75, 1.9])
@@ -97,6 +98,20 @@ class TestQExpComplex:
             want, w = complex(mpmath.exp(w)), abs(complex(w))
         got = q_exp_complex(k, x, q)
         assert abs(got - want) <= 8 * (1 + w) * np.finfo(float).eps * abs(want)
+
+    @pytest.mark.parametrize("d", [None, 0.5])
+    def test_nan_node_keeps_an_overflowed_modulus(self, d):
+        # where |base|^2 overflows the modulus comes from hypot; a nan on
+        # another node of the call (x = inf times a density of 0 there)
+        # hid that overflow from max, and the modulus went to 0
+        b = np.array([[math.nan, 1e200]])
+        dd = None if d is None else np.full(b.shape, d)
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = _deformed_power(1.99, b, dd)[0, 1]
+            alone = _deformed_power(1.99, np.array([[1e200]]),
+                                    None if d is None else dd[:, 1:])[0, 0]
+        assert got != 0
+        assert (got.real, got.imag) == (alone.real, alone.imag)
 
     def test_overflow_raises(self):
         # base 1 - 0.9999 = 1e-4 to the power 1/(1-q) = -100

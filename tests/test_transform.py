@@ -14,6 +14,7 @@ from qfourier.errors import (BoundaryRegimeError, ConvergenceError,
 from qfourier.qcore import q_exp_complex
 from qfourier.transform import (
     Constant,
+    FunctionSpec,
     Gaussian,
     HalfPlanePoint,
     Heaviside,
@@ -172,6 +173,35 @@ class TestFunctionSpecs:
             Sampled(x=x, y=y)
 
 
+class SlowTail(FunctionSpec):
+    """(1 + x^2)^(-g/2): an algebraic tail |x|^-g that takes the map, with
+    values finite and nonzero up to the largest float x. A QGaussian's
+    values are 0 past |x| = 1.3e154, where its x * x overflows."""
+
+    kind = "slowtail"
+
+    def __init__(self, g):
+        self.g = g
+
+    def values(self, x):
+        return np.hypot(1.0, np.asarray(x, dtype=float)) ** -self.g
+
+    def support(self):
+        return (-math.inf, math.inf)
+
+    def peak_value(self):
+        return 1.0
+
+    def tail_exponent(self):
+        return self.g
+
+
+def steps_qft(f, q, point):
+    """Exact piece of Heaviside(1), or of Constant(1) = H(x) + H(-x)."""
+    v = heaviside_qft(1, q, point)
+    return v + heaviside_qft(-1, q, point) if isinstance(f, Constant) else v
+
+
 class TestHalfPlanePoint:
     def test_tags_enforce_imag_sign(self):
         HalfPlanePoint(1j, PlaneTag.UPPER)
@@ -191,6 +221,21 @@ class TestHalfPlanePoint:
             HalfPlanePoint(complex(math.nan, 1.0), PlaneTag.UPPER)
         with pytest.raises(ValueError, match="unknown plane tag 'up'"):
             HalfPlanePoint(1j, "up")
+
+    @pytest.mark.parametrize("k", [2 ** 1024, -10 ** 400],
+                             ids=["2^1024", "-10^400"])
+    def test_k_beyond_float_range_is_refused(self, k):
+        # an int that float() cannot take is a k that is not finite, not a
+        # bare OverflowError, and a surface records its cell
+        msg = "k must be finite, got a number beyond float range"
+        with pytest.raises(ValueError, match=msg):
+            HalfPlanePoint(k, PlaneTag.REAL_LIMIT_UPPER)
+        for ks in (k, [1.0, k], np.array([k])):
+            with pytest.raises(ValueError, match=msg):
+                qft_real_line(Gaussian(1.0), 1.5, ks)
+        surf = qft_surface(Gaussian(1.0), [1.5], [1.0, k, -k])
+        assert surf.why[0] == [None, msg, msg]
+        assert surf.values[0, 0] == qft_real_line(Gaussian(1.0), 1.5, 1.0)[0]
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -270,30 +315,36 @@ class TestHeavisideTransform:
         with pytest.raises(ValueError, match="diverges"):
             qft_complex(Heaviside(1), 1.5, up(0.0))
 
-    # near q = 2 the algebraic-tail map reaches nodes where |base|^2
-    # overflows, with a Jacobian near 1e160: from q = 1.96 a kernel modulus
-    # cleared to 0 there lost up to 1.7e-5 of the tail. Past q = 1.97 the
-    # mass beyond the largest float x is lost instead, up to 0.70 of the
-    # value at q = 1.999; its bound is now in err, and a cell whose bound
-    # alone exceeds its tolerance raises. Each cell is within its err of
-    # i/((2-q)k) on the step's own side and of 0 on the other, or, past
-    # q = 1.97 only, raises BoundaryRegimeError naming q and k.
-    @pytest.mark.parametrize("q", [1.9, 1.955, 1.96, 1.965, 1.97,
-                                   1.975, 1.98, 1.99, 1.999])
+    @pytest.mark.parametrize("f", [Heaviside(1), Constant(2.0)])
+    def test_remainder_past_float_range_raises(self, f):
+        # i/((2-q)k) is past the largest float at the least subnormal k;
+        # the closed-form remainder is refused, not returned as inf or nan
+        with pytest.raises(BoundaryRegimeError,
+                           match=r"remainder leaves float range at q=1\.3, "
+                                 r"k=\(5e-324\+0j\)"):
+            qft_complex(f, 1.3, up(5e-324))
+        surf = qft_surface(f, [1.3], [HalfPlanePoint(5e-324, PlaneTag.
+                                                     REAL_LIMIT_UPPER)])
+        assert "leaves float range" in surf.why[0][0]
+
+    # the step's tail past X1 is integrated in closed form. On the
+    # algebraic-tail map it lost up to 1.7e-5 of the value from q = 1.96,
+    # and past q = 1.97 the mass beyond the largest float x (0.70 of the
+    # value at q = 1.999), or raised BoundaryRegimeError. Every cell is
+    # within its err of i/((2-q)k) on the step's own side and of 0 on the
+    # other, up to q = 1.9999 and |k| = 1e8
+    @pytest.mark.parametrize("q", [1.0001, 1.1, 1.3, 1.9, 1.955, 1.96,
+                                   1.965, 1.97, 1.975, 1.98, 1.99, 1.999,
+                                   1.9999])
     @pytest.mark.parametrize("sign", [1, -1])
     def test_steep_tail_sweep_within_err(self, q, sign):
         off_axis = {PlaneTag.UPPER: 0.5j, PlaneTag.LOWER: -0.5j,
                     PlaneTag.REAL_LIMIT_UPPER: 0.0,
                     PlaneTag.REAL_LIMIT_LOWER: 0.0}
         for tag, im in off_axis.items():
-            for k in [s * 10.0 ** n for s in (1, -1) for n in range(-2, 5)]:
+            for k in [s * 10.0 ** n for s in (1, -1) for n in range(-2, 9)]:
                 point = HalfPlanePoint(k + im, tag)
-                try:
-                    v, err = qft_complex(Heaviside(sign), q, point)
-                except BoundaryRegimeError as exc:
-                    assert q > 1.97
-                    assert f"q={q!r}, k={point.k!r}" in str(exc)
-                    continue
+                v, err = qft_complex(Heaviside(sign), q, point)
                 assert abs(v - heaviside_qft(sign, q, point)) <= err
 
 
@@ -311,6 +362,22 @@ class TestConstantTransform:
         v, err = qft_real_line(Constant(1.0), q, k)
         assert abs(v) < 5e-7
         assert err < 1e-5
+
+    @pytest.mark.parametrize("q", [1.01, 1.5, 1.97, 1.99, 1.999])
+    @pytest.mark.parametrize("c", [1.0, 3.7])
+    def test_real_line_near_q_two(self, q, c):
+        # each side is i c^(2-q)/((2-q)k) (the lower one as minus the
+        # integral over x < 0), so the jump is 0 within err at every k;
+        # on the algebraic-tail map q = 1.99 raised BoundaryRegimeError
+        # and q = 1.97 was off by about 1.7e-5 of a side
+        ks = np.array([-1e4, -3.0, -0.01, 0.01, 0.7, 2.0, 1e6])
+        v, err = qft_real_line(Constant(c), q, ks)
+        assert np.all(np.abs(v) <= err)
+        for k in ks:
+            side = 1j * c ** (2.0 - q) / ((2.0 - q) * k)
+            for pt in (up(k), down(k)):
+                v, err = qft_complex(Constant(c), q, pt)
+                assert abs(v - side) <= err
 
 
 class TestPowerLawTransform:
@@ -669,14 +736,17 @@ class TestSeedRule:
         assert self.panels(1.0, 1.0, math.inf, 1.5) == 1
 
     # one low-frequency cell per tail path, one quadrature call each; the
-    # map path's second row is the mapped tail on (0, 1]
+    # map path's second row is the mapped tail on (0, 1], and a constant
+    # tail has one row, its remainder past X1 being in closed form
     @pytest.mark.parametrize("f, point, pieces", [
         (PowerLaw(1.0, 2.0, 1.0, 2.0), up(0.5), 1),
         (Gaussian(1.0), up(0.5), 1),
         (Gaussian(1.0), down(0.5), 1),
         (QGaussian(1.5, 1.0), up(0.5), 2),
-        (Heaviside(1), HalfPlanePoint(2 + 1j, PlaneTag.UPPER), 2),
-    ], ids=["compact", "cut", "cut-reflected", "map-qgaussian", "map-step"])
+        (QGaussian(2.95, 1.0), HalfPlanePoint(2 + 1j, PlaneTag.UPPER), 2),
+        (Heaviside(1), HalfPlanePoint(2 + 1j, PlaneTag.UPPER), 1),
+    ], ids=["compact", "cut", "cut-reflected", "map-qgaussian", "map-heavy",
+            "closed-step"])
     @pytest.mark.parametrize("budget, floor", [(2000, 8), (8, 2)])
     def test_every_tail_path_starts_from_the_floor(
             self, monkeypatch, f, point, pieces, budget, floor):
@@ -692,14 +762,17 @@ class TestSeedRule:
 
 
 class TestFailureModes:
-    # one case per tail path, each failing at the smallest budget
-    @pytest.mark.parametrize("f, q, k", [
-        pytest.param(PowerLaw(1.0, 2.0, 1.0, 2.0), 1.01, 40.0, id="compact"),
-        pytest.param(Gaussian(1.0), 1.5, 1.0, id="cut"),
-        pytest.param(QGaussian(1.5, 1.0), 1.3, 3.0, id="map"),
+    # one case per tail path, each failing at the smallest budget; a
+    # constant tail's one finite row meets the default tolerance within it
+    @pytest.mark.parametrize("f, q, k, rel_tol", [
+        pytest.param(PowerLaw(1.0, 2.0, 1.0, 2.0), 1.01, 40.0, 1e-8,
+                     id="compact"),
+        pytest.param(Gaussian(1.0), 1.5, 1.0, 1e-8, id="cut"),
+        pytest.param(QGaussian(1.5, 1.0), 1.3, 3.0, 1e-8, id="map"),
+        pytest.param(Heaviside(1), 1.4, 3.0, 1e-12, id="closed"),
     ])
-    def test_convergence_error_carries_estimate(self, f, q, k):
-        cfg = QuadratureConfig(max_subdivisions=4)
+    def test_convergence_error_carries_estimate(self, f, q, k, rel_tol):
+        cfg = QuadratureConfig(max_subdivisions=4, rel_tol=rel_tol)
         with pytest.raises(ConvergenceError) as info:
             qft_complex(f, q, up(k), cfg)
         exc = info.value
@@ -818,17 +891,21 @@ class TestBatchedK:
             v1, e1 = qft_real_line(f, q, float(k), cfg)
             assert (v.real, v.imag, e) == (v1.real, v1.imag, e1)
 
-    @pytest.mark.parametrize("f, q, ks, budget", [
-        (QGaussian(1.5, 1.0), 1.3, [0.0, 0.5, 3.0, 12.0], 4),
-        (Gaussian(1.0), 1.2, [0.0, 0.5, 3.0, 12.0], 4),
-        (Heaviside(-1), 1.4, [0.5, 3.0, 12.0, 40.0], 4),
+    @pytest.mark.parametrize("f, q, ks, cfg", [
+        (QGaussian(1.5, 1.0), 1.3, [0.0, 0.5, 3.0, 12.0],
+         QuadratureConfig(max_subdivisions=4)),
+        (Gaussian(1.0), 1.2, [0.0, 0.5, 3.0, 12.0],
+         QuadratureConfig(max_subdivisions=4)),
+        # a constant tail's finite row meets the default tolerance within
+        # 4 subdivisions
+        (Heaviside(-1), 1.4, [0.5, 3.0, 12.0, 40.0],
+         QuadratureConfig(max_subdivisions=4, rel_tol=1e-12)),
         # the lower half-line fails from the first k on, the upper one
         # only from k = 5: a loop over k meets the lower failure first
         (Sampled([-3.0, -1.0, 0.0, 0.5], [0.0, 2.0, 1.0, 0.0]), 1.2,
-         [0.5, 2.0, 5.0, 8.0], 8),
+         [0.5, 2.0, 5.0, 8.0], QuadratureConfig(max_subdivisions=8)),
     ])
-    def test_budget_failure_is_the_first_failing_k(self, f, q, ks, budget):
-        cfg = QuadratureConfig(max_subdivisions=budget)
+    def test_budget_failure_is_the_first_failing_k(self, f, q, ks, cfg):
         first = None
         for i, k in enumerate(ks):
             try:
@@ -894,14 +971,15 @@ TABLE_CASES = [
     pytest.param(PowerLaw(1.0, 2.0, 1.0, 2.0), 1.01, id="compact-and-empty"),
     pytest.param(Gaussian(1.0), 1.5, id="cut"),
     pytest.param(QGaussian(1.5, 1.0), 1.3, id="map"),
-    pytest.param(Heaviside(-1), 1.4, id="map-and-empty"),
+    pytest.param(Heaviside(-1), 1.4, id="closed-and-empty"),
 ]
 
 
 class TestOneCallPerCell:
     """Both half-lines of a real-line cell, and the finite part and mapped
-    tail of an algebraic tail, are rows of one quadrature call; every
-    result keeps the bits of the one-side calls."""
+    tail of an algebraic tail, are rows of one quadrature call, and a
+    constant tail's remainders come from one kernel call; every result
+    keeps the bits of the one-side calls."""
 
     ks = np.array([-40.0, -3.0, 0.5, 2.0, 12.0, 40.0])
 
@@ -1074,15 +1152,20 @@ class TestKernel:
         b = mixed(np.tile(u, (3, 1)), rows)
         assert np.array_equal(a.view(float), b.view(float))
 
-    @pytest.mark.parametrize("q", [1.97, 1.99])
-    @pytest.mark.parametrize("f", [Heaviside(1), Constant(1.0)])
-    def test_map_clears_like_nan_to_num(self, monkeypatch, f, q):
-        # at q near 2 the map's exponent is 60, so x overflows on the
-        # panels next to v = 0; those entries clear to the bits that
-        # np.nan_to_num(posinf=0, neginf=0) gives. At q = 1.99 the mass
-        # lost past the largest float x is about 3e-2, so that cell runs
-        # at a tolerance loose enough for its bound not to raise
-        cfg = QuadratureConfig(rel_tol=1e-2) if q == 1.99 else None
+    @pytest.mark.parametrize("f, q, cfg", [
+        (QGaussian(2.95, 1.0), 1.97, None),
+        (QGaussian(2.95, 1.0), 1.99, None),
+        (SlowTail(1e-3), 1.97, None),
+        # at q = 1.99 the slow tail's mass lost past the largest float x
+        # is about 3e-2, so that cell runs at a tolerance loose enough for
+        # its bound not to raise
+        (SlowTail(1e-3), 1.99, QuadratureConfig(rel_tol=1e-2))],
+        ids=["qgaussian-1.97", "qgaussian-1.99", "slow-tail-1.97",
+             "slow-tail-1.99"])
+    def test_map_clears_like_nan_to_num(self, monkeypatch, f, q, cfg):
+        # at q near 2 the map's exponent is 60, so x or its Jacobian
+        # overflows on the panels next to v = 0; those entries clear to
+        # the bits that np.nan_to_num(posinf=0, neginf=0) gives
         want = qft_real_line(f, q, 3.0, cfg)
         cleared = []
 
@@ -1096,15 +1179,35 @@ class TestKernel:
         assert (got[0].real, got[0].imag, got[1]) == \
             (want[0].real, want[0].imag, want[1])
 
+    @pytest.mark.parametrize("q", [1.97, 1.99])
     @pytest.mark.parametrize("f", [Heaviside(1), Constant(1.0)])
-    def test_map_lost_mass_raises_past_the_tolerance(self, f):
-        # at the default tolerance the same cell's lost-mass bound alone
+    def test_constant_tail_clears_nothing(self, monkeypatch, f, q):
+        # the same cells of a constant tail take no map: nothing is
+        # cleared, and each side is within its err of i/((2-q)k)
+        def never(out):
+            raise AssertionError("a constant tail took the map")
+
+        monkeypatch.setattr(transform_module, "_zero_nonfinite", never)
+        for pt in (up(3.0), down(3.0)):
+            v, err = qft_complex(f, q, pt)
+            assert abs(v - steps_qft(f, q, pt)) <= err
+
+    def test_map_lost_mass_raises_past_the_tolerance(self):
+        # at the default tolerance the slow tail's lost-mass bound alone
         # exceeds the tolerance, and the error names q, k and the bound
         with pytest.raises(BoundaryRegimeError) as info:
-            qft_real_line(f, 1.99, 3.0)
+            qft_real_line(SlowTail(1e-3), 1.99, 3.0)
         assert str(info.value).startswith(
             "the algebraic tail's mass past the largest float x is lost at "
             "q=1.99, k=(3+0j): its bound 2.972e-02 exceeds the tolerance ")
+
+    @pytest.mark.parametrize("f", [Heaviside(1), Constant(1.0)])
+    def test_constant_tail_loses_no_mass(self, f):
+        # on the map this cell raised with a lost-mass bound of 2.972e-02;
+        # the closed form has no mass to lose
+        v, err = qft_real_line(f, 1.99, 3.0)
+        want = steps_qft(f, 1.99, up(3.0)) - steps_qft(f, 1.99, down(3.0))
+        assert abs(v - want) <= err <= 1e-10
 
 
 class TestInputsLeftAlone:
@@ -1173,7 +1276,7 @@ HONEST_CASES = [
     pytest.param(QGaussian(1.5, 1.0), _qgauss_mp, [0, 1, mpmath.inf],
                  id="map-qgaussian"),
     pytest.param(Heaviside(1), lambda x: mpmath.mpf(1), [0, 1, mpmath.inf],
-                 id="map-step"),
+                 id="closed-step"),
 ]
 
 
@@ -1190,9 +1293,9 @@ class TestErrBoundsTrueError:
         v, err = qft_complex(f, q, point)
         assert abs(v - mp_half_line(density, q, point.k, pts)) <= err
 
-    # cells whose pieces converge on their seed panels, one integrand call
-    # for both: a step in the upper plane and a q-Gaussian with an
-    # |x|^(-4/3) tail, on the algebraic map
+    # cells whose rows converge on their seed panels in one integrand call:
+    # a step in the upper plane, whose tail past X1 is in closed form, and
+    # a q-Gaussian with an |x|^(-4/3) tail on the algebraic map
     @pytest.mark.parametrize("f, density, q, k", [
         pytest.param(Heaviside(1), lambda x: mpmath.mpf(1), 1.5, 3 + 2j,
                      id="step-upper"),
@@ -1232,3 +1335,99 @@ class TestErrBoundsTrueError:
     def test_dense_seeds(self, f, density, q, k, pts):
         v, err = qft_complex(f, q, up(k))
         assert abs(v - mp_half_line(density, q, k, pts)) <= err
+
+
+class TestNearZeroBlindSpot:
+    """For q > 1 the kernel falls off within l = 1/((q-1) freq) of x = 0.
+    When l lies below the first seed panel's first node, no node saw the
+    piece: at q = 1.1 and k = 1e6 a Gaussian's piece (about 1.1e-6 i)
+    came back as -2.1e-29 with err 4.1e-29, and the step's near 1e-20.
+    Grading rows from l on now cover that start."""
+
+    @pytest.mark.parametrize("q, k", [(1.1, 1e6), (1.1, -1e6),
+                                      (1.0001, 1e8), (1.3, 1e7)])
+    @pytest.mark.parametrize("plane", [PlaneTag.REAL_LIMIT_UPPER,
+                                       PlaneTag.UPPER])
+    def test_step_is_exact(self, q, k, plane):
+        point = HalfPlanePoint(k + (0.5j if plane is PlaneTag.UPPER else 0),
+                               plane)
+        v, err = qft_complex(Heaviside(1), q, point)
+        assert abs(v - heaviside_qft(1, q, point)) <= err
+        assert err <= 1e-8 * abs(v)
+
+    # mpmath gets a breakpoint at l and at each decade past it
+    @pytest.mark.parametrize("f, density, top", [
+        pytest.param(Gaussian(1.0), lambda x: mpmath.exp(-x * x / 2), 40,
+                     id="gaussian-cut"),
+        pytest.param(QGaussian(1.5, 1.0), _qgauss_mp, mpmath.inf,
+                     id="qgaussian-map"),
+    ])
+    @pytest.mark.parametrize("reflect", [False, True], ids=["up", "down"])
+    def test_against_mpmath(self, f, density, top, reflect):
+        q, k = 1.1, 1e6
+        ell = 1.0 / ((q - 1.0) * k)
+        pts = [0] + [ell * 10.0 ** j for j in range(8)] + [top]
+        if reflect:
+            pts = [-p for p in pts[::-1]]
+        want = mp_half_line(density, q, k, pts)
+        v, err = qft_complex(f, q, down(k) if reflect else up(k))
+        assert abs(v - (-want if reflect else want)) <= err
+        assert err <= max(QuadratureConfig().abs_tol, 1e-8 * abs(v))
+
+    def test_l_below_the_panel_range_raises(self):
+        # at k = 2^1023 l is 2.2e-308; panels that narrow break the panel
+        # rule, so the cell is refused instead of graded. At k = 1e300 the
+        # piece is still the step's i/((2-q)k) within err
+        with pytest.raises(BoundaryRegimeError,
+                           match=r"q=1\.5, k=\(8\.98846567431158e\+307\+0j\)"
+                                 r" falls off within 2\.225e-308 of x = 0\.0"):
+            qft_complex(Gaussian(1.0), 1.5, up(2.0 ** 1023))
+        v, err = qft_complex(Gaussian(1.0), 1.5, up(1e300))
+        assert abs(v - 2j / 1e300) <= err
+
+
+class TestClosedTail:
+    """A constant tail's remainder past X1, -g base/(i(2-q) k_s c^(q-1)),
+    against mpmath: its formula and its rounding bound."""
+
+    @staticmethod
+    def remainder(q, c, k, reflect):
+        """(X1, rem, bound) as _qft_rows forms them at this cell."""
+        freq = np.hypot(k.real, k.imag) * c ** (q - 1.0)
+        X1 = np.minimum(np.where(freq > 1e-9, 12.0 / freq, 1.0), 1e9)
+        with np.errstate(over="ignore", invalid="ignore"):
+            g = transform_module._kernel_integrand(Constant(c), q, k, reflect)(
+                X1[:, None], np.arange(k.size))[:, 0]
+        return (X1, *transform_module._closed_tail(g, q, k, reflect, X1, c))
+
+    @pytest.mark.parametrize("q", [1 + 1e-4, 1.01, 1.3, 1.6, 1.9, 1.99,
+                                   1.9999])
+    @pytest.mark.parametrize("c", [1.0, 3.7, 1e-3])
+    def test_rounding_bound_covers_mpmath(self, q, c):
+        rng = np.random.default_rng(int(q * 1e4) + int(c * 10))
+        n = 40
+        reflect = rng.random(n) < 0.5
+        k = rng.uniform(-1.0, 1.0, n) * 10.0 ** rng.integers(-3, 5, n) + \
+            1j * rng.uniform(0.0, 2.0, n) * (rng.random(n) < 0.5)
+        k.imag[reflect] *= -1.0      # Im k takes the sign of the side's x
+        X1, rem, bound = self.remainder(q, c, k, reflect)
+        with mpmath.workdps(40):
+            qm, cm = mpmath.mpf(q), mpmath.mpf(c)
+            for ki, xi, side, r, b in zip(k, X1, reflect, rem, bound):
+                ks = -mpmath.mpc(ki) if side else mpmath.mpc(ki)
+                base = 1 + 1j * (1 - qm) * ks * mpmath.mpf(xi) * cm ** (qm - 1)
+                want = -cm * base ** ((2 - qm) / (1 - qm)) / (
+                    1j * (2 - qm) * ks * cm ** (qm - 1))
+                assert abs(r - complex(want)) <= b <= 200 * EPS * abs(r)
+
+    @pytest.mark.parametrize("q", [1.3, 1.6])
+    @pytest.mark.parametrize("k, reflect", [(2.0, False), (-0.7, False),
+                                            (1.5 + 0.5j, False),
+                                            (2.0, True), (1.5 - 0.5j, True)])
+    def test_is_the_integral_past_x1(self, q, k, reflect):
+        # the integral over u > X1 of the side's integrand, x = +-u
+        X1, rem, _ = self.remainder(q, 3.7, np.array([k], dtype=complex),
+                                    np.array([reflect]))
+        want = mp_half_line(lambda x: mpmath.mpf(3.7), q,
+                            -k if reflect else k, [X1[0], mpmath.inf])
+        assert abs(rem[0] - want) <= 1e-12 * abs(want)
