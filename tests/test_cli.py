@@ -333,20 +333,21 @@ class TestTransformCommand:
             f"qfourier: {self.budget_note(e)}\n"
             for e in (("0.5", "2.724e-14"), ("1.5", "2.356e-14")))
 
-    # one density per algebraic-tail path: a q-Gaussian's tail takes the
-    # map (finite part and mapped tail), the step's the closed form past X1
+    # one density per infinite-tail path that integrates: a q-Gaussian's
+    # tail takes the map (finite part and mapped tail), a Gaussian's the
+    # cut (its remainder bound is in the err)
     @pytest.mark.parametrize("f_args, rows", [
         (["qgaussian", "--q-g", "2.5", "--beta-g", "1.0"],
          [("1.36919206425397", "0.5290459430156454",
            "1.6779920163981707e-14", "1.678e-14"),
           ("0.7035685624379708", "0.7715274235529779",
            "1.3092344402926398e-14", "1.309e-14")]),
-        (["heaviside+"],
-         [("2.0", "2.000000000000001", "3.621303922472349e-14",
-           "3.621e-14"),
-          ("0.40000000000000047", "1.2000000000000006",
-           "1.9206811946668643e-14", "1.921e-14")]),
-    ], ids=["map", "closed"])
+        (["gaussian"],
+         [("0.9452163030780636", "0.204373443217295",
+           "1.0804320399002435e-14", "1.080e-14"),
+          ("0.6982031689416929", "0.46533336249596585",
+           "9.757384466218505e-15", "9.757e-15")]),
+    ], ids=["map", "cut"])
     def test_non_converged_upper_cells_in_json(self, capsys, f_args, rows):
         rc = main(["transform", "--f", *f_args, "--plane", "upper",
                    "--kim", "0.5", "--format", "json",
@@ -369,6 +370,18 @@ class TestTransformCommand:
         assert json.loads(out)["diagnostics"] == [
             self.budget_note((k, note))
             for k, (_, _, _, note) in zip(("0.5", "1.5"), rows)]
+
+    def test_closed_step_meets_any_tolerance(self, capsys):
+        # the step's pieces are closed from x = 0, so no budget runs out
+        rc = main(["transform", "--f", "heaviside+", "--plane", "upper",
+                   "--kim", "0.5", "--format", "json",
+                   *self._UNREACHABLE_TOL])
+        out = json.loads(capsys.readouterr().out)
+        assert rc == 0 and out["diagnostics"] == []
+        for cell in out["results"]:
+            k = complex(cell["k_re"], cell["k_im"])
+            value = complex(cell["F_re"], cell["F_im"])
+            assert abs(value - 2j / k) <= cell["err"] <= 1e-14 * abs(value)
 
     def test_q_list_sweeps_q_major(self, capsys):
         rc = main(["transform", "--f", "heaviside+", "--q", "1.2,1.5",

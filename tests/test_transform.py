@@ -150,6 +150,25 @@ class TestFunctionSpecs:
         assert fc.support() == (-xc, xc)
         assert fc.values(np.array([2.0]))[0] == 0.0
 
+    @pytest.mark.parametrize("q_g", [1.5, 2.0, 2.99])
+    def test_qgaussian_heavy_tail_past_squared_overflow(self, q_g):
+        # (1 - q_g) beta_g x^2 overflows past |x| ~ 1e154; the tail there
+        # is (c x^2)^(1/(1-q_g)), c = (q_g - 1) beta_g, not 0
+        f = QGaussian(q_g, 0.7)
+        x = np.array([0.0, 3.0, -9e153, 1e154, -1e200, 1e300, 1.7e308])
+        with np.errstate(over="ignore"):
+            got = f.values(x)
+        with mpmath.workdps(30):
+            for xi, yi in zip(x, got):
+                want = (1 + (q_g - 1) * mpmath.mpf(0.7) * mpmath.mpf(xi) ** 2
+                        ) ** (1 / (1 - mpmath.mpf(q_g)))
+                # a value below the least float is 0
+                assert abs(yi - want) <= 1e-12 * want + math.ulp(0.0)
+        # the nodes whose base stays finite keep their bits
+        near = x[:3]
+        base = 1.0 - (1.0 - q_g) * 0.7 * near * near
+        assert np.array_equal(f.values(near), base ** (1.0 / (1.0 - q_g)))
+
     def test_qgaussian_rejects(self):
         with pytest.raises(ValueError):
             QGaussian(q_g=3.0, beta_g=1.0)
@@ -327,7 +346,7 @@ class TestHeavisideTransform:
                                                      REAL_LIMIT_UPPER)])
         assert "leaves float range" in surf.why[0][0]
 
-    # the step's tail past X1 is integrated in closed form. On the
+    # the step's piece is in closed form from x = 0. On the
     # algebraic-tail map it lost up to 1.7e-5 of the value from q = 1.96,
     # and past q = 1.97 the mass beyond the largest float x (0.70 of the
     # value at q = 1.999), or raised BoundaryRegimeError. Every cell is
@@ -737,14 +756,14 @@ class TestSeedRule:
 
     # one low-frequency cell per tail path, one quadrature call each; the
     # map path's second row is the mapped tail on (0, 1], and a constant
-    # tail has one row, its remainder past X1 being in closed form
+    # tail, in closed form from x = 0, makes no call
     @pytest.mark.parametrize("f, point, pieces", [
         (PowerLaw(1.0, 2.0, 1.0, 2.0), up(0.5), 1),
         (Gaussian(1.0), up(0.5), 1),
         (Gaussian(1.0), down(0.5), 1),
         (QGaussian(1.5, 1.0), up(0.5), 2),
         (QGaussian(2.95, 1.0), HalfPlanePoint(2 + 1j, PlaneTag.UPPER), 2),
-        (Heaviside(1), HalfPlanePoint(2 + 1j, PlaneTag.UPPER), 1),
+        (Heaviside(1), HalfPlanePoint(2 + 1j, PlaneTag.UPPER), 0),
     ], ids=["compact", "cut", "cut-reflected", "map-qgaussian", "map-heavy",
             "closed-step"])
     @pytest.mark.parametrize("budget, floor", [(2000, 8), (8, 2)])
@@ -758,21 +777,21 @@ class TestSeedRule:
 
         monkeypatch.setattr(transform_module, "adaptive_quad", recording)
         qft_complex(f, 1.5, point, QuadratureConfig(max_subdivisions=budget))
-        assert seeds == [[floor] * pieces]
+        assert seeds == ([[floor] * pieces] if pieces else [])
 
 
 class TestFailureModes:
-    # one case per tail path, each failing at the smallest budget; a
-    # constant tail's one finite row meets the default tolerance within it
-    @pytest.mark.parametrize("f, q, k, rel_tol", [
-        pytest.param(PowerLaw(1.0, 2.0, 1.0, 2.0), 1.01, 40.0, 1e-8,
-                     id="compact"),
-        pytest.param(Gaussian(1.0), 1.5, 1.0, 1e-8, id="cut"),
-        pytest.param(QGaussian(1.5, 1.0), 1.3, 3.0, 1e-8, id="map"),
-        pytest.param(Heaviside(1), 1.4, 3.0, 1e-12, id="closed"),
+    # one case per tail path that integrates, each failing at the smallest
+    # budget, and a cut piece with grading rows at its start (a constant
+    # tail is closed and cannot fail)
+    @pytest.mark.parametrize("f, q, k", [
+        pytest.param(PowerLaw(1.0, 2.0, 1.0, 2.0), 1.01, 40.0, id="compact"),
+        pytest.param(Gaussian(1.0), 1.5, 1.0, id="cut"),
+        pytest.param(QGaussian(1.5, 1.0), 1.3, 3.0, id="map"),
+        pytest.param(Gaussian(1.0), 1.1, 1e6, id="graded"),
     ])
-    def test_convergence_error_carries_estimate(self, f, q, k, rel_tol):
-        cfg = QuadratureConfig(max_subdivisions=4, rel_tol=rel_tol)
+    def test_convergence_error_carries_estimate(self, f, q, k):
+        cfg = QuadratureConfig(max_subdivisions=4)
         with pytest.raises(ConvergenceError) as info:
             qft_complex(f, q, up(k), cfg)
         exc = info.value
@@ -896,10 +915,10 @@ class TestBatchedK:
          QuadratureConfig(max_subdivisions=4)),
         (Gaussian(1.0), 1.2, [0.0, 0.5, 3.0, 12.0],
          QuadratureConfig(max_subdivisions=4)),
-        # a constant tail's finite row meets the default tolerance within
-        # 4 subdivisions
-        (Heaviside(-1), 1.4, [0.5, 3.0, 12.0, 40.0],
-         QuadratureConfig(max_subdivisions=4, rel_tol=1e-12)),
+        # only the last k fails: the slow tail's map meets the tolerance
+        # within 4 subdivisions at the higher k
+        (SlowTail(1.0), 1.4, [40.0, 12.0, 3.0, 0.5],
+         QuadratureConfig(max_subdivisions=4)),
         # the lower half-line fails from the first k on, the upper one
         # only from k = 5: a loop over k meets the lower failure first
         (Sampled([-3.0, -1.0, 0.0, 0.5], [0.0, 2.0, 1.0, 0.0]), 1.2,
@@ -978,8 +997,8 @@ TABLE_CASES = [
 class TestOneCallPerCell:
     """Both half-lines of a real-line cell, and the finite part and mapped
     tail of an algebraic tail, are rows of one quadrature call, and a
-    constant tail's remainders come from one kernel call; every result
-    keeps the bits of the one-side calls."""
+    constant tail's pieces take no row; every result keeps the bits of
+    the one-side calls."""
 
     ks = np.array([-40.0, -3.0, 0.5, 2.0, 12.0, 40.0])
 
@@ -1154,18 +1173,19 @@ class TestKernel:
 
     @pytest.mark.parametrize("f, q, cfg", [
         (QGaussian(2.95, 1.0), 1.97, None),
-        (QGaussian(2.95, 1.0), 1.99, None),
+        (QGaussian(2.95, 1.0), 1.99, QuadratureConfig(rel_tol=1e-6)),
         (SlowTail(1e-3), 1.97, None),
-        # at q = 1.99 the slow tail's mass lost past the largest float x
-        # is about 3e-2, so that cell runs at a tolerance loose enough for
-        # its bound not to raise
         (SlowTail(1e-3), 1.99, QuadratureConfig(rel_tol=1e-2))],
         ids=["qgaussian-1.97", "qgaussian-1.99", "slow-tail-1.97",
              "slow-tail-1.99"])
     def test_map_clears_like_nan_to_num(self, monkeypatch, f, q, cfg):
         # at q near 2 the map's exponent is 60, so x or its Jacobian
         # overflows on the panels next to v = 0; those entries clear to
-        # the bits that np.nan_to_num(posinf=0, neginf=0) gives
+        # the bits that np.nan_to_num(posinf=0, neginf=0) gives. At
+        # q = 1.99 the bound on the mass lost past the largest float x is
+        # 5.2e-7 for the q-Gaussian (its tolerance is 1.7e-7) and 3e-2 for
+        # the slow tail, so those cells run at a tolerance loose enough for
+        # the bound not to raise
         want = qft_real_line(f, q, 3.0, cfg)
         cleared = []
 
@@ -1200,6 +1220,16 @@ class TestKernel:
         assert str(info.value).startswith(
             "the algebraic tail's mass past the largest float x is lost at "
             "q=1.99, k=(3+0j): its bound 2.972e-02 exceeds the tolerance ")
+
+    def test_heavy_qgaussian_tail_is_not_dropped(self):
+        # its values were 0 past |x| ~ 1e154, so the map dropped a tail of
+        # about 0.91 (3% of |F|) with no bound and returned 9.24 + 29.24i
+        # under an err of 2.2e-7; the lost-mass bound now sees that tail
+        with pytest.raises(BoundaryRegimeError, match=(
+                r"lost at q=1\.99, k=\(3\+0j\): its bound 2\.972e-02 "
+                r"exceeds the tolerance")):
+            qft_complex(QGaussian(2.99, 1.0), 1.99,
+                        HalfPlanePoint(3, PlaneTag.REAL_LIMIT_UPPER))
 
     @pytest.mark.parametrize("f", [Heaviside(1), Constant(1.0)])
     def test_constant_tail_loses_no_mass(self, f):
@@ -1294,16 +1324,20 @@ class TestErrBoundsTrueError:
         assert abs(v - mp_half_line(density, q, point.k, pts)) <= err
 
     # cells whose rows converge on their seed panels in one integrand call:
-    # a step in the upper plane, whose tail past X1 is in closed form, and
-    # a q-Gaussian with an |x|^(-4/3) tail on the algebraic map
-    @pytest.mark.parametrize("f, density, q, k", [
+    # a Gaussian cut in the upper plane, and a q-Gaussian with an
+    # |x|^(-4/3) tail on the algebraic map; a step, closed from x = 0,
+    # makes none
+    @pytest.mark.parametrize("f, density, q, k, pts, n_calls", [
         pytest.param(Heaviside(1), lambda x: mpmath.mpf(1), 1.5, 3 + 2j,
-                     id="step-upper"),
+                     [0, 1, mpmath.inf], 0, id="step-upper"),
+        pytest.param(Gaussian(1.0), lambda x: mpmath.exp(-x * x / 2), 1.2,
+                     2 + 1j, [0, 40], 1, id="gaussian-upper"),
         pytest.param(QGaussian(2.5, 1.0),
                      lambda x: (1 + 1.5 * x * x) ** (-mpmath.mpf(2) / 3),
-                     1.2, 2 + 1j, id="qgaussian-heavy"),
+                     1.2, 2 + 1j, [0, 1, mpmath.inf], 1, id="qgaussian-heavy"),
     ])
-    def test_seed_converged_cells(self, monkeypatch, f, density, q, k):
+    def test_seed_converged_cells(self, monkeypatch, f, density, q, k, pts,
+                                  n_calls):
         calls = []
         panel = quadrature.gk15_panel
 
@@ -1313,8 +1347,8 @@ class TestErrBoundsTrueError:
 
         monkeypatch.setattr(quadrature, "gk15_panel", counting)
         v, err = qft_complex(f, q, HalfPlanePoint(k, PlaneTag.UPPER))
-        assert len(calls) == 1
-        assert abs(v - mp_half_line(density, q, k, [0, 1, mpmath.inf])) <= err
+        assert len(calls) == n_calls
+        assert abs(v - mp_half_line(density, q, k, pts)) <= err
 
     def test_reflected_side(self):
         v, err = qft_complex(QGaussian(1.5, 1.0), 1.3, down(2.0))
@@ -1387,18 +1421,11 @@ class TestNearZeroBlindSpot:
 
 
 class TestClosedTail:
-    """A constant tail's remainder past X1, -g base/(i(2-q) k_s c^(q-1)),
-    against mpmath: its formula and its rounding bound."""
-
-    @staticmethod
-    def remainder(q, c, k, reflect):
-        """(X1, rem, bound) as _qft_rows forms them at this cell."""
-        freq = np.hypot(k.real, k.imag) * c ** (q - 1.0)
-        X1 = np.minimum(np.where(freq > 1e-9, 12.0 / freq, 1.0), 1e9)
-        with np.errstate(over="ignore", invalid="ignore"):
-            g = transform_module._kernel_integrand(Constant(c), q, k, reflect)(
-                X1[:, None], np.arange(k.size))[:, 0]
-        return (X1, *transform_module._closed_tail(g, q, k, reflect, X1, c))
+    """A constant density's half-line piece, i c^(2-q)/((2-q) k), the
+    lower one as minus the integral over x < 0: its formula and rounding
+    bound against mpmath, and the absence of any quadrature. A constant
+    tail's model has no correction, so the point X1 past which the tail
+    is closed is the piece's start A = 0."""
 
     @pytest.mark.parametrize("q", [1 + 1e-4, 1.01, 1.3, 1.6, 1.9, 1.99,
                                    1.9999])
@@ -1406,28 +1433,80 @@ class TestClosedTail:
     def test_rounding_bound_covers_mpmath(self, q, c):
         rng = np.random.default_rng(int(q * 1e4) + int(c * 10))
         n = 40
-        reflect = rng.random(n) < 0.5
-        k = rng.uniform(-1.0, 1.0, n) * 10.0 ** rng.integers(-3, 5, n) + \
-            1j * rng.uniform(0.0, 2.0, n) * (rng.random(n) < 0.5)
-        k.imag[reflect] *= -1.0      # Im k takes the sign of the side's x
-        X1, rem, bound = self.remainder(q, c, k, reflect)
+        k = rng.uniform(-1.0, 1.0, n) * 10.0 ** rng.integers(-8, 9, n) + \
+            1j * rng.uniform(-2.0, 2.0, n) * (rng.random(n) < 0.5)
+        v, bound = transform_module._closed_tail(q, k, c)
         with mpmath.workdps(40):
             qm, cm = mpmath.mpf(q), mpmath.mpf(c)
-            for ki, xi, side, r, b in zip(k, X1, reflect, rem, bound):
-                ks = -mpmath.mpc(ki) if side else mpmath.mpc(ki)
-                base = 1 + 1j * (1 - qm) * ks * mpmath.mpf(xi) * cm ** (qm - 1)
-                want = -cm * base ** ((2 - qm) / (1 - qm)) / (
-                    1j * (2 - qm) * ks * cm ** (qm - 1))
-                assert abs(r - complex(want)) <= b <= 200 * EPS * abs(r)
+            for ki, vi, b in zip(k, v, bound):
+                want = 1j * cm ** (2 - qm) / ((2 - qm) * mpmath.mpc(ki))
+                assert abs(vi - complex(want)) <= b <= 16 * EPS * abs(vi)
 
     @pytest.mark.parametrize("q", [1.3, 1.6])
     @pytest.mark.parametrize("k, reflect", [(2.0, False), (-0.7, False),
                                             (1.5 + 0.5j, False),
                                             (2.0, True), (1.5 - 0.5j, True)])
     def test_is_the_integral_past_x1(self, q, k, reflect):
-        # the integral over u > X1 of the side's integrand, x = +-u
-        X1, rem, _ = self.remainder(q, 3.7, np.array([k], dtype=complex),
-                                    np.array([reflect]))
-        want = mp_half_line(lambda x: mpmath.mpf(3.7), q,
-                            -k if reflect else k, [X1[0], mpmath.inf])
-        assert abs(rem[0] - want) <= 1e-12 * abs(want)
+        # the integral over x > 0, or minus that over x < 0, of c times
+        # the kernel, by mpmath.quad at 30 digits
+        f = Constant(3.7)
+        tag = {(False, True): PlaneTag.REAL_LIMIT_UPPER,
+               (True, True): PlaneTag.REAL_LIMIT_LOWER,
+               (False, False): PlaneTag.UPPER,
+               (True, False): PlaneTag.LOWER}[reflect, k.imag == 0]
+        v, err = qft_complex(f, q, HalfPlanePoint(k, tag))
+        qm, km = mpmath.mpf(q), mpmath.mpc(k)
+        with mpmath.workdps(30):
+            cm = mpmath.mpf(3.7)
+            side = mpmath.quad(lambda x: cm * (1 + 1j * (1 - qm) * km * x
+                                               * cm ** (qm - 1))
+                               ** (1 / (1 - qm)),
+                               [-mpmath.inf, 0] if reflect else
+                               [0, mpmath.inf])
+            want = complex(-side if reflect else side)
+        assert abs(v - want) <= err <= 16 * EPS * abs(v)
+
+    # every plane tag, q from 1 + 1e-4 to 1.9999 and |k| from 1e-8 to 1e8
+    # and 1e300: each cell is the formula within its err, and none makes
+    # a Gauss-Kronrod panel call
+    @pytest.mark.parametrize("f", [Heaviside(1), Heaviside(-1), Constant(0.5),
+                                   Constant(1.0), Constant(3.0)],
+                             ids=["step+", "step-", "c0.5", "c1", "c3"])
+    @pytest.mark.parametrize("q", [1 + 1e-4, 1.1, 1.5, 1.9, 1.9999])
+    def test_sweep_runs_no_quadrature(self, monkeypatch, f, q):
+        def never(*args):
+            raise AssertionError("a constant tail called gk15_panel")
+
+        monkeypatch.setattr(quadrature, "gk15_panel", never)
+        ks = [s * 10.0 ** n for s in (1, -1) for n in (*range(-8, 9), 300)]
+        off_axis = {PlaneTag.UPPER: 0.5j, PlaneTag.LOWER: -0.5j,
+                    PlaneTag.REAL_LIMIT_UPPER: 0.0,
+                    PlaneTag.REAL_LIMIT_LOWER: 0.0}
+        c, sides = f.peak_value(), f.support()
+        with mpmath.workdps(30):
+            for tag, im in off_axis.items():
+                lower = tag in (PlaneTag.LOWER, PlaneTag.REAL_LIMIT_LOWER)
+                on = sides[0] < 0 if lower else sides[1] > 0
+                for k in ks:
+                    point = HalfPlanePoint(k + im, tag)
+                    v, err = qft_complex(f, q, point)
+                    want = 1j * mpmath.mpf(c) ** (2 - mpmath.mpf(q)) / (
+                        (2 - mpmath.mpf(q)) * mpmath.mpc(point.k)) if on else 0
+                    assert abs(v - complex(want)) <= err
+        if isinstance(f, Constant):
+            # the two sides cancel: a constant's transform sits at k = 0
+            v, err = qft_real_line(f, q, np.array(ks))
+            assert not np.any(v) and np.all(err > 0)
+
+    @pytest.mark.parametrize("k", [1.5, -1.5, 1.5 + 0.5j])
+    def test_meets_any_tolerance_without_quadrature(self, monkeypatch, k):
+        # no quadrature call at all, even at a tolerance no rounding meets
+        def never(*args, **kwargs):
+            raise AssertionError("a constant tail ran adaptive_quad")
+
+        monkeypatch.setattr(transform_module, "adaptive_quad", never)
+        cfg = QuadratureConfig(rel_tol=1e-300, abs_tol=1e-300,
+                               max_subdivisions=4)
+        tag = PlaneTag.UPPER if k.imag else PlaneTag.REAL_LIMIT_UPPER
+        v, err = qft_complex(Heaviside(1), 1.5, HalfPlanePoint(k, tag), cfg)
+        assert abs(v - 2j / k) <= err <= 8 * EPS * abs(v)
