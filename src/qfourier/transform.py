@@ -525,6 +525,71 @@ def _kernel_integrand(f: FunctionSpec, qv: float, k, reflect):
     return integrand
 
 
+def _tail_map(gfun, m0, X1, p, decay, lost):
+    """Integrand of a row table whose rows from m0 on are mapped algebraic
+    tails (gfun's before them): row m0 + j takes v in (0, 1] to x = X1[j]
+    v^-p[j] and scales gfun there by the Jacobian p[j] x/v. Where x or the
+    Jacobian passes the largest float the node is cleared (_zero_nonfinite)
+    and the mass past the row's largest finite x is lost: lost[j] keeps the
+    least bound |g| x/(d - 1), d = decay[j], of the calls that cleared a
+    node of tail j (|g| falls like x^-d there), and stays nan until one
+    does."""
+    def mapped(u, rows):
+        on = rows >= m0
+        n_on = np.count_nonzero(on)
+        if not n_on:
+            return gfun(u, rows)
+        whole = n_on == on.size
+        v = u if whole else u[on]
+        t = rows[on] - m0
+        x, jac = np.empty_like(v), np.empty_like(v)
+        X1t, pt = X1[t][:, None], p[t]
+        # one scalar exponent at a time: numpy's power takes other
+        # paths for an exponent array, and the bits would move
+        exps = set(pt.tolist())
+        for pu in exps:
+            s = pt == pu if len(exps) > 1 else slice(None)
+            x[s] = X1t[s] * v[s] ** (-pu)
+            jac[s] = X1t[s] * pu * v[s] ** (-pu - 1.0)
+        if not whole:
+            x_all = np.array(u)
+            x_all[on] = x
+            x = x_all
+        out = gfun(x, rows)
+        part = out if whole else out[on]
+        part *= jac
+        cleared = ~np.isfinite(part)
+        if cleared.any():
+            for j in set(t[cleared.any(axis=1)].tolist()):
+                # the row's largest finite x, where |g| x = |h| v/p
+                # (h = g jac, jac = p x/v); inf if it has none here
+                vj = np.where(cleared | (t != j)[:, None], math.inf, v)
+                i = np.unravel_index(np.argmin(vj), vj.shape)
+                lost[j] = np.fmin(lost[j], math.inf if vj[i] == math.inf
+                                  else abs(part[i]) * vj[i]
+                                  / (p[j] * (decay[j] - 1.0)))
+        if not whole:
+            out[on] = part
+        return _zero_nonfinite(out)
+
+    return mapped
+
+
+def _zero_nonfinite(out):
+    """Set the entries of the mapped tail's integrand that are not finite
+    to 0, in place, and return it.
+
+    Where x or its Jacobian overflows, v sits at the v -> 0 end of a tail
+    the map makes vanish, so the limit there is 0. The kernel's values are
+    checked finite, so such an entry is inf or nan in both parts, and
+    clearing it whole gives the bits of np.nan_to_num(posinf=0, neginf=0).
+    """
+    bad = ~np.isfinite(out)
+    if np.count_nonzero(bad):
+        out[bad] = 0.0
+    return out
+
+
 def _check(bad, error, what, qv, rows, k, x):
     """Raise error naming q, k and x at the first node flagged in bad."""
     if np.count_nonzero(bad):
@@ -594,21 +659,6 @@ def _raise_failed(values, errs, why):
             values=values, errs=errs, failed=failed)
 
 
-def _zero_nonfinite(out):
-    """Set the entries of the mapped tail's integrand that are not finite
-    to 0, in place, and return it.
-
-    Where x or its Jacobian overflows, v sits at the v -> 0 end of a tail
-    the map makes vanish, so the limit there is 0. The kernel's values are
-    checked finite, so such an entry is inf or nan in both parts, and
-    clearing it whole gives the bits of np.nan_to_num(posinf=0, neginf=0).
-    """
-    bad = ~np.isfinite(out)
-    if np.count_nonzero(bad):
-        out[bad] = 0.0
-    return out
-
-
 def _admitted(f: FunctionSpec, q) -> QParam:
     """q as a QParam; raises MembershipError unless f is a member there."""
     qp = as_qparam(q)
@@ -620,29 +670,33 @@ def _admitted(f: FunctionSpec, q) -> QParam:
     return qp
 
 
-def _head_rows(A, ends, panels, freq, qv, k):
-    """Rows that grade the start of each row [A[i], ends[i]] where the
-    kernel falls off before the first node of the row's first seed panel.
+def _head_rows(A, ends, freq, qv, k, cap):
+    """The finite row table (piece, lo, hi, panels) of the pieces
+    [A[i], ends[i]]: row i is piece i's own row, and the rows past them
+    grade the start of each piece whose kernel falls off before the first
+    node of its first seed panel. panels is _osc_panels of each row.
 
     For q > 1 the kernel's modulus falls like |base|^(-1/(q-1)), and
     |base| passes sqrt(2) within l = 1/((q-1) freq) of x = 0. Where l lies
     below that node, a Gauss-Kronrod inset of the first panel's width, no
     node sees the piece's mass and the err cannot see it either. Such a
-    row starts at A + l R^J instead, the least such edge at or past that
-    node (R = _GRADE), and rows [A, A + l], [A + l, A + l R], ...,
-    [A + l R^(J-1), A + l R^J], each clipped to the row's end, cover what
-    it left: a row of at least 8 seed panels has its first node within 1%
-    of its start's distance from A. Returns the new rows as (piece, start,
-    end) triples, and every row's start (A itself when none moved). The
-    rule runs row by row in Python floats.
+    piece's own row starts at A + l R^J instead, the least such edge at or
+    past that node (R = _GRADE), and rows [A, A + l], [A + l, A + l R],
+    ..., [A + l R^(J-1), A + l R^J], each clipped to the piece's end,
+    follow in x order and cover what it left: a row of at least 8 seed
+    panels has its first node within 1% of its start's distance from A.
+    The rule runs row by row in Python floats; where no row moved (always
+    at q = 1) A and ends come back as lo and hi.
 
     An l below _ELL_MIN raises BoundaryRegimeError naming q and k: the
     panels there would be too narrow for gk15_panel, whose panel mean
     divides by the width.
     """
-    heads, starts = [], A
+    piece, lo, hi = np.arange(A.size), A, ends
+    panels = _osc_panels(A, ends, freq, qv, cap)
     if qv == 1.0:
-        return heads, starts
+        return piece, lo, hi, panels
+    rows = list(zip(piece.tolist(), A.tolist(), ends.tolist()))
     # l < first for first = inset (b - a)/n, in a form without 1/freq
     slope = (qv - 1.0) * _NODE_INSET
     for i, (a, b, n, fr) in enumerate(zip(A.tolist(), ends.tolist(),
@@ -658,15 +712,16 @@ def _head_rows(A, ends, panels, freq, qv, k):
         first, start = _NODE_INSET * (b - a) / n, a
         while start < b:
             end = min(a + edge, b)
-            heads.append((i, start, end))
+            rows.append((i, start, end))
             start = end
             if edge >= first:
                 break
             edge *= _GRADE
-        if starts is A:
-            starts = A.copy()
-        starts[i] = start
-    return heads, starts
+        rows[i] = (i, start, b)
+    if len(rows) > A.size:
+        piece, lo, hi = (np.array(v) for v in zip(*rows))
+        panels = _osc_panels(lo, hi, freq[piece], qv, cap)
+    return piece, lo, hi, panels
 
 
 def _closed_tail(qv, k, c):
@@ -709,27 +764,21 @@ def _qft_rows(f: FunctionSpec, qp: QParam, k, reflect,
 
     A piece integrates over u = x on [max(lo, 0), hi], or over u = -x on
     [-min(hi, 0), -lo] for the negative side, whose sum is negated at the
-    end. A finite end is one interval. An infinite one is cut where an
-    explicit remainder bound (added to err) falls under abs_tol when the
-    decay is super-algebraic. A constant tail (Heaviside, Constant: then
-    A = 0 and f = c on all of the half-line) is its closed form from
+    end. The tail picks the route. A finite end is one interval. A
+    super-algebraic tail is cut where an explicit remainder bound (added
+    to err) falls under abs_tol. A constant tail (Heaviside, Constant:
+    then A = 0 and f = c on all of the half-line) is its closed form from
     x = 0 with that form's rounding bound as err (_closed_tail), and no
     row. Any other algebraic tail has a finite part to X1 = A + 12/freq
-    (at most A + 1e9) and is mapped onto (0, 1] past X1. A piece whose
-    kernel falls off before its first seed node also takes grading rows
-    at its start (_head_rows). Every interval of every piece (finite
-    parts, grading rows and mapped tails alike) is a row of one table
-    that one adaptive_quad call integrates in one numpy error state;
-    each row has the bits it would have alone. A piece sums its parts
+    (at most A + 1e9) and is mapped onto (0, 1] past X1 (_tail_map).
+    _head_rows gives the finite rows, grading rows included; the mapped
+    tails follow them in one table that one adaptive_quad call integrates
+    in one numpy error state, each row with the bits it would have alone.
+    A piece sums its own row, then its grading rows, then its mapped tail,
     and takes the reason of its first failing part: a piece that missed
-    tolerance keeps the sum as its best estimate.
-
-    The map clears the nodes where x or its Jacobian passes the largest
-    float (_zero_nonfinite), and the mass past them is lost. A piece that
-    cleared nodes adds a bound on that mass to its err: |g| x/(d - 1) at
-    its largest finite node x, the integrand's modulus |g| falling like
-    x^-d there. Where that bound alone exceeds the piece's tolerance it
-    raises BoundaryRegimeError.
+    tolerance keeps the sum as its best estimate. A mapped tail that lost
+    mass adds _tail_map's bound on it to err, and raises
+    BoundaryRegimeError where that bound alone exceeds its tolerance.
     """
     cfg = cfg if cfg is not None else QuadratureConfig()
     n = k.size
@@ -752,9 +801,8 @@ def _qft_rows(f: FunctionSpec, qp: QParam, k, reflect,
         return values, errs, why
     k, reflect, A, ends = k[live], reflect[live], A[live], ends[live]
     m, tail = live.size, np.flatnonzero(ends == math.inf)
-    at_zero, cut = k[tail] == 0, gamma_f == math.inf
-    # the mapped tails' count; the last nt table rows are those of tail
-    nt = tail.size if not cut else 0
+    # a super-algebraic tail is cut, any other algebraic tail is mapped
+    cut, tail = (tail, tail[:0]) if gamma_f == math.inf else (tail[:0], tail)
 
     # np.hypot rounds like the scalar abs(); np.abs on a complex array does not
     freq = np.hypot(k.real, k.imag) * f.peak_value() ** (qv - 1.0)
@@ -762,109 +810,55 @@ def _qft_rows(f: FunctionSpec, qp: QParam, k, reflect,
     # one error state for the whole table: the kernel's real parts overflow
     # to the true limit, a node off the support (f = 0, x possibly inf)
     # gives inf * 0, and the tail's 12/freq divides by 0 at k = 0;
-    # _kernel_integrand and the map's integrand check what they return
+    # _kernel_integrand and _tail_map check what they return
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        if tail.size and cut:
+        if cut.size:
             # explicit cut where the remainder bound drops under abs_tol
             width = max(f.length_scale(), 1.0)
-            ends[tail] = A[tail] + width * (
+            ends[cut] = A[cut] + width * (
                 math.sqrt(2.0 * math.log(1.0 / cfg.abs_tol)) + 1.5)
-        elif tail.size:
-            # algebraic tail: finite oscillatory part, then the map
-            amp = np.maximum(freq[tail], 0.0)
-            X1 = A[tail] + np.where(amp > 1e-9, 12.0 / amp, 1.0)
+        if tail.size:
+            # algebraic tail: finite oscillatory part to X1, then the map
+            X1 = A[tail] + np.where(freq[tail] > 1e-9, 12.0 / freq[tail], 1.0)
             X1 = np.minimum(X1, A[tail] + 1e9)
             ends[tail] = X1
-        if nt:
-            decay = np.where(at_zero, gamma_f, _integrand_decay(gamma_f, qv))
+            decay = np.where(k[tail] == 0, gamma_f,
+                             _integrand_decay(gamma_f, qv))
             p = np.minimum(60.0, np.maximum(1.0, 2.0 / (decay - 1.0)))
-            # per mapped tail, the least lost-mass bound of its calls that
-            # cleared a node (nan until one does)
-            lost = np.full(nt, math.nan)
-        panels = _osc_panels(A, ends, freq, qv, cap)
-        heads, row_lo = _head_rows(A, ends, panels, freq, qv, k)
-        # rows past m add into their piece, owner[row - m]: the grading
-        # rows, then from m0 on the mapped tails
-        m0, owner, row_hi = m + len(heads), tail[:nt], ends
-        if heads:
-            piece, h_lo, h_hi = (np.array(v) for v in zip(*heads))
-            moved = np.unique(piece)
-            panels[moved] = _osc_panels(row_lo[moved], ends[moved],
-                                        freq[moved], qv, cap)
-            row_lo = np.concatenate([row_lo, h_lo])
-            row_hi = np.concatenate([ends, h_hi])
-            panels = np.concatenate([panels, _osc_panels(
-                h_lo, h_hi, freq[piece], qv, cap)])
-            owner = np.concatenate([piece, owner])
-        table = np.concatenate([np.arange(m), owner])
+            lost = np.full(tail.size, math.nan)
+        piece, row_lo, row_hi, panels = _head_rows(A, ends, freq, qv, k, cap)
+        # the piece of every row: the finite rows, then the mapped tails
+        table = np.concatenate([piece, tail])
         gfun = _kernel_integrand(f, qv, k[table], reflect[table])
-
-        def mapped(u, rows):
-            on = rows >= m0
-            n_on = np.count_nonzero(on)
-            if not n_on:
-                return gfun(u, rows)
-            whole = n_on == on.size
-            v = u if whole else u[on]
-            t = rows[on] - m0
-            x, jac = np.empty_like(v), np.empty_like(v)
-            X1t, pt = X1[t][:, None], p[t]
-            # one scalar exponent at a time: numpy's power takes other
-            # paths for an exponent array, and the bits would move
-            exps = set(pt.tolist())
-            for pu in exps:
-                s = pt == pu if len(exps) > 1 else slice(None)
-                x[s] = X1t[s] * v[s] ** (-pu)
-                jac[s] = X1t[s] * pu * v[s] ** (-pu - 1.0)
-            if not whole:
-                x_all = np.array(u)
-                x_all[on] = x
-                x = x_all
-            out = gfun(x, rows)
-            part = out if whole else out[on]
-            part *= jac
-            cleared = ~np.isfinite(part)
-            if cleared.any():
-                for j in set(t[cleared.any(axis=1)].tolist()):
-                    # the row's largest finite x, where |g| x = |h| v/p
-                    # (h = g jac, jac = p x/v); inf if it has none here
-                    vj = np.where(cleared | (t != j)[:, None], math.inf, v)
-                    i = np.unravel_index(np.argmin(vj), vj.shape)
-                    lost[j] = np.fmin(lost[j], math.inf if vj[i] == math.inf
-                                      else abs(part[i]) * vj[i]
-                                      / (p[j] * (decay[j] - 1.0)))
-            if not whole:
-                out[on] = part
-            return _zero_nonfinite(out)
-
         val, err, reasons = adaptive_quad(
-            mapped if nt else gfun,
-            np.concatenate([row_lo, np.zeros(nt)]),
-            np.concatenate([row_hi, np.ones(nt)]),
+            _tail_map(gfun, piece.size, X1, p, decay, lost) if tail.size
+            else gfun,
+            np.concatenate([row_lo, np.zeros(tail.size)]),
+            np.concatenate([row_hi, np.ones(tail.size)]),
             rel_tol=cfg.rel_tol, abs_tol=cfg.abs_tol,
             max_subdivisions=cfg.max_subdivisions,
-            panels=np.concatenate([panels,
-                                   np.full(nt, min(_SEED_FLOOR, cap))]))
-        if tail.size and cut:
+            panels=np.concatenate([panels, np.full(tail.size,
+                                                   min(_SEED_FLOOR, cap))]))
+        if cut.size:
             # one kernel call for every cut point
-            g = gfun(ends[tail][:, None], tail)[:, 0]
-            err[tail] = err[tail] + np.hypot(g.real, g.imag) * width
-    if owner.size:
-        np.add.at(val, owner, val[m:])
-        np.add.at(err, owner, err[m:])
-        for i, w in zip(owner.tolist(), reasons[m:]):
+            g = gfun(ends[cut][:, None], cut)[:, 0]
+            err[cut] = err[cut] + np.hypot(g.real, g.imag) * width
+    if table.size > m:
+        # rows past m add into their piece, in table order
+        np.add.at(val, table[m:], val[m:])
+        np.add.at(err, table[m:], err[m:])
+        for i, w in zip(table[m:].tolist(), reasons[m:]):
             reasons[i] = reasons[i] or w
         val, err, reasons = val[:m], err[:m], reasons[:m]
-    if nt:
-        for j in np.flatnonzero(~np.isnan(lost)).tolist():
-            i = tail[j]
-            err[i] += lost[j]
-            tol = max(cfg.abs_tol, cfg.rel_tol * abs(val[i]))
-            if not lost[j] <= tol:
-                raise BoundaryRegimeError(
-                    "the algebraic tail's mass past the largest float x is "
-                    f"lost at q={qv!r}, k={complex(k[i])!r}: its bound "
-                    f"{lost[j]:.3e} exceeds the tolerance {tol:.3e}")
+    for j in np.flatnonzero(~np.isnan(lost)).tolist() if tail.size else ():
+        i = tail[j]
+        err[i] += lost[j]
+        tol = max(cfg.abs_tol, cfg.rel_tol * abs(val[i]))
+        if not lost[j] <= tol:
+            raise BoundaryRegimeError(
+                "the algebraic tail's mass past the largest float x is "
+                f"lost at q={qv!r}, k={complex(k[i])!r}: its bound "
+                f"{lost[j]:.3e} exceeds the tolerance {tol:.3e}")
     np.negative(val, out=val, where=reflect)
     if m == n:
         return val, err, reasons

@@ -13,13 +13,12 @@ import math
 
 import numpy as np
 
-from .closedform import (constant_qft_delta_weight, heaviside_qft,
-                         hilhorst_lambda, hilhorst_qft, powerlaw_qft_closed)
+from .closedform import (constant_qft_delta_weight, hilhorst_lambda,
+                         hilhorst_qft, powerlaw_qft_closed)
 from .inversion import EpsilonSchedule, roundtrip
 from .special import Hyp2F1Params, gamma_ratio_collapse, hyp2f1, log_gamma
-from .transform import (Gaussian, HalfPlanePoint, Heaviside, PlaneTag,
-                        PowerLaw, QuadratureConfig, qft_complex,
-                        qft_real_line)
+from .transform import (Gaussian, HalfPlanePoint, PlaneTag, PowerLaw,
+                        QuadratureConfig, qft_complex, qft_real_line)
 from .ultra import (AnalyticRep, ContourSpec, contour_apply, dirac_rep,
                     pseudo_poly_invariance_check)
 
@@ -86,15 +85,16 @@ def max_pairwise_dev(rows):
 def suite_closedforms():
     checks = []
 
-    def heaviside_vs_quadrature():
-        f = Heaviside(1)
-        worst = 0.0
-        for q in (1.2, 1.5, 1.8):
-            for k in (0.5, 2.0, 1j):
-                got, _ = qft_complex(f, q, _up(k), _CFG)
-                worst = max(worst, _rel(got, heaviside_qft(1, q, _up(k))))
-        return worst < 1e-6, f"max rel dev {worst:.3e} (tol 1e-06)"
-    checks.append(_run("heaviside_vs_quadrature", heaviside_vs_quadrature))
+    def box_vs_quadrature():
+        # f = 1 on [a, b] against powerlaw_qft_closed's beta = 0 primitive,
+        # the kernel primitive that a step's closed-form piece rests on
+        worst = max(_rel(qft_complex(f, q, _up(k), _CFG)[0],
+                         powerlaw_qft_closed(f, q, _up(k)))
+                    for f in (PowerLaw(1.0, 0.0, 0.5, 2.0),
+                              PowerLaw(1.0, 0.0, 1.0, 3.0))
+                    for q in (1.2, 1.5, 1.8) for k in (0.5, 2.0, 1j))
+        return worst < 1e-10, f"max rel dev {worst:.3e} (tol 1e-10)"
+    checks.append(_run("box_vs_quadrature", box_vs_quadrature))
 
     def powerlaw_vs_quadrature(f, q, k, tol):
         got, _ = qft_complex(f, q, _up(k), _CFG)

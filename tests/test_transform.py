@@ -1420,6 +1420,75 @@ class TestNearZeroBlindSpot:
         assert abs(v - 2j / 1e300) <= err
 
 
+class TestHeadRows:
+    """_head_rows's finite row table (piece, lo, hi, panels): each piece's
+    own row first, in order, then each moved piece's grading rows, in x
+    order and edge to edge from A to its own row's start; panels is
+    _osc_panels of each row. At q = 1 nothing moves."""
+
+    @staticmethod
+    def recorded(monkeypatch, f, q, ks):
+        """The arguments and table of the one _head_rows call that
+        qft_real_line(f, q, ks) makes."""
+        calls = []
+        head_rows = transform_module._head_rows
+
+        def record(*args):
+            calls.append((args, head_rows(*args)))
+            return calls[-1][1]
+
+        monkeypatch.setattr(transform_module, "_head_rows", record)
+        qft_real_line(f, q, np.array(ks))
+        (args, table), = calls
+        return args, table
+
+    # k = +-1e6 moves every piece but the mapped tails' at q > 1, and
+    # k = 0.5 none; the q = 1 kernel does not converge at k = 1e6 and
+    # moves nothing at any k
+    @pytest.mark.parametrize("f, q, top, moves", [
+        (Gaussian(1.0), 1.1, 1e6, True),
+        (Gaussian(1.0), 1.3, 1e6, True),
+        (PowerLaw(1.0, 2.0, 1.0, 2.0), 1.1, 1e6, True),
+        # the finite part ends at A + 12/freq, where the first seed node
+        # is already past l
+        (QGaussian(1.5, 1.0), 1.1, 1e6, False),
+        (Gaussian(1.0), 1.0, 30.0, False),
+    ], ids=["gaussian-1.1", "gaussian-1.3", "powerlaw-1.1", "qgaussian-1.1",
+            "gaussian-1.0"])
+    def test_table_contract(self, monkeypatch, f, q, top, moves):
+        (A, ends, freq, qv, k, cap), (piece, lo, hi, panels) = \
+            self.recorded(monkeypatch, f, q, [top, -top, 0.5])
+        m = A.size
+        assert piece[:m].tolist() == list(range(m))
+        assert np.array_equal(hi[:m], ends)
+        assert (piece.size > m) == moves
+        # grading rows are grouped by piece, in piece order
+        assert np.all(np.diff(piece[m:]) >= 0)
+        for i in range(m):
+            rows = m + np.flatnonzero(piece[m:] == i)
+            edges = [A[i], *hi[rows].tolist()]
+            assert lo[rows].tolist() == edges[:-1]
+            assert lo[i] == edges[-1] < ends[i]
+            assert all(a < b for a, b in zip(edges, edges[1:]))
+            assert rows.size == 0 or abs(k[i]) == top
+        np.testing.assert_array_equal(
+            panels, _osc_panels(lo, hi, freq[piece], qv, cap))
+
+    def test_inputs_come_back_at_q_one(self):
+        # a row that grades at q = 1.1 (l = 1e-5 below its first node) is
+        # left whole at q = 1
+        A, ends = np.array([0.0, -0.0, 0.5]), np.array([9.0, 9.0, 3.0])
+        freq, k = np.full(3, 1e6), np.full(3, 1e6 + 0j)
+        moved = transform_module._head_rows(A, ends, freq, 1.1, k, 256)
+        assert moved[0].size > 3
+        piece, lo, hi, panels = transform_module._head_rows(
+            A, ends, freq, 1.0, k, 256)
+        assert piece.tolist() == [0, 1, 2]
+        assert lo.tobytes() == A.tobytes() and hi.tobytes() == ends.tobytes()
+        np.testing.assert_array_equal(
+            panels, _osc_panels(A, ends, freq, 1.0, 256))
+
+
 class TestClosedTail:
     """A constant density's half-line piece, i c^(2-q)/((2-q) k), the
     lower one as minus the integral over x < 0: its formula and rounding
@@ -1510,3 +1579,51 @@ class TestClosedTail:
         tag = PlaneTag.UPPER if k.imag else PlaneTag.REAL_LIMIT_UPPER
         v, err = qft_complex(Heaviside(1), 1.5, HalfPlanePoint(k, tag), cfg)
         assert abs(v - 2j / k) <= err <= 8 * EPS * abs(v)
+
+
+def uts_qgaussian(q, beta, k):
+    """The real transform of e_q(-beta x^2) by the q-Gaussian theorem of
+    Umarov, Tsallis & Steinberg (Milan J. Math. 76, 2008, 307): (1/a)
+    e_q1(-beta* (k/a^(q-1))^2) with q1 = (1+q)/(3-q), a = sqrt(beta)/C_q
+    and beta* = (3-q)/(8 beta^(2-q) C_q^(2(q-1))), in mpmath arithmetic at
+    the caller's precision."""
+    q, beta, k = mpmath.mpf(q), mpmath.mpf(beta), mpmath.mpf(k)
+    q1 = (1 + q) / (3 - q)
+    c_q = mpmath.sqrt(mpmath.pi) * mpmath.gamma((3 - q) / (2 * (q - 1))) / (
+        mpmath.sqrt(q - 1) * mpmath.gamma(1 / (q - 1)))
+    a = mpmath.sqrt(beta) / c_q
+    beta_star = (3 - q) / (8 * beta ** (2 - q) * c_q ** (2 * (q - 1)))
+    kappa = k / a ** (q - 1)
+    # e_q1(-y) = [1 + (q1 - 1) y]^(1/(1-q1)) for q1 > 1
+    return (1 + (q1 - 1) * beta_star * kappa ** 2) ** (1 / (1 - q1)) / a
+
+
+class TestUTSOracle:
+    """The real q-transform maps the q-Gaussian QGaussian(q, beta) to a
+    q1-Gaussian at q = q_g. These cells take the algebraic-tail map."""
+
+    @pytest.mark.parametrize("beta", [0.5, 1.0, 3.0])
+    @pytest.mark.parametrize("q", [1.1, 1.3, 1.5, 1.7, 1.9, 1.99])
+    def test_qft_real_line_within_err(self, q, beta):
+        ks = np.array([0.1, 0.7, 1.0, 3.0, 10.0, 100.0])
+        v, err = qft_real_line(QGaussian(q, beta), q, ks)
+        with mpmath.workdps(30):
+            want = np.array([complex(uts_qgaussian(q, beta, k)) for k in ks])
+        assert np.all(np.abs(v - want) <= err)
+
+    @pytest.mark.parametrize("q, beta, k", [(1.5, 1.0, 1.0), (1.3, 0.5, 3.0),
+                                            (1.9, 3.0, 0.7)])
+    def test_formula_against_mpmath(self, q, beta, k):
+        # the real line is twice the real part of the x > 0 piece, as the
+        # kernel at -x is the conjugate of the kernel at x
+        with mpmath.workdps(30):
+            qm, bm, km = mpmath.mpf(q), mpmath.mpf(beta), mpmath.mpf(k)
+
+            def g(x):
+                y = (1 + (qm - 1) * bm * x * x) ** (1 / (1 - qm))
+                return y * (1 + 1j * (1 - qm) * km * x * y ** (qm - 1)) \
+                    ** (1 / (1 - qm))
+
+            side = mpmath.quad(g, [0, 1, 10, 100, 1e3, 1e4, mpmath.inf])
+            want = uts_qgaussian(q, beta, k)
+            assert abs(2 * mpmath.re(side) - want) <= 1e-28 * abs(want)
