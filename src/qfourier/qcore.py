@@ -122,8 +122,8 @@ def _deformed_power(qv, b, d=None, scale=1.0):
     1.3e154), the log-modulus is 2 log(hypot(1 + d, b)) instead of inf:
     the modulus there is tiny but not 0, and a caller may scale it up
     again, as the algebraic-tail map's Jacobian of order 1e160 does. One
-    max over the log-moduli finds such nodes, and an fmax over them,
-    which skips nan, when that max is nan. scale multiplies the modulus.
+    max over the log-moduli finds such nodes; a nan node hides them, and
+    the kernel raises on that node. scale multiplies the modulus.
 
     The call writes only into arrays it allocated and into b, which is
     overwritten; d and scale are left alone. b must be a fresh contiguous
@@ -148,10 +148,6 @@ def _deformed_power(qv, b, d=None, scale=1.0):
     else:
         np.log1p(r, out=r)
     top = r.max() if r.size else 0.0
-    if top != top:
-        # a node off the density's support can give nan (x = inf times
-        # f = 0), which max returns; fmax skips it, and costs more
-        top = np.fmax.reduce(r, axis=None)
     if top == math.inf:
         # |base|^2 overflowed: 2 log|base| there, from the unsquared sides
         big = r == math.inf

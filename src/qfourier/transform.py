@@ -18,12 +18,14 @@ constant tail (Heaviside, Constant) takes the kernel's closed primitive
 from x = 0, exact up to rounding, with no quadrature. Other algebraically
 decaying integrands are mapped onto (0, 1] by x = X1 v^(-p) past a
 finite part up to X1; p is chosen from the decay exponent so the
-transformed integrand vanishes at v = 0, and no truncation error remains.
+transformed integrand vanishes at v = 0. It stops where its Jacobian
+nears the largest float, and the mass past there is bounded from one
+kernel value and added to the error estimate, as the cut's remainder is.
 Past the linear-phase region the kernel's total remaining phase is
 bounded by pi/(2(q-1)), so the mapped tail is at most mildly oscillatory.
 
 Every finite piece starts from equal seed panels, one per 0.8 kernel
-periods and never fewer than eight (the mapped tail on (0, 1] included),
+periods and never fewer than eight (the mapped tail on [v0, 1] included),
 within a quarter of the subdivision budget. An integrand call costs far
 more than the panels it carries, so most short pieces converge on their
 seeds in one call rather than by bisection.
@@ -468,9 +470,9 @@ def _kernel_integrand(f: FunctionSpec, qv: float, k, reflect):
     boolean array reflect picks the side per k. A call whose rows all lie
     on one side takes u or -u whole. A node on the wrong side of the
     kernel's branch point raises PoleError, and a kernel value that is not
-    finite raises NonFiniteError. It writes only into arrays it allocated:
-    u and rows are left alone, and the array it returns shares no memory
-    with u.
+    finite, as at a nan of f, raises NonFiniteError. It writes only into
+    arrays it allocated: u and rows are left alone, and the array it
+    returns shares no memory with u.
 
     For q != 1 the kernel is qcore._deformed_power at X = x f^(q-1), scaled
     by f, with no d when every k is real. The caller holds numpy's error
@@ -493,13 +495,13 @@ def _kernel_integrand(f: FunctionSpec, qv: float, k, reflect):
             x = np.array(u)
             np.negative(x, out=x, where=flip[:, None])
         y = f.values(x)
-        m = y > 0
+        # the support, and any nan of f, which the finiteness check names
+        m = ~(y <= 0)
         # np.count_nonzero costs a third of ndarray.any() on a short mask
         on = np.count_nonzero(m)
         if not on:
             return np.zeros(u.shape, dtype=complex)
-        # evaluated on every node, then cleared off the support: a node
-        # outside it (y = 0, possibly at x = inf) has no kernel value
+        # evaluated on every node, then cleared off the support (y = 0)
         if qv == 1.0:
             out = 1j * k[rows][:, None] * x
             np.exp(out, out=out)
@@ -525,15 +527,13 @@ def _kernel_integrand(f: FunctionSpec, qv: float, k, reflect):
     return integrand
 
 
-def _tail_map(gfun, m0, X1, p, decay, lost):
+def _tail_map(gfun, m0, X1, p):
     """Integrand of a row table whose rows from m0 on are mapped algebraic
     tails (gfun's before them): row m0 + j takes v in (0, 1] to x = X1[j]
-    v^-p[j] and scales gfun there by the Jacobian p[j] x/v. Where x or the
-    Jacobian passes the largest float the node is cleared (_zero_nonfinite)
-    and the mass past the row's largest finite x is lost: lost[j] keeps the
-    least bound |g| x/(d - 1), d = decay[j], of the calls that cleared a
-    node of tail j (|g| falls like x^-d there), and stays nan until one
-    does."""
+    v^-p[j] and scales gfun there by the Jacobian p[j] x/v. It writes only
+    into arrays it allocated: u and rows are left alone. The caller keeps v
+    where x, the Jacobian and v^-(p+1) stay in float range (_qft_rows
+    starts each row at v0)."""
     def mapped(u, rows):
         on = rows >= m0
         n_on = np.count_nonzero(on)
@@ -556,38 +556,13 @@ def _tail_map(gfun, m0, X1, p, decay, lost):
             x_all[on] = x
             x = x_all
         out = gfun(x, rows)
-        part = out if whole else out[on]
-        part *= jac
-        cleared = ~np.isfinite(part)
-        if cleared.any():
-            for j in set(t[cleared.any(axis=1)].tolist()):
-                # the row's largest finite x, where |g| x = |h| v/p
-                # (h = g jac, jac = p x/v); inf if it has none here
-                vj = np.where(cleared | (t != j)[:, None], math.inf, v)
-                i = np.unravel_index(np.argmin(vj), vj.shape)
-                lost[j] = np.fmin(lost[j], math.inf if vj[i] == math.inf
-                                  else abs(part[i]) * vj[i]
-                                  / (p[j] * (decay[j] - 1.0)))
-        if not whole:
-            out[on] = part
-        return _zero_nonfinite(out)
+        if whole:
+            out *= jac
+        else:
+            out[on] *= jac
+        return out
 
     return mapped
-
-
-def _zero_nonfinite(out):
-    """Set the entries of the mapped tail's integrand that are not finite
-    to 0, in place, and return it.
-
-    Where x or its Jacobian overflows, v sits at the v -> 0 end of a tail
-    the map makes vanish, so the limit there is 0. The kernel's values are
-    checked finite, so such an entry is inf or nan in both parts, and
-    clearing it whole gives the bits of np.nan_to_num(posinf=0, neginf=0).
-    """
-    bad = ~np.isfinite(out)
-    if np.count_nonzero(bad):
-        out[bad] = 0.0
-    return out
 
 
 def _check(bad, error, what, qv, rows, k, x):
@@ -770,15 +745,19 @@ def _qft_rows(f: FunctionSpec, qp: QParam, k, reflect,
     then A = 0 and f = c on all of the half-line) is its closed form from
     x = 0 with that form's rounding bound as err (_closed_tail), and no
     row. Any other algebraic tail has a finite part to X1 = A + 12/freq
-    (at most A + 1e9) and is mapped onto (0, 1] past X1 (_tail_map).
-    _head_rows gives the finite rows, grading rows included; the mapped
-    tails follow them in one table that one adaptive_quad call integrates
-    in one numpy error state, each row with the bits it would have alone.
-    A piece sums its own row, then its grading rows, then its mapped tail,
-    and takes the reason of its first failing part: a piece that missed
-    tolerance keeps the sum as its best estimate. A mapped tail that lost
-    mass adds _tail_map's bound on it to err, and raises
-    BoundaryRegimeError where that bound alone exceeds its tolerance.
+    (at most A + 1e9) and is mapped onto [v0, 1] past X1 (_tail_map), up
+    to x_end = X1 v0^-p: at v0 the Jacobian p x/v, or v^-(p+1) where
+    p X1 < 1, reaches a quarter of the largest float. _head_rows gives the
+    finite rows, grading rows included; the mapped tails follow them in
+    one table that one adaptive_quad call integrates in one numpy error
+    state, each row with the bits it would have alone. One kernel call at
+    each infinite tail's last x, the cut point or x_end, bounds the mass
+    past it in the piece's err. A piece sums its own row, then its grading
+    rows, then its mapped tail, and takes the reason of its first failing
+    part: a piece that missed tolerance keeps the sum as its best estimate.
+    A mapped tail's bound |g(x_end)| x_end/(decay - 1), an asymptotic
+    estimate, raises BoundaryRegimeError where it alone exceeds its
+    tolerance.
     """
     cfg = cfg if cfg is not None else QuadratureConfig()
     n = k.size
@@ -800,23 +779,24 @@ def _qft_rows(f: FunctionSpec, qp: QParam, k, reflect,
     if not live.size:
         return values, errs, why
     k, reflect, A, ends = k[live], reflect[live], A[live], ends[live]
-    m, tail = live.size, np.flatnonzero(ends == math.inf)
+    m, far = live.size, np.flatnonzero(ends == math.inf)
     # a super-algebraic tail is cut, any other algebraic tail is mapped
-    cut, tail = (tail, tail[:0]) if gamma_f == math.inf else (tail[:0], tail)
+    cut, tail = (far, far[:0]) if gamma_f == math.inf else (far[:0], far)
 
     # np.hypot rounds like the scalar abs(); np.abs on a complex array does not
     freq = np.hypot(k.real, k.imag) * f.peak_value() ** (qv - 1.0)
     cap = min(256, max(cfg.max_subdivisions // 4, 1))
     # one error state for the whole table: the kernel's real parts overflow
-    # to the true limit, a node off the support (f = 0, x possibly inf)
-    # gives inf * 0, and the tail's 12/freq divides by 0 at k = 0;
-    # _kernel_integrand and _tail_map check what they return
+    # to the true limit, a plane wave's overflowing phase gives nan, and
+    # the tail's 12/freq divides by 0 at k = 0; _kernel_integrand checks
+    # what it returns
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         if cut.size:
             # explicit cut where the remainder bound drops under abs_tol
             width = max(f.length_scale(), 1.0)
             ends[cut] = A[cut] + width * (
                 math.sqrt(2.0 * math.log(1.0 / cfg.abs_tol)) + 1.5)
+            last, scale = ends[cut], width
         if tail.size:
             # algebraic tail: finite oscillatory part to X1, then the map
             X1 = A[tail] + np.where(freq[tail] > 1e-9, 12.0 / freq[tail], 1.0)
@@ -825,24 +805,28 @@ def _qft_rows(f: FunctionSpec, qp: QParam, k, reflect,
             decay = np.where(k[tail] == 0, gamma_f,
                              _integrand_decay(gamma_f, qv))
             p = np.minimum(60.0, np.maximum(1.0, 2.0 / (decay - 1.0)))
-            lost = np.full(tail.size, math.nan)
+            v0 = (4.0 * np.maximum(p * X1, 1.0) / sys.float_info.max) ** (
+                1.0 / (p + 1.0))
+            last = X1 * v0 ** -p
+            scale = last / (decay - 1.0)
         piece, row_lo, row_hi, panels = _head_rows(A, ends, freq, qv, k, cap)
         # the piece of every row: the finite rows, then the mapped tails
         table = np.concatenate([piece, tail])
         gfun = _kernel_integrand(f, qv, k[table], reflect[table])
         val, err, reasons = adaptive_quad(
-            _tail_map(gfun, piece.size, X1, p, decay, lost) if tail.size
-            else gfun,
-            np.concatenate([row_lo, np.zeros(tail.size)]),
+            _tail_map(gfun, piece.size, X1, p) if tail.size else gfun,
+            np.concatenate([row_lo, v0 if tail.size else []]),
             np.concatenate([row_hi, np.ones(tail.size)]),
             rel_tol=cfg.rel_tol, abs_tol=cfg.abs_tol,
             max_subdivisions=cfg.max_subdivisions,
             panels=np.concatenate([panels, np.full(tail.size,
                                                    min(_SEED_FLOOR, cap))]))
-        if cut.size:
-            # one kernel call for every cut point
-            g = gfun(ends[cut][:, None], cut)[:, 0]
-            err[cut] = err[cut] + np.hypot(g.real, g.imag) * width
+        if far.size:
+            # past each infinite tail's last x, |g| width bounds a cut's
+            # remainder and |g| x_end/(decay - 1) a map's (g ~ x^-decay)
+            g = gfun(last[:, None], far)[:, 0]
+            bound = np.hypot(g.real, g.imag) * scale
+            err[far] += bound
     if table.size > m:
         # rows past m add into their piece, in table order
         np.add.at(val, table[m:], val[m:])
@@ -850,15 +834,13 @@ def _qft_rows(f: FunctionSpec, qp: QParam, k, reflect,
         for i, w in zip(table[m:].tolist(), reasons[m:]):
             reasons[i] = reasons[i] or w
         val, err, reasons = val[:m], err[:m], reasons[:m]
-    for j in np.flatnonzero(~np.isnan(lost)).tolist() if tail.size else ():
-        i = tail[j]
-        err[i] += lost[j]
+    for j, i in enumerate(tail.tolist()):
         tol = max(cfg.abs_tol, cfg.rel_tol * abs(val[i]))
-        if not lost[j] <= tol:
+        if not bound[j] <= tol:
             raise BoundaryRegimeError(
                 "the algebraic tail's mass past the largest float x is "
                 f"lost at q={qv!r}, k={complex(k[i])!r}: its bound "
-                f"{lost[j]:.3e} exceeds the tolerance {tol:.3e}")
+                f"{bound[j]:.3e} exceeds the tolerance {tol:.3e}")
     np.negative(val, out=val, where=reflect)
     if m == n:
         return val, err, reasons

