@@ -18,6 +18,7 @@ Conventions shared by every subcommand:
 """
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -400,7 +401,10 @@ def _cmd_delta(args):
 
 # -------------------------------------------------------------- parser
 
+@functools.cache
 def _build_parser():
+    """The one parser of this process: parse_args and _apply_config leave
+    it as built, so every main() call shares it."""
     parser = _Parser(prog="qfourier",
                      description="q-deformed Fourier transform toolkit")
     sub = parser.add_subparsers(dest="command", parser_class=_Parser)

@@ -224,9 +224,11 @@ def _default_k_max(f: FunctionSpec, eps_last: float) -> float:
     jumps = f.jump_points()
     if jumps:
         # the q = 1 + eps slice damps the content of a jump at x_j like
-        # exp(-eps k^2 x_j^2 / 2); past sqrt(24/eps)/x_j only noise is left
-        x_ref = max(min(abs(xj) for xj in jumps), 0.25)
-        return min(4096.0, math.sqrt(24.0 / eps_last) / x_ref)
+        # exp(-eps k^2 x_j^2 / 2); past sqrt(24/eps)/x_j only noise is
+        # left. The nearest jump sets it; one at x = 0 is never damped
+        reach = math.sqrt(24.0 / eps_last)
+        x_ref = min(abs(xj) for xj in jumps)
+        return reach / x_ref if 4096.0 * x_ref > reach else 4096.0
     if f.tail_exponent() == math.inf:
         return max(8.0 / f.length_scale(), 6.0)
     return 40.0

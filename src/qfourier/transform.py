@@ -84,6 +84,13 @@ class FunctionSpec:
         and leaves windows around them out of the residual."""
         return ()
 
+    def even(self) -> bool:
+        """True when the support is symmetric about 0 and values(-x) has
+        the bits of values(x) for every x: qft_real_line then integrates
+        x > 0 alone and takes x < 0 as its mirror. False unless a class
+        vouches for its own values()."""
+        return False
+
 
 def _require(cond, msg):
     if not cond:
@@ -228,6 +235,10 @@ class Gaussian(FunctionSpec):
     def length_scale(self):
         return self.sigma
 
+    def even(self):
+        # values() squares x; a subclass may override values()
+        return type(self) is Gaussian
+
 
 @dataclass(frozen=True)
 class QGaussian(FunctionSpec):
@@ -279,6 +290,10 @@ class QGaussian(FunctionSpec):
     def length_scale(self):
         # the Gaussian sigma at q_g = 1
         return 1.0 / math.sqrt(2.0 * self.beta_g)
+
+    def even(self):
+        # values() depends on x through x * x and |x| only
+        return type(self) is QGaussian
 
 
 @dataclass(frozen=True, eq=False)
@@ -875,7 +890,12 @@ def qft_real_line(f: FunctionSpec, q, k, cfg: QuadratureConfig | None = None):
     Returns (value, err). k may be a 1-d array: both sides of every k
     then run in one quadrature call, values and errs come back as arrays
     with the bits of the one-k calls, and a ConvergenceError is that of
-    the lowest failing k. A scalar k makes one qft_complex call per side.
+    the lowest failing k. For an even f (f.even()) that call integrates
+    x > 0 alone: at real k the kernel's modulus is even in x and its phase
+    odd, so the x < 0 piece is minus the conjugate of the x > 0 piece, with
+    the same err and reason, and the sum keeps the bits of both sides (the
+    x < 0 piece alone can differ in the sign of a zero imaginary part, at
+    k = 0). A scalar k makes one qft_complex call per side.
     A ConvergenceError's estimate sums both sides, the one that converged
     included; with array k it carries values, errs and failed per k. A
     complex or non-finite k is refused with the first such k's value, in
@@ -907,12 +927,19 @@ def qft_real_line(f: FunctionSpec, q, k, cfg: QuadratureConfig | None = None):
         bad = kv[~np.isfinite(kv)]
         if bad.size:
             raise ValueError(f"k must be finite, got {complex(bad[0])!r}")
-        n = kv.size
-        val, err, why = _qft_rows(f, _admitted(f, q),
-                                  np.concatenate((kv, kv), dtype=complex),
-                                  np.arange(2 * n) >= n, cfg)
-        v1, v2, e1, e2 = val[:n], val[n:], err[:n], err[n:]
-        why = [w1 or w2 for w1, w2 in zip(why[:n], why[n:])]
+        n, qp = kv.size, _admitted(f, q)
+        if f.even():
+            # at real k the x < 0 rows are the x > 0 rows conjugated, node
+            # by node, so their seeds, stops and reasons are the same
+            v1, e1, why = _qft_rows(f, qp, kv.astype(complex),
+                                    np.zeros(n, dtype=bool), cfg)
+            v2, e2 = -v1.conj(), e1
+        else:
+            val, err, why = _qft_rows(f, qp,
+                                      np.concatenate((kv, kv), dtype=complex),
+                                      np.arange(2 * n) >= n, cfg)
+            v1, v2, e1, e2 = val[:n], val[n:], err[:n], err[n:]
+            why = [w1 or w2 for w1, w2 in zip(why[:n], why[n:])]
     val, err = v1 - v2, e1 + e2
     _raise_failed(val, err, why)
     return val, err
@@ -925,15 +952,15 @@ def qft_surface(f: FunctionSpec, q_list, k_grid,
     A HalfPlanePoint in k_grid is that half-plane piece (qft_complex); a
     real number is the full real-line transform at that k (qft_real_line).
     A real k goes to qft_real_line as a one-element array, so both of its
-    sides run in one quadrature call; the cell has the bits and the error
-    text of its own scalar call. A failing cell is recorded rather than
-    aborting the surface. Its why is "did not converge (<message>)" when
-    the subdivision budget ran out, and the cell keeps its best estimate.
-    It is the error text when the cell has no value, with value nan+nanj
-    and err inf: a ValueError (membership, a k that is not finite,
-    divergent k = 0, an algebraic tail's mass lost past the largest float
-    x, a constant tail's closed form past float range) or a NonFiniteError
-    (a kernel value that overflows).
+    sides run in one quadrature call, or only x > 0 for an even f; the
+    cell has the bits and the error text of its own scalar call. A failing
+    cell is recorded rather than aborting the surface. Its why is "did not
+    converge (<message>)" when the subdivision budget ran out, and the
+    cell keeps its best estimate. It is the error text when the cell has
+    no value, with value nan+nanj and err inf: a ValueError (membership, a
+    k that is not finite, divergent k = 0, an algebraic tail's mass lost
+    past the largest float x, a constant tail's closed form past float
+    range) or a NonFiniteError (a kernel value that overflows).
 
     Each mirror pair of a q row is computed once. For a real f the kernel
     at -conj(k) is the conjugate of the kernel at k node by node (the

@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
+from qfourier import cli
 from qfourier.cli import main
 from qfourier.closedform import heaviside_qft
 from qfourier.errors import LimitFailureError
@@ -127,6 +128,37 @@ class TestUsageErrors:
         err = captured.err
         assert err.startswith("qfourier: error:") and "underflows" in err
         assert err.count("\n") == 1 and "Traceback" not in err
+
+    def test_one_parser_serves_every_call(self, capsys, monkeypatch):
+        # main() builds its parser once a process; a usage error in one
+        # call leaves nothing behind for the next
+        bad = ["transform", "--frobnicate", "1"]
+        good = ["transform", "--f", "gaussian", "--q", "1.2", "--kmin", "0",
+                "--kmax", "2", "--nk", "3", "--plane", "real-line"]
+
+        def run(argv):
+            rc = main(argv)
+            out = capsys.readouterr()
+            return rc, out.out, out.err
+
+        alone = []
+        for argv in (bad, good):
+            cli._build_parser.cache_clear()
+            alone.append(run(argv))
+        assert [rc for rc, _, _ in alone] == [1, 0]
+
+        built = []
+        init = cli._Parser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            if self.prog == "qfourier":
+                built.append(self)
+
+        monkeypatch.setattr(cli._Parser, "__init__", counting_init)
+        cli._build_parser.cache_clear()
+        assert [run(bad), run(good)] == alone
+        assert len(built) == 1
 
     @pytest.mark.parametrize("argv, name", [
         (["transform", "--f", "gaussian", "--q", " , ", "--kmin", "0",

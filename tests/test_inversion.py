@@ -513,14 +513,13 @@ class TestRoundtrip:
                                                dk=reach_step).residual
 
     @pytest.mark.parametrize("sched, bound", [
-        (None, 1.33e-2), (EpsilonSchedule((1e-4,), "none"), 3.32e-2),
+        (None, 1.50e-4), (EpsilonSchedule((1e-4,), "none"), 2.50e-2),
     ], ids=["default", "fine"])
     def test_window_jumping_below_the_k_max_floor(self, sched, bound):
-        # the jump at x = 0.1 lies below _default_k_max's x_ref floor of
-        # 0.25, so the slice is not damped at k_max and truncation ripple
-        # is left near x = 0.15, where f is about 44; its sampling moves
-        # with dk. At the reach step the residuals were 1.111e-2 and
-        # 3.128e-2, about x0 they are 1.322e-2 and 3.317e-2
+        # _default_k_max sizes k_max by the jump at x = 0.1 itself, so the
+        # slice is damped at k_max (1.492e-4 and 2.495e-2); a k_max sized
+        # for a jump at 0.25 leaves truncation ripple near x = 0.15, where
+        # f is about 44 (1.322e-2 and 3.317e-2)
         f = PowerLaw(1.0, 2.0, 0.1, 0.3)
         assert roundtrip(f, sched).residual <= bound
 
@@ -559,6 +558,17 @@ class TestRoundtrip:
         assert f.jump_points() == (0.5, 1.5)
         r = roundtrip(f, EpsilonSchedule((1e-4,), "none"))
         assert r.residual < 1e-3
+
+    @pytest.mark.parametrize("x_jump, k_max", [
+        (0.0, 4096.0), (1e-300, 4096.0), (0.1, 4096.0),
+        (0.25, math.sqrt(24e4) / 0.25), (2.0, math.sqrt(24e4) / 2.0)])
+    def test_k_max_follows_the_nearest_jump(self, x_jump, k_max):
+        # sqrt(24/eps)/|x_j| at eps = 1e-4, capped at 4096; a jump at
+        # x = 0 (never damped) takes the cap
+        f = Sampled([x_jump, 3.0], [1.0, 1.0])
+        assert f.jump_points()[0] == x_jump
+        assert inversion._default_k_max(f, 1e-4) == pytest.approx(
+            k_max, rel=1e-15)
 
     def test_sampled_jump_points_are_the_nonzero_ends(self):
         assert Sampled([-1.0, 0.0, 2.0], [0.0, 1.0, 0.5]).jump_points() \

@@ -1095,6 +1095,116 @@ class TestOneCallPerCell:
                                        np.array(reflect), None)
 
 
+def two_sided_real_line(f, q, ks, cfg=None):
+    """qft_real_line's array branch with both half-lines as table rows:
+    (values, errs), or the ConvergenceError of the lowest failing k."""
+    n = ks.size
+    val, err, why = transform_module._qft_rows(
+        f, transform_module._admitted(f, q),
+        np.concatenate((ks, ks), dtype=complex), np.arange(2 * n) >= n, cfg)
+    values, errs = val[:n] - val[n:], err[:n] + err[n:]
+    transform_module._raise_failed(
+        values, errs, [w1 or w2 for w1, w2 in zip(why[:n], why[n:])])
+    return values, errs
+
+
+EVEN_DENSITIES = [Gaussian(0.3), Gaussian(1.0)] + [
+    QGaussian(q_g, beta) for q_g in (0.5, 1.0, 1.5, 2.5) for beta in (0.5, 1.0)]
+
+
+class TestEvenDensity:
+    """An even f integrates x > 0 alone on the real line: x < 0 is its
+    mirror, and every result keeps the bits of both half-lines as rows."""
+
+    ks = np.array([0.0, -0.0, 1e-3, -1e-3, 0.7, -0.7, 3.0, -3.0, 25.0,
+                   -25.0, 1e6, -1e6])
+
+    def test_only_exact_gaussians_are_even(self):
+        class Sub(Gaussian):
+            pass
+
+        assert Gaussian(1.0).even() and QGaussian(1.5, 1.0).even()
+        assert QGaussian(0.5, 1.0).even()
+        for f in (Sub(1.0), PowerLaw(1.0, 2.0, 1.0, 2.0), Heaviside(1),
+                  Constant(1.0), Sampled([-1.0, 0.0, 1.0], [0.0, 1.0, 0.0]),
+                  SlowTail(1.0)):
+            assert not f.even()
+
+    @pytest.mark.parametrize("q", [1.0, 1.1, 1.5, 1.9])
+    @pytest.mark.parametrize("f", EVEN_DENSITIES, ids=repr)
+    def test_values_are_the_two_sided_table(self, f, q):
+        # at q = 1 the mapped algebraic tails, and the cut at k = 1e6,
+        # miss tolerance: the estimates are compared then
+        results = []
+        for call in (qft_real_line, two_sided_real_line):
+            try:
+                values, errs = call(f, q, self.ks)
+                failed = None
+            except ConvergenceError as exc:
+                values, errs, failed = exc.values, exc.errs, exc.failed
+            # tobytes tells signed zeros apart
+            results.append((values.tobytes(), errs.tobytes(),
+                            failed if failed is None else failed.tolist()))
+        assert results[0] == results[1]
+
+    @pytest.mark.parametrize("f, q, ks, cfg", [
+        (QGaussian(2.5, 1.0), 1.9, [0.5, 3.0],
+         QuadratureConfig(max_subdivisions=4)),
+        (Gaussian(1.0), 1.3, [0.0, 3.0, 40.0],
+         QuadratureConfig(max_subdivisions=4)),
+        (QGaussian(1.0, 1.0), 1.0, [1.0, 1e200], None),
+    ])
+    def test_budget_failure_is_the_two_sided_one(self, f, q, ks, cfg):
+        ks = np.array(ks)
+        errors = []
+        for call in (qft_real_line, two_sided_real_line):
+            with pytest.raises(ConvergenceError) as info:
+                call(f, q, ks, cfg)
+            errors.append(info.value)
+        got, want = errors
+        assert (str(got), got.reason, got.row) == \
+            (str(want), want.reason, want.row)
+        assert np.complex128(got.value).tobytes() == \
+            np.complex128(want.value).tobytes()
+        assert np.float64(got.err).tobytes() == np.float64(want.err).tobytes()
+        assert got.values.tobytes() == want.values.tobytes()
+        assert got.errs.tobytes() == want.errs.tobytes()
+        assert got.failed.tolist() == want.failed.tolist()
+
+    @pytest.mark.parametrize("f, q, ks, cfg, error", [
+        # the kernel falls off below the panel width at x = 0
+        (Gaussian(1.0), 1.5, [0.5, 1e305], None, BoundaryRegimeError),
+        # the algebraic tail's mass past the largest float x is lost
+        (QGaussian(2.99, 1.0), 1.99, [0.5, 3.0],
+         QuadratureConfig(rel_tol=1e-12, abs_tol=1e-14), BoundaryRegimeError),
+        # the plane wave's phase overflows
+        (Gaussian(1.0), 1.0, [0.5, 1e308], None, NonFiniteError),
+    ], ids=["head-rows", "tail-bound", "phase"])
+    def test_errors_are_the_two_sided_ones(self, f, q, ks, cfg, error):
+        ks = np.array(ks)
+        texts = []
+        for call in (qft_real_line, two_sided_real_line):
+            with pytest.raises(error) as info:
+                call(f, q, ks, cfg)
+            texts.append(str(info.value))
+        assert texts[0] == texts[1]
+
+    @pytest.mark.parametrize("f", [Gaussian(1.0), QGaussian(1.5, 1.0)],
+                             ids=repr)
+    def test_no_node_on_x_below_zero(self, f, monkeypatch):
+        nodes = []
+        values = type(f).values
+
+        def spy(self, x):
+            nodes.append(np.array(x, dtype=float))
+            return values(self, x)
+
+        monkeypatch.setattr(type(f), "values", spy)
+        qft_real_line(f, 1.3, np.array([-2.0, 0.5, 3.0]))
+        x = np.concatenate([v.ravel() for v in nodes])
+        assert x.size and not np.count_nonzero(x < 0)
+
+
 EPS = np.finfo(float).eps
 
 
