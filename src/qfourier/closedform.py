@@ -20,7 +20,7 @@ from enum import Enum
 from .errors import BoundaryRegimeError, PoleError, float_range
 from .qcore import as_qparam, q_exp_complex
 from .special import Hyp2F1Params, hyp2f1
-from .transform import HalfPlanePoint, PlaneTag, PowerLaw
+from .transform import _LOWER_TAGS, HalfPlanePoint, PlaneTag, PowerLaw
 
 __all__ = [
     "RegimeTag",
@@ -34,7 +34,6 @@ __all__ = [
 ]
 
 _UPPER_TAGS = (PlaneTag.UPPER, PlaneTag.REAL_LIMIT_UPPER)
-_LOWER_TAGS = (PlaneTag.LOWER, PlaneTag.REAL_LIMIT_LOWER)
 
 # Inside this band around s = 1 - beta(q-1) = 0 the 2F1 parameters grow like
 # 1/s and the assembly loses all accuracy; exact s = 0 collapses instead.

@@ -225,9 +225,11 @@ def _default_k_max(f: FunctionSpec, eps_last: float) -> float:
     if jumps:
         # the q = 1 + eps slice damps the content of a jump at x_j like
         # exp(-eps k^2 x_j^2 / 2); past sqrt(24/eps)/x_j only noise is
-        # left. The nearest jump sets it; one at x = 0 is never damped
+        # left. The nearest jump sets it. One at x = 0 is never damped, so
+        # no k_max ends its content: it takes x_j = 0.25, not the cap of
+        # 4096, which costs twice the k for half its truncation ripple
         reach = math.sqrt(24.0 / eps_last)
-        x_ref = min(abs(xj) for xj in jumps)
+        x_ref = min(abs(xj) or 0.25 for xj in jumps)
         return reach / x_ref if 4096.0 * x_ref > reach else 4096.0
     if f.tail_exponent() == math.inf:
         return max(8.0 / f.length_scale(), 6.0)

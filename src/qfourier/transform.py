@@ -343,6 +343,9 @@ class PlaneTag(Enum):
     REAL_LIMIT_LOWER = "real_limit_lower"
 
 
+# the tags whose piece integrates over x < 0
+_LOWER_TAGS = (PlaneTag.LOWER, PlaneTag.REAL_LIMIT_LOWER)
+
 # the "k must be finite" error of a k that float() cannot take, such as
 # an int of 2^1024 or more
 _K_OUT_OF_RANGE = "k must be finite, got a number beyond float range"
@@ -874,7 +877,7 @@ def qft_complex(f: FunctionSpec, q, point: HalfPlanePoint,
     subdivision budget runs out.
     """
     qp = _admitted(f, q)
-    reflect = point.plane in (PlaneTag.LOWER, PlaneTag.REAL_LIMIT_LOWER)
+    reflect = point.plane in _LOWER_TAGS
     val, err, why = _qft_rows(f, qp, np.array([point.k]), np.array([reflect]),
                               cfg)
     _raise_failed(val, err, why)
@@ -962,6 +965,13 @@ def qft_surface(f: FunctionSpec, q_list, k_grid,
     past the largest float x, a constant tail's closed form past float
     range) or a NonFiniteError (a kernel value that overflows).
 
+    Each q row admits f once and runs its half-plane cells, every tag
+    together and the mirror copies below left out, as the rows of one
+    _qft_rows call; each cell has the bits, and a budget failure the
+    words, of its own qft_complex call. Where that admission or call
+    raises, the row's half-plane cells run one qft_complex call each, so
+    each keeps its own error text.
+
     Each mirror pair of a q row is computed once. For a real f the kernel
     at -conj(k) is the conjugate of the kernel at k node by node (the
     modulus is even in Re k, arctan2 and tan are odd), so the seeds and
@@ -972,8 +982,7 @@ def qft_surface(f: FunctionSpec, q_list, k_grid,
     imaginary part keeps its sign, as the direct call gives it (the
     engine's sums start from +0 and a negative side negates its sum). A
     failed cell is not copied, nor is a real-line k that is not a real
-    number: each is computed on its own. k is not batched across cells
-    otherwise.
+    number: each is computed on its own.
     """
     q_list = tuple(as_qparam(q) for q in q_list)
     k_grid = tuple(k_grid)
@@ -983,7 +992,24 @@ def qft_surface(f: FunctionSpec, q_list, k_grid,
     why = [[None] * len(k_grid) for _ in q_list]
     # each cell's key and its mirror's; None where the cell has no mirror
     keys = [_mirror_keys(pt) for pt in k_grid]
+    # the half-plane columns each row batches: a mirror of a batched
+    # column is left out, and is computed alone only if that column fails
+    batch, seen = [], set()
+    for j, pt in enumerate(k_grid):
+        if isinstance(pt, HalfPlanePoint) and keys[j][1] not in seen:
+            batch.append(j)
+            seen.add(keys[j][0])
+    ks = np.array([k_grid[j].k for j in batch], dtype=complex)
+    reflect = np.array([k_grid[j].plane in _LOWER_TAGS for j in batch],
+                       dtype=bool)
     for i, qp in enumerate(q_list):
+        rows = {}
+        if batch:
+            try:
+                rows = dict(zip(batch, zip(*_qft_rows(
+                    f, _admitted(f, qp), ks, reflect, cfg))))
+            except (ValueError, NonFiniteError):
+                pass  # the loop below runs each cell alone, with its error
         # key -> column of each converged cell of this row
         done = {}
         for j, pt in enumerate(k_grid):
@@ -994,7 +1020,11 @@ def qft_surface(f: FunctionSpec, q_list, k_grid,
                 err[i, j] = err[i, done[mirror]]
                 continue
             try:
-                if isinstance(pt, HalfPlanePoint):
+                if j in rows:
+                    v, e, w = rows[j]
+                    _raise_failed(v, e, [w])
+                    values[i, j], err[i, j] = v, e
+                elif isinstance(pt, HalfPlanePoint):
                     values[i, j], err[i, j] = qft_complex(f, qp, pt, cfg)
                 else:
                     v, e = qft_real_line(f, qp, np.array([pt]), cfg)

@@ -560,15 +560,32 @@ class TestRoundtrip:
         assert r.residual < 1e-3
 
     @pytest.mark.parametrize("x_jump, k_max", [
-        (0.0, 4096.0), (1e-300, 4096.0), (0.1, 4096.0),
+        (0.0, math.sqrt(24e4) / 0.25), (1e-300, 4096.0), (0.1, 4096.0),
         (0.25, math.sqrt(24e4) / 0.25), (2.0, math.sqrt(24e4) / 2.0)])
     def test_k_max_follows_the_nearest_jump(self, x_jump, k_max):
         # sqrt(24/eps)/|x_j| at eps = 1e-4, capped at 4096; a jump at
-        # x = 0 (never damped) takes the cap
+        # x = 0 (never damped) is sized as one at 0.25
         f = Sampled([x_jump, 3.0], [1.0, 1.0])
         assert f.jump_points()[0] == x_jump
         assert inversion._default_k_max(f, 1e-4) == pytest.approx(
             k_max, rel=1e-15)
+
+    @pytest.mark.parametrize("f, k_max, n_k, bound", [
+        (Sampled([0.0, 1.0], [1.0, 1.0]), math.sqrt(24e4) / 0.25, 1665,
+         2.75e-3),
+        (PowerLaw(1.0, 2.0, 0.1, 0.3), 4096.0, 2783, 2.50e-2)],
+        ids=["at-0", "near-0"])
+    def test_k_range_of_a_jump_near_zero(self, slice_sizes, f, k_max, n_k,
+                                         bound):
+        # a jump at x = 0 takes k_max = sqrt(24/eps)/0.25: the 4096 cap
+        # took 3478 k values for residual 1.379e-3 (2.746e-3 here), and on
+        # the default schedule 6.064e-3 against 6.018e-3 here. A jump at
+        # 0 < |x| < 0.25 keeps its own |x|, here past the cap
+        sched = EpsilonSchedule((1e-4,), "none")
+        assert inversion._default_k_max(f, 1e-4) == pytest.approx(
+            k_max, rel=1e-15)
+        assert roundtrip(f, sched).residual <= bound
+        assert slice_sizes == [n_k]
 
     def test_sampled_jump_points_are_the_nonzero_ends(self):
         assert Sampled([-1.0, 0.0, 2.0], [0.0, 1.0, 0.5]).jump_points() \

@@ -622,19 +622,30 @@ class TestSurface:
 
     @staticmethod
     def spy(monkeypatch):
-        """Record the k of every qft_complex and qft_real_line call."""
+        """Record the k rows of every _qft_rows call, one list a call."""
         calls = []
-        for name in ("qft_complex", "qft_real_line"):
-            def record(f, q, k, cfg=None, _call=getattr(transform_module,
-                                                         name)):
-                calls.append(k)
-                return _call(f, q, k, cfg)
-            monkeypatch.setattr(transform_module, name, record)
+
+        def record(f, qp, k, reflect, cfg, _call=transform_module._qft_rows):
+            calls.append(k.tolist())
+            return _call(f, qp, k, reflect, cfg)
+        monkeypatch.setattr(transform_module, "_qft_rows", record)
         return calls
 
-    # a symmetric grid with k = 0 on the real line and on every plane tag;
-    # the last density is 0 on x < 0, so its negative side is a sum of
-    # zeros, negated to -0.0 in both parts
+    # one q row of many half-plane cells: every tag, duplicates, mirror
+    # pairs in either order and a k on the imaginary axis, its own mirror
+    MIXED = (HalfPlanePoint(1 + 0.5j, PlaneTag.UPPER), up(2.0), down(2.0),
+             HalfPlanePoint(-1 + 0.5j, PlaneTag.UPPER), up(-2.0),
+             HalfPlanePoint(1 - 0.5j, PlaneTag.LOWER), up(2.0),
+             HalfPlanePoint(0.5j, PlaneTag.UPPER), down(-2.0),
+             HalfPlanePoint(-1 - 0.5j, PlaneTag.LOWER), down(0.5), up(0.5),
+             down(2.0), HalfPlanePoint(-1 + 0.5j, PlaneTag.UPPER))
+    # k = 0 diverges on a step's infinite side, and 5e-324 takes its
+    # closed form past float range: a step's row raises beside good cells
+    RAISING = MIXED + (up(0.0), down(0.0), up(5e-324), down(5e-324))
+
+    # a symmetric grid with k = 0 on the real line and on every plane tag,
+    # and the mixed rows above; the last density is 0 on x < 0, so its
+    # negative side is a sum of zeros, negated to -0.0 in both parts
     @pytest.mark.parametrize("f", [
         Gaussian(1.0), QGaussian(1.5, 1.0), PowerLaw(1.0, 2.0, 1.0, 2.0),
         Heaviside(1), Heaviside(-1),
@@ -643,13 +654,19 @@ class TestSurface:
         ids=lambda f: f.kind)
     @pytest.mark.parametrize("plane, k_im", [
         (None, 0.0), (PlaneTag.UPPER, 0.7), (PlaneTag.LOWER, -0.7),
-        (PlaneTag.REAL_LIMIT_UPPER, 0.0), (PlaneTag.REAL_LIMIT_LOWER, 0.0)],
-        ids=["real-line", "upper", "lower", "real-upper", "real-lower"])
+        (PlaneTag.REAL_LIMIT_UPPER, 0.0), (PlaneTag.REAL_LIMIT_LOWER, 0.0),
+        (MIXED, None), (RAISING, None)],
+        ids=["real-line", "upper", "lower", "real-upper", "real-lower",
+             "mixed", "raising"])
     def test_mirror_cells_are_their_direct_calls(self, f, plane, k_im):
         qs = (1.0, 1.0001, 1.3, 1.9)
         ks = np.linspace(-2.5, 2.5, 5).tolist()
-        grid = ks if plane is None else \
-            [HalfPlanePoint(complex(k, k_im), plane) for k in ks]
+        if plane is None:
+            grid = ks
+        elif isinstance(plane, tuple):
+            grid = plane
+        else:
+            grid = [HalfPlanePoint(complex(k, k_im), plane) for k in ks]
         surf = qft_surface(f, qs, grid)
         for i, q in enumerate(qs):
             for j, pt in enumerate(grid):
@@ -669,7 +686,12 @@ class TestSurface:
             [HalfPlanePoint(complex(k, 0.5), plane) for k in ks]
         calls = self.spy(monkeypatch)
         surf = qft_surface(Gaussian(1.0), [1.5], grid)
-        assert len(calls) == math.ceil(n / 2)
+        # the half-plane cells are rows of one engine call; an even
+        # density's real-line cell is one x > 0 row of its own call
+        rows = [k for call in calls for k in call]
+        assert rows == [pt.k if plane else pt
+                        for pt in grid[:math.ceil(n / 2)]]
+        assert len(calls) == (1 if plane else len(rows))
         assert not surf.failed.any()
 
     def test_complex_real_line_k_is_not_a_mirror(self):
@@ -689,7 +711,8 @@ class TestSurface:
         expected = [self.lone(Gaussian(1.0), 1.5, pt, cfg) for pt in grid]
         calls = self.spy(monkeypatch)
         surf = qft_surface(Gaussian(1.0), [1.5], grid, cfg)
-        assert len(calls) == 2
+        # the failed k = 1 row, then its mirror's own row
+        assert calls == [[1.0], [-1.0]]
         for j, (v, e, why) in enumerate(expected):
             assert why.startswith("did not converge (")
             assert (surf.values[0, j], surf.err[0, j], surf.why[0][j]) == \
@@ -984,6 +1007,16 @@ def lone_cell(f, q, pt, cfg):
     return np.complex128(v).tobytes(), np.float64(e).tobytes(), why
 
 
+def blowup(side):
+    class Blowup(Gaussian):
+        # an infinite density just off 0 on one side of x
+        def values(self, x):
+            x = np.asarray(x, dtype=float)
+            near = (side * x > 0) & (side * x < 0.1)
+            return np.where(near, np.inf, super().values(x))
+    return Blowup(1.0)
+
+
 # one case per tail path and the empty half-line, on the real line and
 # both half-planes, at a budget where some cells fail
 TABLE_CASES = [
@@ -1026,15 +1059,20 @@ class TestOneCallPerCell:
             assert (np.complex128(exc.value).tobytes(),
                     np.float64(exc.err).tobytes()) == lone[row][:2]
 
-    @pytest.mark.parametrize("f, q", TABLE_CASES)
+    @pytest.mark.parametrize("f, q", [*TABLE_CASES, *(
+        pytest.param(blowup(side), 1.5, id=f"blowup-{name}")
+        for side, name in ((1, "upper"), (-1, "lower")))])
     @pytest.mark.parametrize("budget", [4, 2000])
     def test_surface_is_the_cell_loop(self, f, q, budget):
         # real k, both half-planes, k = 0, a non-finite and a complex k
-        # and a q outside the admissible set for the step
+        # and a q outside the admissible set for the step; the half-plane
+        # cells of a row, duplicates and mirrors among them, share one
+        # engine call, and a one-sided blowup raises in it beside good cells
         cfg = QuadratureConfig(max_subdivisions=budget)
         pts = (*self.ks.tolist(), 0.0, math.inf, 0.5 + 0.1j,
                HalfPlanePoint(2 + 1j, PlaneTag.UPPER),
-               HalfPlanePoint(2 - 1j, PlaneTag.LOWER), up(3.0), down(3.0))
+               HalfPlanePoint(2 - 1j, PlaneTag.LOWER), up(3.0), down(3.0),
+               *TestSurface.RAISING)
         q_list = (1.0, q)
         surf = qft_surface(f, q_list, pts, cfg)
         for i, qi in enumerate(q_list):
@@ -1044,19 +1082,9 @@ class TestOneCallPerCell:
                         surf.why[i][j]) == (v, e, why)
         assert not all(w is None for row in surf.why for w in row)
 
-    @staticmethod
-    def blowup(side):
-        class Blowup(Gaussian):
-            # an infinite density just off 0 on one side of x
-            def values(self, x):
-                x = np.asarray(x, dtype=float)
-                near = (side * x > 0) & (side * x < 0.1)
-                return np.where(near, np.inf, super().values(x))
-        return Blowup(1.0)
-
     @pytest.mark.parametrize("side", [1, -1], ids=["upper", "lower"])
     def test_one_sided_non_finite_value_raises_its_type(self, side):
-        f = self.blowup(side)
+        f = blowup(side)
         with pytest.raises(NonFiniteError, match="kernel value is not finite"):
             qft_real_line(f, 1.5, np.array([0.5, 2.0]))
         with pytest.raises(NonFiniteError):
