@@ -38,6 +38,10 @@ _UPPER_TAGS = (PlaneTag.UPPER, PlaneTag.REAL_LIMIT_UPPER)
 # Inside this band around s = 1 - beta(q-1) = 0 the 2F1 parameters grow like
 # 1/s and the assembly loses all accuracy; exact s = 0 collapses instead.
 _BOUNDARY_BAND = 1e-6
+# The two 2F1 terms' difference has their relative error (1e-12 in Tier-1)
+# times (|term_a| + |term_b|) / |term_a - term_b|: below this ratio it keeps
+# under six digits. Benchmark closed forms sit at 0.0285 and above.
+_CANCEL = 1e-6
 
 
 class RegimeTag(Enum):
@@ -110,8 +114,8 @@ def powerlaw_qft_closed(p: PowerLaw, q, k: HalfPlanePoint) -> complex:
     a q near 1 where the low-regime or boundary powers of order 1/(q-1)
     overflow float, a q near 1 or tiny |k| where the low-regime prefactor
     (i(1-q)k)^(-1/(q-1)) does (its message names both), a k = 0 whose
-    moment powers of order beta do, and either regime whose powers of
-    order beta leave float range.
+    moment powers of order beta do, either regime whose powers of order
+    beta leave float range, and two 2F1 terms that cancel (_CANCEL).
     """
     qp = as_qparam(q)
     if qp.classical:
@@ -158,18 +162,23 @@ def powerlaw_qft_closed(p: PowerLaw, q, k: HalfPlanePoint) -> complex:
         with beta_powers:
             c = 1j * (1.0 - qp.q) * kv * p.lam ** (p.beta * (qp.q - 1.0))
             za, zb = -1.0 / (c * p.a ** s), -1.0 / (c * p.b ** s)
-        term_a = wa * hyp2f1(Hyp2F1Params(nu, p2, p3, za))
-        term_b = wb * hyp2f1(Hyp2F1Params(nu, p2, p3, zb))
-        return pref * (term_a - term_b)
-    t1 = (1.0 - p.beta) / s
-    t2 = (2.0 - p.beta * qp.q) / s
-    with beta_powers:
-        c = 1j * (1.0 - qp.q) * kv * p.lam ** (p.beta * (qp.q - 1.0))
-        wa, wb = p.a ** (1.0 - p.beta), p.b ** (1.0 - p.beta)
-        za, zb, scale = -c * p.a ** s, -c * p.b ** s, p.lam ** p.beta
-    term_a = wa * hyp2f1(Hyp2F1Params(nu, t1, t2, za))
-    term_b = wb * hyp2f1(Hyp2F1Params(nu, t1, t2, zb))
-    return scale / (p.beta - 1.0) * (term_a - term_b)
+    else:
+        p2 = (1.0 - p.beta) / s
+        p3 = (2.0 - p.beta * qp.q) / s
+        with beta_powers:
+            c = 1j * (1.0 - qp.q) * kv * p.lam ** (p.beta * (qp.q - 1.0))
+            wa, wb = p.a ** (1.0 - p.beta), p.b ** (1.0 - p.beta)
+            za, zb, scale = -c * p.a ** s, -c * p.b ** s, p.lam ** p.beta
+        pref = scale / (p.beta - 1.0)
+    term_a = wa * hyp2f1(Hyp2F1Params(nu, p2, p3, za))
+    term_b = wb * hyp2f1(Hyp2F1Params(nu, p2, p3, zb))
+    cancel = float_range(BoundaryRegimeError, "the two 2F1 terms cancel "
+                         "below {:g} of their size, or underflow to 0; use "
+                         "the quadrature route (qft_complex)", _CANCEL)
+    with cancel:
+        if abs(term_a - term_b) <= _CANCEL * (abs(term_a) + abs(term_b)):
+            raise cancel.error()
+    return pref * (term_a - term_b)
 
 
 def hilhorst_lambda(a: float, b: float, q) -> float:

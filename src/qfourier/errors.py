@@ -23,7 +23,8 @@ class CutAmbiguityError(QFourierError, ValueError):
 
 
 class MembershipError(QFourierError, ValueError):
-    """Function is not transformable at this q (integrand not absolutely integrable)."""
+    """Function is not transformable at this q (integrand not absolutely
+    integrable, or the density is negative somewhere)."""
 
 
 class BoundaryRegimeError(QFourierError, ValueError):

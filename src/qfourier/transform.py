@@ -487,8 +487,9 @@ def _kernel_integrand(f: FunctionSpec, qv: float, k, reflect):
     reflect=False puts the nodes at x = u, reflect=True at x = -u, and a
     boolean array reflect picks the side per k. A call whose rows all lie
     on one side takes u or -u whole. A node on the wrong side of the
-    kernel's branch point raises PoleError, and a kernel value that is not
-    finite, as at a nan of f, raises NonFiniteError. It writes only into
+    kernel's branch point raises PoleError, a kernel value that is not
+    finite, as at a nan of f, raises NonFiniteError, and a negative f
+    raises MembershipError (f = 0 is off the support). It writes only into
     arrays it allocated: u and rows are left alone, and the array it
     returns shares no memory with u.
 
@@ -539,6 +540,8 @@ def _kernel_integrand(f: FunctionSpec, qv: float, k, reflect):
         _check(bad, NonFiniteError, "kernel value is not finite", qv, rows,
                k, x)
         if on < m.size:
+            _check(y < 0, MembershipError, "density is negative", qv, rows,
+                   k, x)
             out[~m] = 0.0
         return out
 

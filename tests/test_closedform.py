@@ -282,6 +282,21 @@ class TestPowerLawClosed:
         with pytest.raises(BoundaryRegimeError, match=match):
             evaluate(p, q, up(k))
 
+    # windows near float's floor: both 2F1 terms underflow to 0 (this
+    # returned -0), or cancel to 6.1e-14 of their size (this returned
+    # 1.58e-13 + 2.72e-13i); the quadrature route gives their values
+    @pytest.mark.parametrize("p, want", [
+        (PowerLaw(1e-200, 1.5, 1e-200, 2e-200), 2e-200 * (1.0 - 0.5 ** 0.5)),
+        (PowerLaw(1.0, 0.5, 1e-300, 1e-299),
+         2.0 * (math.sqrt(1e-299) - math.sqrt(1e-300))),
+    ], ids=["underflow", "cancel"])
+    def test_cancelling_terms_raise(self, p, want):
+        with pytest.raises(BoundaryRegimeError, match=r"terms cancel below "
+                           r"1e-06 .*quadrature route \(qft_complex\)"):
+            powerlaw_qft_closed(p, 1.5, up(1.0))
+        v, err = qft_complex(p, 1.5, up(1.0))
+        assert abs(v - want) <= 1e-9 * want and err <= 1e-9 * want
+
     def test_exact_boundary_collapses(self):
         p = PowerLaw(1.3, 2.0, 1.0, 2.0)
         assert powerlaw_qft_closed(p, 1.5, up(2.0)) \

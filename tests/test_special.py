@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from qfourier.errors import (BoundaryRegimeError, ConvergenceError,
                              CutAmbiguityError, PoleError)
+from qfourier import special
 from qfourier.special import (CutSide, Hyp2F1Params, digamma,
                               gamma_ratio_collapse, hyp2f1, log_gamma)
 
@@ -277,3 +278,123 @@ class TestHyp2F1:
         lhs = F(a, b, c, z)
         rhs = (1.0 - z) ** (-a) * F(a, c - b, c, w)
         np.testing.assert_allclose(lhs, rhs, rtol=1e-10, atol=1e-12)
+
+
+def reference_series(a, b, c, z):
+    """The Gauss series as _series summed it before its factor chunks: each
+    term's (a+n)(b+n) and (c+n)(n+1) computed afresh, the same stops."""
+    s = 1.0 + 0j
+    term = 1.0 + 0j
+    below = 0
+    for n in range(special._SERIES_CAP):
+        denom = (c + n) * (n + 1.0)
+        if denom == 0:
+            raise PoleError(f"series denominator pole at term {n} (c={c})")
+        term *= (a + n) * (b + n) * z / denom
+        if term == 0:
+            return s
+        s += term
+        if abs(term) < 1e-16 * abs(s):
+            below += 1
+            if below >= 3:
+                return s
+        else:
+            below = 0
+    raise ConvergenceError(
+        f"2F1 series did not settle within {special._SERIES_CAP} terms at "
+        f"|z|={abs(z):.4f}", value=s)
+
+
+def bits(v):
+    return None if v is None else (v.real.hex(), v.imag.hex())
+
+
+def outcome(fn, *args):
+    """A value's exact bits, or the error's type, text and value bits."""
+    try:
+        return bits(complex(fn(*args)))
+    except (PoleError, ConvergenceError) as exc:
+        return type(exc).__name__, str(exc), bits(getattr(exc, "value", None))
+
+
+class TestSeriesFactors:
+    """_series reads its parameter factors from cached chunks and must give
+    the bits, stops and errors of the term-by-term reference."""
+
+    GRID = [
+        # direct series
+        ("z", (0.3, 0.7, 1.9, 0.5 + 0.2j)),
+        ("z", (1.5 + 0.5j, 2.5 - 1j, 3.5, 0.3 - 0.6j)),
+        # direct, about 500 terms: longer than three chunks
+        ("z", (20.0, 20.0, 1.5, 0.79)),
+        # Pfaff
+        ("z/(z-1)", (0.3, 0.7, 1.9, -3.0 + 0.5j)),
+        ("z/(z-1)", (2.0, 0.75, 3.1, -0.76)),
+        # 1 - z, plain and in its log-case limit
+        ("1-z", (0.35, 1.75, 2.9, 0.95 + 0.05j)),
+        ("1-z", (0.5, 1.5, 3.0, 0.95)),
+        # 1/z, plain and in its log-case limit, and 1/(1-z)
+        ("1/z", (0.35, 1.75, 2.9, 5 + 0.1j)),
+        ("1/z", (1.0, 3.0, 2.5, 5 + 0.1j)),
+        ("1/(1-z)", (0.35, 1.75, 2.9, -40.0 + 3.0j)),
+        # terminating, summed with no route: short, off the disc, and 251
+        # terms over four chunks
+        (None, (-3.0, 0.8, 1.4, 0.6)),
+        (None, (-3.0, 0.8, 1.4, 2.5)),
+        (None, (-250.0, 0.5, 1.5, 0.7)),
+    ]
+
+    @pytest.mark.parametrize("route, params", GRID)
+    def test_hyp2f1_bits_match_the_reference(self, monkeypatch, route,
+                                             params):
+        routes = []
+        inner = special._route
+
+        def spy(name, *args):
+            routes.append(name)
+            return inner(name, *args)
+
+        monkeypatch.setattr(special, "_route", spy)
+        got = outcome(F, *params)
+        assert routes[:1] == ([route] if route else [])
+        monkeypatch.setattr(special, "_series", reference_series)
+        assert got == outcome(F, *params)
+
+    # one triple with every real and imaginary part of a, b and c signed
+    # +0.0, the other -0.0; == and hash cannot tell them apart
+    PLUS = (complex(0.0, 0.5), complex(1.25, 0.0), complex(2.5, 0.0))
+    MINUS = (complex(-0.0, 0.5), complex(1.25, -0.0), complex(2.5, -0.0))
+
+    @pytest.mark.parametrize("order", [(PLUS, MINUS), (MINUS, PLUS)],
+                             ids=["plus-first", "minus-first"])
+    def test_signed_zeros_in_both_orders(self, order):
+        special._factors.cache_clear()
+        for a, b, c in order:
+            for z in (0.4 - 0.3j, complex(-0.5, 0.0), complex(-0.5, -0.0)):
+                assert outcome(special._series, a, b, c, z) == \
+                    outcome(reference_series, a, b, c, z)
+        assert special._factors.cache_info().misses == 2
+
+    def test_terminating_before_a_denominator_pole(self):
+        # (a)_3 = 0 ends the series at term 3, before (c)_5 = 0
+        z = 0.3 - 0.2j
+        got = special._series(-2, 1, -5, z)
+        assert bits(got) == outcome(reference_series, -2, 1, -5, z)
+        assert got == pytest.approx(1.0 + 0.4 * z + 0.1 * z * z, rel=1e-15)
+
+    def test_denominator_pole_is_reached(self):
+        args = (0.5 + 0j, 0.5 + 0j, -3.0 + 0j, 0.5 + 0j)
+        got = outcome(special._series, *args)
+        assert got[:2] == ("PoleError",
+                           "series denominator pole at term 3 (c=(-3+0j))")
+        assert got == outcome(reference_series, *args)
+
+    @pytest.mark.parametrize("cap", [3, 4, 10, 64, 100])
+    def test_cap_stops_at_exactly_its_terms(self, monkeypatch, cap):
+        # at cap 3 the pole at term 3 is never reached; at 4 it is
+        monkeypatch.setattr(special, "_SERIES_CAP", cap)
+        for args in ((1.0 + 0j, 1.0 + 0j, 1.5 + 0j, 0.999 + 0j),
+                     (0.5 + 0j, 0.5 + 0j, -3.0 + 0j, 0.5 + 0j)):
+            want = outcome(reference_series, *args)
+            assert outcome(special._series, *args) == want
+        assert want[0] == ("ConvergenceError" if cap == 3 else "PoleError")

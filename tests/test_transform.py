@@ -1112,6 +1112,48 @@ class TestOneCallPerCell:
                    for w in surf.why[0])
         assert np.isnan(surf.values).all() and np.isinf(surf.err).all()
 
+    @pytest.mark.parametrize("q", [1.0, 1.3])
+    def test_negative_density_raises_naming_x(self, q):
+        # y <= 0 was taken for off the support, so this density counted as
+        # 0 where it is negative: the real-line cell read 1.6744 - 0.2665i
+        # at q = 1 and 1.7704 - 0.2239i (err 5.9e-9) at q = 1.3
+        class Dented(Gaussian):
+            def values(self, x):
+                x = np.asarray(x, dtype=float)
+                v = super().values(x)
+                return np.where((x > 0.5) & (x < 1.5), -v, v)
+
+        f = Dented(1.0)
+        for call in (lambda: qft_real_line(f, q, 0.5),
+                     lambda: qft_complex(f, q, HalfPlanePoint(
+                         0.5 + 0.5j, PlaneTag.UPPER))):
+            with pytest.raises(MembershipError,
+                               match=f"density is negative at q={q!r}") \
+                    as info:
+                call()
+            x = float(str(info.value).rsplit("x=", 1)[1])
+            assert 0.5 < x < 1.5
+
+    @pytest.mark.parametrize("q", [1.0, 1.3])
+    def test_density_zero_off_its_support_is_integrated(self, q):
+        # f = 0 stays off the support; only f < 0 is refused
+        f = PowerLaw(1.0, 0.5, 1.0, 2.0)
+        v, err = qft_real_line(f, q, 0.5)
+
+        def kernel(x):
+            y = float(f.values(x))
+            if q == 1.0:
+                return y * complex(math.cos(0.5 * x), math.sin(0.5 * x))
+            return y * (1.0 + 0.5j * (1.0 - q) * x * y ** (q - 1.0)) \
+                ** (1.0 / (1.0 - q))
+
+        def part(fn):
+            return quad(lambda x: fn(kernel(x)), 1.0, 2.0, epsabs=1e-13,
+                        epsrel=1e-13)[0]
+
+        want = complex(part(np.real), part(np.imag))
+        assert abs(v - want) <= 1e-10 and err <= 1e-10
+
     @pytest.mark.parametrize("reflect", [[False, True], [True, False]])
     def test_one_sided_pole_raises_its_type(self, reflect):
         # Im k against its half-line's side puts the kernel's branch point
