@@ -12,7 +12,13 @@ on one side only. Each run imports the package from its own checkout.
 Every end-to-end metric that BENCHMARK.json names is summarised per side
 by its median and quartiles (numpy percentiles 25 and 75, linear
 interpolation); a pair is won by the change when its value is better in
-the metric's direction, and ties count for neither side. The output file
+the metric's direction, and ties count for neither side. Each metric also
+reads over_bound, its median worse than the parent's by more than its
+BENCHMARK.json bound, and claim_holds, the change winning at least 9 of
+10 pairs with a median better than the parent's by more than the parent's
+interquartile range. Each workload reads attempted_ratio, the change's
+median operation count over the parent's: a run keeps a record per pass,
+so more passes in the same seconds read as more memory. The output file
 is rewritten after each workload, so an interrupted sweep keeps what
 finished.
 """
@@ -73,15 +79,27 @@ def summarise(parent_runs, change_runs, spec):
             elif sign * (pv - cv) > 0:
                 wins += 1
         ps, cs = side_summary(p), side_summary(c)
-        rel = None
+        rel = over = claim = iqr = None
         if ps["median"] and cs["median"] is not None:
             rel = (cs["median"] - ps["median"]) / ps["median"]
+            over = sign * rel > meta["bound"]
+        if ps["median"] is not None:
+            iqr = ps["q3"] - ps["q1"]
+        if iqr is not None and cs["median"] is not None:
+            claim = (10 * wins >= 9 * len(p)
+                     and sign * (ps["median"] - cs["median"]) > iqr)
         out[name] = {
             **meta, "parent": ps, "change": cs, "change_wins": wins,
-            "ties": ties, "relative_change": rel,
-            "parent_iqr": (ps["q3"] - ps["q1"]
-                           if ps["median"] is not None else None)}
+            "ties": ties, "relative_change": rel, "parent_iqr": iqr,
+            "over_bound": over, "claim_holds": claim}
     return out
+
+
+def attempted_ratio(parent_records, change_records):
+    """Median operations attempted per run, change over parent."""
+    p, c = (float(np.median([r["attempted"] for r in records]))
+            for records in (parent_records, change_records))
+    return c / p if p else None
 
 
 def run_record(seed, first, result):
@@ -140,6 +158,7 @@ def main(argv=None):
                       flush=True)
         doc["workloads"][workload] = {
             "runs": runs,
+            "attempted_ratio": attempted_ratio(runs["parent"], runs["change"]),
             "metrics": summarise(results["parent"], results["change"], spec)}
         Path(args.out).write_text(json.dumps(doc, indent=1) + "\n")
     return 0

@@ -383,7 +383,7 @@ def _cmd_delta(args):
     zeta = 1.0 if args.zeta is None else _float(args.zeta, "zeta")
     expected = constant_qft_delta_weight(q)
     rep = AnalyticRep(evaluator=lambda z: 1j / ((2.0 - q) * z),
-                      growth_order=0)
+                      growth_order=0, conjugate_odd=True)
     measured = contour_apply(rep, lambda z: np.exp(-z ** 2),
                              ContourSpec(zeta=zeta))
     rel = abs(measured - expected) / abs(expected)

@@ -7,18 +7,26 @@ integral over two horizontal lines: the upper line Im z = +zeta traversed
 left to right and the lower line Im z = -zeta traversed right to left (a
 clockwise circuit around the real axis). Adding any polynomial to F leaves
 the pairing unchanged, which the invariance check exercises directly.
+
+For a real density the Cauchy transform is conjugate-odd,
+F(conj z) = -conj F(z) (Bremermann, "Distributions, Complex Variables and
+Fourier Transforms", 1965): its values on the lower line are the upper
+line's, conjugated and negated. A representation that declares this
+(AnalyticRep.conjugate_odd; dirac_rep does) is evaluated on the upper line
+alone.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .errors import TruncationError
+from .errors import TruncationError, float_range
 from .quadrature import graded_line_nodes, trapezoid_weights
 
 _TAIL_TOL = 1e-10
@@ -28,21 +36,34 @@ _TAIL_TOL = 1e-10
 _CAUCHY_BLOCK = 16
 
 
+def _positive_float(name, value):
+    """value as a float, for any real number but a bool that is finite
+    and > 0; ValueError otherwise."""
+    bad = float_range(ValueError, "{} must be finite and > 0, got {!r}",
+                      name, value)
+    if not isinstance(value, numbers.Real) or isinstance(value, bool):
+        raise bad.error()
+    with bad:
+        value = float(value)
+    if not (math.isfinite(value) and value > 0):
+        raise bad.error()
+    return value
+
+
 @dataclass(frozen=True)
 class ContourSpec:
-    """Two-line contour geometry: offset, truncation, and node count."""
+    """Two-line contour geometry: offset, truncation, and node count.
+
+    zeta and truncation take any real number but a bool and are stored as
+    floats."""
     zeta: float = 1.0
     truncation: float = 40.0
     points_per_line: int = 4096
 
     def __post_init__(self):
-        if not (isinstance(self.zeta, (int, float))
-                and math.isfinite(self.zeta) and self.zeta > 0):
-            raise ValueError(f"zeta must be finite and > 0, got {self.zeta!r}")
-        if not (isinstance(self.truncation, (int, float))
-                and math.isfinite(self.truncation) and self.truncation > 0):
-            raise ValueError(
-                f"truncation must be finite and > 0, got {self.truncation!r}")
+        for name in ("zeta", "truncation"):
+            object.__setattr__(self, name,
+                               _positive_float(name, getattr(self, name)))
         if not (isinstance(self.points_per_line, int)
                 and not isinstance(self.points_per_line, bool)
                 and self.points_per_line >= 8):
@@ -52,9 +73,15 @@ class ContourSpec:
 @dataclass(frozen=True)
 class AnalyticRep:
     """A function analytic off a horizontal strip, with polynomial growth
-    order p: |F(z)| <= C |z|^p away from the strip."""
+    order p: |F(z)| <= C |z|^p away from the strip.
+
+    conjugate_odd declares F(conj z) = -conj F(z), as for the Cauchy
+    transform of a real density; contour_apply then evaluates F on the
+    upper line only. A real polynomial is conjugate-even instead,
+    P(conj z) = conj P(z), so F plus one must not declare it."""
     evaluator: Callable[[complex], complex]
     growth_order: int = 0
+    conjugate_odd: bool = False
 
     def __post_init__(self):
         if not callable(self.evaluator):
@@ -63,6 +90,8 @@ class AnalyticRep:
                 and not isinstance(self.growth_order, bool)
                 and self.growth_order >= 0):
             raise ValueError("growth_order must be an integer >= 0")
+        if not isinstance(self.conjugate_odd, bool):
+            raise ValueError("conjugate_odd must be a bool")
 
 
 @dataclass(frozen=True)
@@ -102,7 +131,9 @@ def contour_apply_detailed(F: AnalyticRep, phi,
     z_dn = t - 1j * gamma.zeta
 
     f_up = _eval_points(F.evaluator, z_up)
-    f_dn = _eval_points(F.evaluator, z_dn)
+    # z_dn is conj(z_up) node for node
+    f_dn = (-np.conj(f_up) if F.conjugate_odd
+            else _eval_points(F.evaluator, z_dn))
     g_up = f_up * _eval_points(phi, z_up)
     g_dn = f_dn * _eval_points(phi, z_dn)
 
@@ -132,6 +163,9 @@ def contour_apply(F: AnalyticRep, phi,
                   gamma: ContourSpec | None = None) -> complex:
     """Pair F with the test function phi over the oriented two-line contour.
 
+    phi is evaluated on both lines, F on the upper line alone when it
+    declares conjugate_odd (the lower line's values are then -conj of the
+    upper's, the bits a real density's Cauchy sum gives there too).
     Raises TruncationError (with a suggested larger truncation) when the
     sampled endpoint magnitude says the tails are not negligible.
     """
@@ -143,7 +177,11 @@ def dirac_rep(f_density, t_grid) -> AnalyticRep:
 
     The returned evaluator computes (1/2pi i) Int f(t)/(t-z) dt by the
     trapezoid rule on t_grid; evaluation closer to the real axis than one
-    grid spacing warns about a degraded estimate.
+    grid spacing warns about a degraded estimate. The density's samples are
+    real, so the representation is conjugate-odd, bit for bit wherever its
+    sums are nonzero (a zero sum may differ in the sign of 0): at conj z
+    the sums see the same d and y * y, and y flips the imaginary sum's
+    sign alone.
     """
     grid = np.asarray(t_grid, dtype=float)
     if grid.ndim != 1 or len(grid) < 2:
@@ -188,7 +226,8 @@ def dirac_rep(f_density, t_grid) -> AnalyticRep:
         out = pref * sums.reshape(z.shape)
         return out if out.shape else complex(out)
 
-    return AnalyticRep(evaluator=evaluator, growth_order=0)
+    return AnalyticRep(evaluator=evaluator, growth_order=0,
+                       conjugate_odd=True)
 
 
 def pseudo_poly_invariance_check(F: AnalyticRep, P_degree: int, phi,
@@ -205,6 +244,7 @@ def pseudo_poly_invariance_check(F: AnalyticRep, P_degree: int, phi,
         return F.evaluator(z) + np.polynomial.polynomial.polyval(z, coeffs)
 
     base = contour_apply(F, phi, gamma)
+    # F + P is neither conjugate-odd nor conjugate-even: no declaration
     moved = contour_apply(
         AnalyticRep(evaluator=shifted,
                     growth_order=max(F.growth_order, P_degree)),

@@ -47,7 +47,7 @@ def _rel(got, want):
 
 def _pole_rep(q):
     return AnalyticRep(evaluator=lambda z: 1j / ((2.0 - q) * z),
-                       growth_order=0)
+                       growth_order=0, conjugate_odd=True)
 
 
 def _gauss_phi(z):

@@ -646,6 +646,20 @@ class TestDeltaCommand:
         rep = json.loads(capsys.readouterr().out)["results"][0]
         assert rep["rel_err"] < 1e-6
 
+    @pytest.mark.parametrize("q, zeta", [("1.05", "0.1"), ("1.5", "1"),
+                                         ("1.95", "3.7")])
+    def test_mirrored_lower_line_keeps_the_bytes(self, q, zeta, capsys):
+        # the pole rep declares itself conjugate-odd; evaluating both lines
+        # gives the same pairing, so the same JSON
+        from qfourier.ultra import AnalyticRep, ContourSpec, contour_apply
+        assert main(["delta", "--q", q, "--zeta", zeta]) == 0
+        rep = json.loads(capsys.readouterr().out)["results"][0]
+        both = contour_apply(
+            AnalyticRep(evaluator=lambda z: 1j / ((2.0 - float(q)) * z)),
+            lambda z: np.exp(-z ** 2), ContourSpec(zeta=float(zeta)))
+        assert (rep["measured_re"], rep["measured_im"]) == (both.real,
+                                                            both.imag)
+
     def test_q_out_of_band(self, capsys):
         assert main(["delta", "--q", "2.0"]) == 1
         capsys.readouterr()

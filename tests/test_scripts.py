@@ -62,5 +62,32 @@ def test_bench_pairs_summary_arithmetic():
     rate = out["rate"]
     assert rate["parent"]["median"] == 5.0
     assert (rate["change_wins"], rate["ties"]) == (1, 1)
+    # 2 wins of 4 and a median 0.4 better: within bound, no claim
+    assert (wall["over_bound"], wall["claim_holds"]) == (False, False)
+    assert (rate["over_bound"], rate["claim_holds"]) == (False, False)
+    # ten pairs, parent IQR 0.45: the claim needs 9 wins and a median
+    # better by more than the IQR
+    walls = [1.0 + 0.1 * i for i in range(10)]
+    parent = [synthetic_run(wall_s=w, rate=10.0 - w) for w in walls]
+
+    def wall_claim(gap, losses):
+        change = [synthetic_run(wall_s=w - gap if i < 10 - losses else 2.0,
+                                rate=5.0 - w) for i, w in enumerate(walls)]
+        wall = bench["summarise"](parent, change, spec)["wall_s"]
+        assert wall["change_wins"] == 10 - losses
+        assert wall["over_bound"] is False
+        return wall["claim_holds"]
+
+    assert wall_claim(0.6, 1) is True
+    assert wall_claim(0.3, 1) is False
+    assert wall_claim(0.6, 2) is False
+    # higher is better: a median about 5/8.55 lower is past the 0.25 bound
+    change = [synthetic_run(wall_s=w, rate=5.0 - w) for w in walls]
+    rate = bench["summarise"](parent, change, spec)["rate"]
+    assert (rate["change_wins"], rate["over_bound"],
+            rate["claim_holds"]) == (0, True, False)
+    records = [{"attempted": a} for a in (100, 110, 90)]
+    more = [{"attempted": a} for a in (120, 99, 130)]
+    assert bench["attempted_ratio"](records, more) == 1.2
     assert bench["parse_seeds"]("901-903") == [901, 902, 903]
     assert bench["parse_seeds"]("7,9") == [7, 9]

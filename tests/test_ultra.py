@@ -1,5 +1,7 @@
 import cmath
+import dataclasses
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -7,6 +9,8 @@ from scipy import integrate, stats
 
 import qfourier.ultra as ultra
 from qfourier.errors import TruncationError
+from qfourier.quadrature import graded_line_nodes
+from qfourier.verify import _pole_rep
 from qfourier.ultra import (AnalyticRep, ContourSpec, contour_apply,
                             contour_apply_detailed, dirac_rep,
                             pseudo_poly_invariance_check)
@@ -242,3 +246,119 @@ class TestPseudoPolyInvariance:
     def test_bad_degree(self):
         with pytest.raises(ValueError):
             pseudo_poly_invariance_check(pole_rep(1.5), -2, gauss_phi)
+
+
+def skewed_density(t):
+    """A real density with no symmetry about any point."""
+    return (np.exp(-(t - 1.3) ** 2) * (1.0 + 0.4 * np.tanh(3.0 * t))
+            + 0.1 * np.exp(-np.abs(t + 2.0)))
+
+
+MIRROR_GRIDS = {
+    "uniform": np.linspace(-9.0, 11.0, 1601),
+    "random": np.sort(np.random.default_rng(5).uniform(-9.0, 11.0, 1201)),
+}
+
+
+def result_repr(res):
+    return repr((res.value, res.quadrature_err, res.tail))
+
+
+def counting(rep, calls):
+    """rep with an evaluator that records the size of each call."""
+    def spy(z):
+        calls.append(np.size(z))
+        return rep.evaluator(z)
+    return dataclasses.replace(rep, evaluator=spy)
+
+
+class TestConjugateMirror:
+    """A conjugate-odd rep, F(conj z) = -conj F(z), is evaluated on the
+    upper contour line alone, with the bits of evaluating both."""
+
+    @pytest.mark.parametrize("zeta", [0.25, 1.0, 3.7])
+    @pytest.mark.parametrize("grid", MIRROR_GRIDS.values(),
+                             ids=MIRROR_GRIDS.keys())
+    def test_dirac_lower_line_is_minus_conj_upper_bit_for_bit(self, grid,
+                                                              zeta):
+        rep = dirac_rep(skewed_density, grid)
+        assert rep.conjugate_odd is True
+        t, _ = graded_line_nodes(40.0, 4096)
+        up = rep.evaluator(t + 1j * zeta)
+        dn = rep.evaluator(t - 1j * zeta)
+        assert np.all(up != 0)
+        assert (-np.conj(up)).tobytes() == dn.tobytes()
+
+    @pytest.mark.parametrize("zeta", [0.5, 1.0, 2.0])
+    @pytest.mark.parametrize("grid", MIRROR_GRIDS.values(),
+                             ids=MIRROR_GRIDS.keys())
+    def test_dirac_pairing_is_the_same_with_the_flag_off(self, grid, zeta):
+        rep = dirac_rep(skewed_density, grid)
+        spec = ContourSpec(zeta=zeta)
+        on = contour_apply_detailed(rep, gauss_phi, spec)
+        off = contour_apply_detailed(
+            dataclasses.replace(rep, conjugate_odd=False), gauss_phi, spec)
+        assert result_repr(on) == result_repr(off)
+
+    @pytest.mark.parametrize("zeta", [0.1, 0.5, 1.0, 2.0, 3.7])
+    def test_pole_pairing_is_the_same_with_the_flag_off(self, zeta):
+        spec = ContourSpec(zeta=zeta)
+        for q in np.linspace(1.05, 1.95, 10):
+            rep = _pole_rep(float(q))
+            assert rep.conjugate_odd is True
+            on = contour_apply_detailed(rep, gauss_phi, spec)
+            off = contour_apply_detailed(
+                dataclasses.replace(rep, conjugate_odd=False), gauss_phi,
+                spec)
+            assert result_repr(on) == result_repr(off)
+
+    @pytest.mark.parametrize("declared, sizes", [(True, [4097]),
+                                                 (False, [4097, 4097])])
+    def test_a_declared_rep_is_evaluated_on_one_line(self, declared, sizes):
+        calls = []
+        rep = counting(dataclasses.replace(pole_rep(1.5),
+                                           conjugate_odd=declared), calls)
+        contour_apply(rep, gauss_phi)
+        assert calls == sizes
+
+    @pytest.mark.parametrize("degree", [0, 3, 5])
+    def test_invariance_check_keeps_the_bits(self, degree):
+        calls = []
+        declared = counting(_pole_rep(1.5), calls)
+        diff = pseudo_poly_invariance_check(declared, degree, gauss_phi,
+                                            seed=degree)
+        # F's own pairing takes one line; F + P, which is not
+        # conjugate-odd, takes both
+        assert calls == [4097] * 3
+        plain = dataclasses.replace(declared, conjugate_odd=False)
+        assert repr(diff) == repr(pseudo_poly_invariance_check(
+            plain, degree, gauss_phi, seed=degree))
+
+    def test_near_axis_warning_still_fires(self):
+        # grid spacing 0.01 against a contour 0.005 off the axis
+        rep = dirac_rep(stats.norm.pdf, np.linspace(-5.0, 5.0, 1001))
+        with pytest.warns(UserWarning, match="nearly singular"):
+            contour_apply(rep, gauss_phi, ContourSpec(zeta=0.005))
+
+    @pytest.mark.parametrize("value", [np.float32(0.5), np.int64(2),
+                                       np.float64(1.5), Fraction(3, 4), 2])
+    def test_spec_takes_any_real_as_a_float(self, value):
+        spec = ContourSpec(zeta=value, truncation=value * 20)
+        assert type(spec.zeta) is float and type(spec.truncation) is float
+        assert spec.zeta == float(value)
+        assert spec.truncation == float(value * 20)
+
+    @pytest.mark.parametrize("value", [True, False, np.True_, "1.0", None,
+                                       1j, 10 ** 400, float("nan"),
+                                       np.float32("inf")])
+    @pytest.mark.parametrize("name", ["zeta", "truncation"])
+    def test_spec_refuses_bools_and_non_reals(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            ContourSpec(**{name: value})
+
+    def test_rep_flag_must_be_a_bool(self):
+        assert AnalyticRep(evaluator=abs).conjugate_odd is False
+        assert AnalyticRep(evaluator=abs, conjugate_odd=True).conjugate_odd
+        for flag in (1, 0, np.True_, "yes", None):
+            with pytest.raises(ValueError, match="conjugate_odd"):
+                AnalyticRep(evaluator=abs, conjugate_odd=flag)
