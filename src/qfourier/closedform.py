@@ -17,7 +17,7 @@ import cmath
 import math
 from enum import Enum
 
-from .errors import BoundaryRegimeError, PoleError, float_range
+from .errors import BoundaryRegimeError, PoleError, float_range, scalar
 from .qcore import as_qparam, q_exp_complex
 from .special import Hyp2F1Params, hyp2f1
 from .transform import _LOWER_TAGS, HalfPlanePoint, PlaneTag, PowerLaw
@@ -55,9 +55,7 @@ def regime_of(q, beta: float) -> RegimeTag:
     qp = as_qparam(q)
     if qp.classical:
         raise ValueError("regime classification requires q > 1")
-    if not math.isfinite(beta):
-        raise ValueError("beta must be finite")
-    s = 1.0 - beta * (qp.q - 1.0)
+    s = 1.0 - scalar("beta", beta) * (qp.q - 1.0)
     if s == 0.0:
         return RegimeTag.BOUNDARY
     return RegimeTag.LOW_Q if s > 0.0 else RegimeTag.HIGH_Q
@@ -186,8 +184,9 @@ def hilhorst_lambda(a: float, b: float, q) -> float:
     qp = as_qparam(q)
     if qp.classical:
         raise ValueError("hilhorst_lambda requires q in (1, 2)")
-    if not (math.isfinite(a) and math.isfinite(b) and 0.0 < a < b):
-        raise ValueError("need 0 < a < b finite")
+    a, b = scalar("a", a), scalar("b", b)
+    if not 0.0 < a < b:
+        raise ValueError(f"need 0 < a < b, got a={a!r}, b={b!r}")
     e = (qp.q - 2.0) / (qp.q - 1.0)
     # powers of order 1/(q-1): near q = 1 they overflow float, or both
     # underflow to 0 and leave a bracket of 0 to raise to 1 - q < 0
@@ -204,16 +203,15 @@ def hilhorst_qft(lam: float, q, k: HalfPlanePoint) -> complex:
     Every member with the same lam maps here, whatever its (a, b); the pair
     enters only through the normalization constraint.
     """
-    if not (math.isfinite(lam) and lam > 0.0):
-        raise ValueError("lam must be positive and finite")
-    kv = _upper_k(k)
-    return q_exp_complex(kv, lam, q)
+    lam = scalar("lam", lam, gt=0)
+    return q_exp_complex(_upper_k(k), lam, q)
 
 
 def heaviside_qft(sign: int, q, k: HalfPlanePoint) -> complex:
     """Step-function transform: i/((2-q)k) on the matching half-plane, 0 opposite."""
+    sign = scalar("sign", sign, int)
     if sign not in (1, -1):
-        raise ValueError("sign must be +1 or -1")
+        raise ValueError(f"sign must be +1 or -1, got {sign}")
     qp = as_qparam(q)
     kv = complex(k.k)
     if kv == 0:

@@ -1,4 +1,5 @@
-"""Exception types shared across the package, and its one float-range guard.
+"""Exception types shared across the package, its one float-range guard,
+and its one check of a scalar input.
 
 Every type derives from QFourierError, so a caller can catch any failure
 of the package in one clause, and from ValueError (a bad or unsupported
@@ -7,7 +8,15 @@ input) or RuntimeError (a computation that could not finish).
 Arithmetic past float range raises a typed error, through float_range
 alone: BoundaryRegimeError naming the powers or the route from the closed
 forms and 2F1, NonFiniteError from the deformed exponentials and kernel.
+
+Every public scalar input passes through scalar: a real, integer or
+complex number of any numeric type but bool (numpy scalars and fractions
+included), finite, and returned as a Python float, int or complex.
 """
+
+import cmath
+import math
+import numbers
 
 
 class QFourierError(Exception):
@@ -102,3 +111,41 @@ class float_range:
         if exc_type and issubclass(exc_type,
                                    (OverflowError, ZeroDivisionError)):
             raise self.error() from None
+
+
+# the numbers ABC that each kind of scalar takes; a bool is a
+# numbers.Integral but no scalar
+_ABC = {float: numbers.Real, int: numbers.Integral, complex: numbers.Complex}
+
+
+def scalar(name, value, kind=float, *, gt=None, ge=None):
+    """value as a kind (float, int or complex) when it is a finite number
+    of that kind, > gt and >= ge where given; otherwise ValueError
+    "<name> must be ..., got <value!r>", formatted only then, with value
+    as converted when it converted. An int past float range is refused as
+    "<name> must be finite, got a number beyond float range"."""
+    # an exact float, int or complex skips the slower ABC test: a
+    # constructor on the transform's path calls this for every point
+    t = type(value)
+    if t is not kind:
+        if (kind is int or t is not float and t is not int) and (
+                t is bool or not isinstance(value, _ABC[kind])):
+            raise _refused(name, value, kind, gt, ge)
+        try:
+            value = kind(value)
+        except OverflowError:
+            raise ValueError(f"{name} must be finite, got a number beyond "
+                             "float range") from None
+    if ((math.isfinite(value) if kind is float
+         else kind is int or cmath.isfinite(value))
+            and (gt is None or value > gt) and (ge is None or value >= ge)):
+        return value
+    raise _refused(name, value, kind, gt, ge)
+
+
+def _refused(name, value, kind, gt, ge):
+    what = "an integer" if kind is int else "finite"
+    for op, lo in ((">", gt), (">=", ge)):
+        if lo is not None:
+            what += f"{'' if kind is int else ' and'} {op} {lo:g}"
+    return ValueError(f"{name} must be {what}, got {value!r}")

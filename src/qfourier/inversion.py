@@ -15,10 +15,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import AliasingError, InversionDomainError, LimitFailureError
+from .errors import (AliasingError, InversionDomainError, LimitFailureError,
+                     scalar)
 from .quadrature import trapezoid_weights
-from .transform import (FunctionSpec, QuadratureConfig, membership_check,
-                        qft_real_line)
+from .transform import (FunctionSpec, QuadratureConfig, _real_ks,
+                        membership_check, qft_real_line)
 
 __all__ = ["EpsilonSchedule", "InversionResult", "q1_slice", "inverse_ft",
            "roundtrip"]
@@ -41,7 +42,7 @@ class EpsilonSchedule:
     extrapolation: str = "richardson"
 
     def __post_init__(self):
-        eps = tuple(float(e) for e in self.eps_list)
+        eps = tuple(scalar("eps", e) for e in self.eps_list)
         if len(eps) == 0:
             raise ValueError("eps_list must not be empty")
         if any(not (0.0 < e < 0.5) for e in eps):
@@ -121,11 +122,10 @@ def q1_slice(f: FunctionSpec, k_grid, sched: EpsilonSchedule | None = None,
     sched = sched if sched is not None else EpsilonSchedule()
     if np.iscomplexobj(k_grid):
         raise ValueError("k must be real: k_grid holds complex values")
-    kg = np.atleast_1d(np.asarray(k_grid, dtype=float))
+    kg = np.atleast_1d(np.asarray(k_grid))
     if kg.ndim != 1 or kg.size == 0:
         raise ValueError("k_grid must be a nonempty 1-d real array")
-    if not np.all(np.isfinite(kg)):
-        raise ValueError("k_grid must be finite")
+    kg = _real_ks(kg)
     _require_classical_member(f)
     return _collapse(_slices(f, kg, sched, cfg), sched)
 
@@ -268,7 +268,7 @@ def roundtrip(f: FunctionSpec, sched: EpsilonSchedule | None = None,
         else np.atleast_1d(np.asarray(x_grid, dtype=float))
     if x.size == 0 or not np.all(np.isfinite(x)):
         raise ValueError("x_grid must be nonempty and finite")
-    km = float(k_max) if k_max is not None \
+    km = scalar("k_max", k_max) if k_max is not None \
         else _default_k_max(f, sched.eps_list[-1])
     # invert about the centre of both grids: the images of f then need
     # room for half their joint span only, not for their reach from 0
@@ -278,8 +278,8 @@ def roundtrip(f: FunctionSpec, sched: EpsilonSchedule | None = None,
     if dk is None:
         reach = max(hi - x0, x0 - lo, 1e-9)
         dk = 0.75 * math.pi / reach
-    step = float(dk)
-    if not 0.0 < step <= km < math.inf:
+    step = scalar("dk", dk)
+    if not 0.0 < step <= km:
         raise ValueError("need 0 < dk <= k_max < inf")
     kn = step * np.arange(int(math.ceil(km / step)) + 1)
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonFiniteError, PoleError, float_range
+from .errors import NonFiniteError, PoleError, float_range, scalar
 
 
 @dataclass(frozen=True)
@@ -25,14 +25,10 @@ class QParam:
     q: float
 
     def __post_init__(self):
-        q = self.q
-        if isinstance(q, bool) or not isinstance(q, (int, float)):
-            raise ValueError("q must be a real number")
-        if not math.isfinite(q):
-            raise ValueError("q must be finite")
+        q = scalar("q", self.q)
         if not 1.0 <= q < 2.0:
             raise ValueError(f"q={q} outside the valid band [1, 2)")
-        object.__setattr__(self, "q", float(q))
+        object.__setattr__(self, "q", q)
 
     @property
     def classical(self) -> bool:
@@ -63,8 +59,7 @@ def q_exp(x: float, q) -> CutoffReal:
     q = 1 as for a base near 0 at q != 1.
     """
     qp = as_qparam(q)
-    if not math.isfinite(x):
-        raise ValueError("x must be finite")
+    x = scalar("x", x)
     with float_range(NonFiniteError, "deformed exponential overflows float "
                      "at q={!r}, x={!r}", qp.q, x):
         if qp.classical:
@@ -84,9 +79,7 @@ def q_exp_complex(k: complex, x: float, q) -> complex:
     the transform's kernel does, at q = 1 and at q != 1.
     """
     qp = as_qparam(q)
-    k = complex(k)
-    if not (math.isfinite(x) and cmath.isfinite(k)):
-        raise ValueError("k and x must be finite")
+    k, x = scalar("k", k, complex), scalar("x", x)
     guard = float_range(NonFiniteError, "deformed exponential overflows "
                         "float at q={!r}, k={!r}, x={!r}", qp.q, k, x)
     if qp.classical:
@@ -187,7 +180,7 @@ def ultra_kernel(k: complex, x: float, q) -> complex:
     returns 0 (integrators never sample it).
     """
     qp = as_qparam(q)
-    k = complex(k)
+    k, x = scalar("k", k, complex), scalar("x", x)
     if k.imag == 0.0:
         raise ValueError(
             "ultra_kernel requires Im k != 0; use the transform module's "

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .errors import (BoundaryRegimeError, ConvergenceError,
-                     CutAmbiguityError, PoleError, float_range)
+                     CutAmbiguityError, PoleError, float_range, scalar)
 from .qcore import as_qparam
 
 _LANCZOS_G = 7.0
@@ -83,9 +83,7 @@ def log_gamma(z: complex) -> complex:
 
     Raises PoleError at the non-positive integers.
     """
-    z = complex(z)
-    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
-        raise ValueError(f"log_gamma needs a finite argument, got {z!r}")
+    z = scalar("z", z, complex)
     if _is_nonpos_int(z):
         raise PoleError(f"log_gamma pole at z={z.real:g}")
     shift = 0j
@@ -152,9 +150,7 @@ def digamma(z: complex) -> complex:
 
     Raises PoleError at the non-positive integers.
     """
-    z = complex(z)
-    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
-        raise ValueError(f"digamma needs a finite argument, got {z!r}")
+    z = scalar("z", z, complex)
     if _is_nonpos_int(z):
         raise PoleError(f"digamma pole at z={z.real:g}")
     return _log_gamma_dd(z, 0.0)
@@ -220,11 +216,11 @@ class Hyp2F1Params:
     z: complex
 
     def __post_init__(self):
-        for name in ("a", "b", "c", "z"):
-            v = complex(getattr(self, name))
-            if not (math.isfinite(v.real) and math.isfinite(v.imag)):
-                raise ValueError(f"hyp2f1 parameter {name} must be finite")
-            object.__setattr__(self, name, v)
+        # the fields written in place, as object.__setattr__ would: a
+        # closed form builds two of these per call
+        fields = vars(self)
+        for name, v in fields.items():
+            fields[name] = scalar(name, v, complex)
         if _is_nonpos_int(self.c):
             raise PoleError(
                 f"2F1 undefined: c={self.c.real:g} is a non-positive integer")

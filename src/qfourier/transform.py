@@ -38,7 +38,6 @@ integrands check their own values.
 from __future__ import annotations
 
 import math
-import numbers
 import sys
 from dataclasses import dataclass
 from enum import Enum
@@ -46,7 +45,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import (BoundaryRegimeError, ConvergenceError, MembershipError,
-                     NonFiniteError, PoleError, float_range)
+                     NonFiniteError, PoleError, float_range, scalar)
 from .qcore import QParam, _deformed_power, as_qparam
 from .quadrature import _EPS, _XGK, adaptive_quad
 
@@ -97,11 +96,6 @@ def _require(cond, msg):
         raise ValueError(msg)
 
 
-def _finite(*vals):
-    return all(isinstance(v, (int, float)) and not isinstance(v, bool)
-               and math.isfinite(v) for v in vals)
-
-
 @dataclass(frozen=True)
 class PowerLaw(FunctionSpec):
     """f(x) = (lam/x)^beta on [a, b], zero elsewhere; 0 < a < b."""
@@ -112,9 +106,10 @@ class PowerLaw(FunctionSpec):
     kind = "powerlaw"
 
     def __post_init__(self):
-        _require(_finite(self.lam, self.beta, self.a, self.b),
-                 "PowerLaw parameters must be finite numbers")
-        _require(self.lam > 0, f"lam must be > 0, got {self.lam}")
+        for name, gt in (("lam", 0), ("beta", None), ("a", None),
+                         ("b", None)):
+            object.__setattr__(self, name,
+                               scalar(name, getattr(self, name), gt=gt))
         _require(0 < self.a < self.b,
                  f"need 0 < a < b, got a={self.a}, b={self.b}")
         # the profile is monotone in x, so its ends bound it on [a, b]
@@ -158,6 +153,7 @@ class Heaviside(FunctionSpec):
     kind = "heaviside"
 
     def __post_init__(self):
+        object.__setattr__(self, "sign", scalar("sign", self.sign, int))
         _require(self.sign in (1, -1), f"sign must be +1 or -1, got {self.sign}")
 
     def values(self, x):
@@ -181,8 +177,7 @@ class Constant(FunctionSpec):
     kind = "constant"
 
     def __post_init__(self):
-        _require(_finite(self.c) and self.c >= 0,
-                 f"c must be finite and >= 0, got {self.c}")
+        object.__setattr__(self, "c", scalar("c", self.c, ge=0))
 
     def values(self, x):
         return np.full_like(np.asarray(x, dtype=float), self.c)
@@ -206,8 +201,7 @@ class Gaussian(FunctionSpec):
     kind = "gaussian"
 
     def __post_init__(self):
-        _require(_finite(self.sigma) and self.sigma > 0,
-                 f"sigma must be finite and > 0, got {self.sigma}")
+        object.__setattr__(self, "sigma", scalar("sigma", self.sigma, gt=0))
         _require(math.isfinite(2.0 * self.sigma * self.sigma),
                  f"2 sigma^2 overflows for sigma={self.sigma}")
         # values() divides x * x by 2 sigma^2, as it computes it; a
@@ -252,10 +246,10 @@ class QGaussian(FunctionSpec):
     kind = "qgaussian"
 
     def __post_init__(self):
-        _require(_finite(self.q_g, self.beta_g),
-                 "QGaussian parameters must be finite numbers")
+        object.__setattr__(self, "q_g", scalar("q_g", self.q_g))
+        object.__setattr__(self, "beta_g", scalar("beta_g", self.beta_g,
+                                                  gt=0))
         _require(self.q_g < 3, f"q_g must be < 3 for integrability, got {self.q_g}")
-        _require(self.beta_g > 0, f"beta_g must be > 0, got {self.beta_g}")
 
     def values(self, x):
         x = np.asarray(x, dtype=float)
@@ -346,10 +340,6 @@ class PlaneTag(Enum):
 # the tags whose piece integrates over x < 0
 _LOWER_TAGS = (PlaneTag.LOWER, PlaneTag.REAL_LIMIT_LOWER)
 
-# the "k must be finite" error of a k that float() cannot take, such as
-# an int of 2^1024 or more
-_K_OUT_OF_RANGE = "k must be finite, got a number beyond float range"
-
 
 @dataclass(frozen=True)
 class HalfPlanePoint:
@@ -358,12 +348,7 @@ class HalfPlanePoint:
     plane: PlaneTag
 
     def __post_init__(self):
-        # each message is formatted only when it is raised: a point is
-        # built for every transform evaluation
-        with float_range(ValueError, _K_OUT_OF_RANGE):
-            k = complex(self.k)
-        if not (math.isfinite(k.real) and math.isfinite(k.imag)):
-            raise ValueError(f"k must be finite, got {k!r}")
+        k = scalar("k", self.k, complex)
         object.__setattr__(self, "k", k)
         if self.plane is PlaneTag.UPPER:
             if not k.imag > 0:
@@ -387,13 +372,11 @@ class QuadratureConfig:
     max_subdivisions: int = 2000
 
     def __post_init__(self):
-        _require(_finite(self.rel_tol, self.abs_tol)
-                 and self.rel_tol > 0 and self.abs_tol > 0,
-                 "tolerances must be finite and > 0")
-        _require(isinstance(self.max_subdivisions, int)
-                 and not isinstance(self.max_subdivisions, bool)
-                 and self.max_subdivisions >= 4,
-                 "max_subdivisions must be an integer >= 4")
+        for name in ("rel_tol", "abs_tol"):
+            object.__setattr__(self, name,
+                               scalar(name, getattr(self, name), gt=0))
+        object.__setattr__(self, "max_subdivisions", scalar(
+            "max_subdivisions", self.max_subdivisions, int, ge=4))
 
 
 @dataclass(frozen=True)
@@ -557,30 +540,22 @@ def _tail_map(gfun, m0, X1, p):
     starts each row at v0)."""
     def mapped(u, rows):
         on = rows >= m0
-        n_on = np.count_nonzero(on)
-        if not n_on:
+        if not np.count_nonzero(on):
             return gfun(u, rows)
-        whole = n_on == on.size
-        v = u if whole else u[on]
+        v = u[on]
         t = rows[on] - m0
         x, jac = np.empty_like(v), np.empty_like(v)
         X1t, pt = X1[t][:, None], p[t]
         # one scalar exponent at a time: numpy's power takes other
         # paths for an exponent array, and the bits would move
-        exps = set(pt.tolist())
-        for pu in exps:
-            s = pt == pu if len(exps) > 1 else slice(None)
+        for pu in set(pt.tolist()):
+            s = pt == pu
             x[s] = X1t[s] * v[s] ** (-pu)
             jac[s] = X1t[s] * pu * v[s] ** (-pu - 1.0)
-        if not whole:
-            x_all = np.array(u)
-            x_all[on] = x
-            x = x_all
-        out = gfun(x, rows)
-        if whole:
-            out *= jac
-        else:
-            out[on] *= jac
+        x_all = np.array(u)
+        x_all[on] = x
+        out = gfun(x_all, rows)
+        out[on] *= jac
         return out
 
     return mapped
@@ -904,19 +879,17 @@ def qft_real_line(f: FunctionSpec, q, k, cfg: QuadratureConfig | None = None):
     k = 0). A scalar k makes one qft_complex call per side.
     A ConvergenceError's estimate sums both sides, the one that converged
     included; with array k it carries values, errs and failed per k. A
-    complex or non-finite k is refused with the first such k's value, in
-    the same words for a scalar and an array.
+    complex or non-finite k, and a bool or string one, is refused with the
+    first such k's value, in the same words for a scalar and an array.
     """
-    guard = float_range(ValueError, _K_OUT_OF_RANGE)
-    with guard:
-        kv = np.ravel(k)
+    kv = np.ravel(k)
     if np.iscomplexobj(kv):
         raise ValueError("k must be real for the real-line transform, got "
                          f"{complex(kv[0]) if kv.size else k!r}")
+    _require(np.ndim(k) <= 1, "k must be a scalar or a 1-d array")
+    kv = _real_ks(kv)
     if np.ndim(k) == 0:
-        with guard:
-            k = float(k)
-        points = [HalfPlanePoint(complex(k, 0.0), plane) for plane in
+        points = [HalfPlanePoint(complex(kv[0], 0.0), plane) for plane in
                   (PlaneTag.REAL_LIMIT_UPPER, PlaneTag.REAL_LIMIT_LOWER)]
         sides = []
         for pt in points:
@@ -927,12 +900,6 @@ def qft_real_line(f: FunctionSpec, q, k, cfg: QuadratureConfig | None = None):
         (v1, e1, why1), (v2, e2, why2) = sides
         why = [why1 or why2]
     else:
-        _require(np.ndim(k) == 1, "k must be a scalar or a 1-d array")
-        with guard:
-            kv = kv.astype(float)
-        bad = kv[~np.isfinite(kv)]
-        if bad.size:
-            raise ValueError(f"k must be finite, got {complex(bad[0])!r}")
         n, qp = kv.size, _admitted(f, q)
         if f.even():
             # at real k the x < 0 rows are the x > 0 rows conjugated, node
@@ -949,6 +916,19 @@ def qft_real_line(f: FunctionSpec, q, k, cfg: QuadratureConfig | None = None):
     val, err = v1 - v2, e1 + e2
     _raise_failed(val, err, why)
     return val, err
+
+
+def _real_ks(kv):
+    """The 1-d real k array kv as floats, each k refused as a scalar k is:
+    a bool, string or object array goes through scalar k by k, and the
+    first k that is not finite raises "k must be finite, got <k>"."""
+    if kv.dtype.kind not in "iuf":
+        return np.array([scalar("k", k) for k in kv.tolist()], dtype=float)
+    kv = kv.astype(float)
+    bad = kv[~np.isfinite(kv)]
+    if bad.size:
+        raise ValueError(f"k must be finite, got {float(bad[0])!r}")
+    return kv
 
 
 def qft_surface(f: FunctionSpec, q_list, k_grid,
@@ -1047,9 +1027,11 @@ def qft_surface(f: FunctionSpec, q_list, k_grid,
 
 def _mirror_keys(pt):
     """(key, mirror key) of a qft_surface k; (None, None) for a real-line
-    k that is not a real number, which qft_real_line refuses."""
+    k that qft_real_line refuses."""
     if isinstance(pt, HalfPlanePoint):
         return (pt.k, pt.plane), (-pt.k.conjugate(), pt.plane)
-    if isinstance(pt, numbers.Real):
-        return pt, -pt
-    return None, None
+    try:
+        k = scalar("k", pt)
+    except ValueError:
+        return None, None
+    return k, -k

@@ -19,14 +19,13 @@ alone.
 from __future__ import annotations
 
 import math
-import numbers
 import warnings
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .errors import TruncationError, float_range
+from .errors import TruncationError, scalar
 from .quadrature import graded_line_nodes, trapezoid_weights
 
 _TAIL_TOL = 1e-10
@@ -36,26 +35,9 @@ _TAIL_TOL = 1e-10
 _CAUCHY_BLOCK = 16
 
 
-def _positive_float(name, value):
-    """value as a float, for any real number but a bool that is finite
-    and > 0; ValueError otherwise."""
-    bad = float_range(ValueError, "{} must be finite and > 0, got {!r}",
-                      name, value)
-    if not isinstance(value, numbers.Real) or isinstance(value, bool):
-        raise bad.error()
-    with bad:
-        value = float(value)
-    if not (math.isfinite(value) and value > 0):
-        raise bad.error()
-    return value
-
-
 @dataclass(frozen=True)
 class ContourSpec:
-    """Two-line contour geometry: offset, truncation, and node count.
-
-    zeta and truncation take any real number but a bool and are stored as
-    floats."""
+    """Two-line contour geometry: offset, truncation, and node count."""
     zeta: float = 1.0
     truncation: float = 40.0
     points_per_line: int = 4096
@@ -63,11 +45,9 @@ class ContourSpec:
     def __post_init__(self):
         for name in ("zeta", "truncation"):
             object.__setattr__(self, name,
-                               _positive_float(name, getattr(self, name)))
-        if not (isinstance(self.points_per_line, int)
-                and not isinstance(self.points_per_line, bool)
-                and self.points_per_line >= 8):
-            raise ValueError("points_per_line must be an integer >= 8")
+                               scalar(name, getattr(self, name), gt=0))
+        object.__setattr__(self, "points_per_line", scalar(
+            "points_per_line", self.points_per_line, int, ge=8))
 
 
 @dataclass(frozen=True)
@@ -86,10 +66,8 @@ class AnalyticRep:
     def __post_init__(self):
         if not callable(self.evaluator):
             raise ValueError("evaluator must be callable")
-        if not (isinstance(self.growth_order, int)
-                and not isinstance(self.growth_order, bool)
-                and self.growth_order >= 0):
-            raise ValueError("growth_order must be an integer >= 0")
+        object.__setattr__(self, "growth_order", scalar(
+            "growth_order", self.growth_order, int, ge=0))
         if not isinstance(self.conjugate_odd, bool):
             raise ValueError("conjugate_odd must be a bool")
 
@@ -235,8 +213,7 @@ def pseudo_poly_invariance_check(F: AnalyticRep, P_degree: int, phi,
                                  *, seed: int = 0) -> float:
     """|contour_apply(F + P) - contour_apply(F)| for a random polynomial P
     of the given degree with coefficients drawn from [-1, 1]."""
-    if not (isinstance(P_degree, int) and P_degree >= 0):
-        raise ValueError("P_degree must be a non-negative integer")
+    P_degree = scalar("P_degree", P_degree, int, ge=0)
     rng = np.random.default_rng(seed)
     coeffs = rng.uniform(-1.0, 1.0, P_degree + 1)
 

@@ -15,7 +15,7 @@ from qfourier.closedform import (
     powerlaw_qft_closed,
     regime_of,
 )
-from qfourier.errors import BoundaryRegimeError, PoleError
+from qfourier.errors import BoundaryRegimeError, ConvergenceError, PoleError
 from qfourier.qcore import q_exp_complex
 from qfourier.transform import (
     HalfPlanePoint,
@@ -239,6 +239,17 @@ class TestPowerLawClosed:
         p = PowerLaw(1.0, 2.0, 1.0, 2.0)
         with pytest.raises(BoundaryRegimeError):
             powerlaw_qft_closed(p, 1.5 + 3e-7, up(1.0))
+
+    def test_just_outside_the_band_the_log_case_hits_its_term_cap(self):
+        # s = 1 - beta(q-1) = 2e-4: the 2F1 parameters are about 5,000 and
+        # the log-case series runs its whole term cap at |v| ~ 0.447, so
+        # the call raises with its partial sum (a benchmark input)
+        p = PowerLaw(1.0, 2.0, 1.0, 2.0)
+        with pytest.raises(ConvergenceError, match=r"2F1 log-case series "
+                           r"did not settle within 100000 terms at "
+                           r"\|v\|=0\.44") as info:
+            powerlaw_qft_closed(p, 1.4999, up(1.0))
+        assert isinstance(info.value.value, complex)
 
     # near q = 1 the low-regime prefactor (i(1-q)k)^(-1/(q-1)) overflows,
     # and with a < 1 so does a^((q-2)/(q-1))

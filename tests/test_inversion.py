@@ -167,6 +167,16 @@ class TestQ1Slice:
         with pytest.raises(ValueError):
             q1_slice(Gaussian(1.0), [math.nan])
 
+    @pytest.mark.parametrize("k_grid, first", [
+        (["1", "2"], "'1'"), (np.array([True, False]), "True"),
+        (np.array([0.5, "2"], dtype=object), "'2'"), ([0.5, math.inf], "inf"),
+    ], ids=["str", "bool", "object", "inf"])
+    def test_k_grid_is_refused_in_the_scalar_words(self, k_grid, first):
+        # numpy's float conversion would take "1" and True as k = 1
+        with pytest.raises(ValueError) as info:
+            q1_slice(Gaussian(1.0), k_grid)
+        assert str(info.value) == f"k must be finite, got {first}"
+
     @pytest.mark.parametrize("k_grid", [[0.5 + 0.1j, 1.0],
                                         np.array([1.0 + 0j])])
     def test_complex_k_grid_is_refused(self, k_grid):
@@ -435,11 +445,14 @@ class TestRoundtrip:
 
     @pytest.mark.parametrize("k_max", [math.inf, math.nan, 0.1])
     def test_k_max_must_be_finite_and_reach_dk(self, k_max):
-        # an infinite k_max would ask for an infinite k grid
-        with pytest.raises(ValueError, match="need 0 < dk <= k_max < inf"):
+        # an infinite k_max would ask for an infinite k grid; a k_max
+        # that is not finite is refused as every scalar input is
+        msg = ("need 0 < dk <= k_max < inf" if math.isfinite(k_max)
+               else f"k_max must be finite, got {k_max!r}")
+        with pytest.raises(ValueError, match=msg):
             roundtrip(Gaussian(1.0), k_max=k_max, dk=0.25)
         if k_max == math.inf:
-            with pytest.raises(ValueError, match="need 0 < dk <= k_max < inf"):
+            with pytest.raises(ValueError, match=msg):
                 roundtrip(Gaussian(1.0), k_max=k_max)
 
     def test_explicit_grid_controls(self):

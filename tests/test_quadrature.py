@@ -372,6 +372,19 @@ class TestAdaptiveQuad:
         assert v.imag == 0.0
         assert e > 1.0
 
+    def test_error_left_at_float_resolution_is_unreachable(self):
+        # a step inside a row four ulps wide: bisection reaches panels
+        # whose midpoint rounds onto an end, parks them with their error,
+        # and stops when only they carry error
+        lo = 1.0
+        hi = lo + 4 * math.ulp(lo)
+        mid = 0.5 * (lo + hi)
+        v, e, why = one_row(lambda x: np.where(x > mid, 1.0, -1.0), lo, hi,
+                            rel_tol=1e-300, abs_tol=1e-300)
+        assert why == ("tolerance unreachable: remaining error sits on "
+                       "intervals at floating-point resolution")
+        assert math.isfinite(v.real) and 0.0 < e < 1e-28
+
     def test_zero_width_interval(self):
         v, e, why = one_row(np.exp, 1.5, 1.5)
         assert v == 0j

@@ -1,6 +1,7 @@
 """The programs under scripts/ run as __main__ and print their headline lines."""
 import re
 import runpy
+import textwrap
 from pathlib import Path
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
@@ -91,3 +92,53 @@ def test_bench_pairs_summary_arithmetic():
     assert bench["attempted_ratio"](records, more) == 1.2
     assert bench["parse_seeds"]("901-903") == [901, 902, 903]
     assert bench["parse_seeds"]("7,9") == [7, 9]
+
+
+TOY = textwrap.dedent('''\
+    """A toy module."""
+
+
+    def sign(x):
+        if x > 0:
+            return 1
+        if x < 0:
+            return -1
+        # zero is neither
+        return 0
+
+
+    def unused(
+            x):
+        return x
+
+
+    VALUE = sign(2) + sign(-3)
+    ''')
+
+
+def test_untested_lines_arithmetic(tmp_path):
+    # the tracer and the line arithmetic on a toy module: no pytest run
+    tool = runpy.run_path(str(SCRIPTS / "untested_lines.py"),
+                          run_name="untested_lines")
+    toy = tmp_path.resolve() / "toy.py"
+    toy.write_text(TOY)
+    # the docstring, both defs, every statement; not the comment, blank
+    # lines or the def's second line
+    assert tool["executable_lines"](toy) == {1, 4, 5, 6, 7, 8, 10, 13, 15,
+                                             18}
+    with tool["LineTracer"](tmp_path) as tracer:
+        runpy.run_path(str(toy))
+    assert tracer.hits == {str(toy): {1, 4, 5, 6, 7, 8, 13, 18}}
+    assert tool["report"]([toy], tracer.hits, tmp_path.resolve()) == (
+        "toy.py:10\n"
+        "     10      return 0\n"
+        "toy.py:15\n"
+        "     15      return x\n"
+        "2 of 10 executable lines were not executed")
+    # a run of untested lines spans the lines between them that carry no
+    # instruction, and an executed line ends it
+    ranges = tool["untested_ranges"]
+    assert ranges({2, 3, 5, 8, 9, 12}, {5, 12}) == [(2, 3), (8, 9)]
+    assert ranges({4, 7, 9}, {9}) == [(4, 7)]
+    assert ranges({4, 7}, set()) == [(4, 7)]
+    assert ranges({4, 7}, {4, 7}) == []

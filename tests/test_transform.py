@@ -961,6 +961,30 @@ class TestBatchedK:
         exc = info.value
         assert (exc.row, str(exc), exc.value, exc.err) == first
 
+    @pytest.mark.parametrize("k, first", [
+        ("1", "'1'"), (True, "True"), (np.float64("nan"), "nan"),
+        (np.array(["1"]), "'1'"), (np.array([True]), "True"),
+        (np.array([1.0, np.inf]), "inf"), ([1.0, False], None),
+        (np.array([1.0, "2"], dtype=object), "'2'"),
+    ], ids=["str", "bool", "nan", "str-array", "bool-array", "inf-array",
+            "mixed-list", "object-array"])
+    def test_k_that_is_not_a_real_number_is_refused(self, k, first):
+        # a bool or string k, alone or in an array, is refused in the
+        # words of a scalar k, where numpy's float conversion would take
+        # it as k = 1; a list that numpy makes a float array is floats
+        f = Gaussian(1.0)
+        if first is None:
+            values, _ = qft_real_line(f, 1.5, k)
+            assert values[1] == qft_real_line(f, 1.5, 0.0)[0]
+            return
+        with pytest.raises(ValueError) as info:
+            qft_real_line(f, 1.5, k)
+        assert str(info.value) == f"k must be finite, got {first}"
+        if np.ndim(k) == 0:
+            surf = qft_surface(f, [1.5], [1.0, k])
+            assert surf.why[0] == [None, str(info.value)]
+            assert np.isnan(surf.values[0, 1]) and surf.err[0, 1] == np.inf
+
     def test_k_array_must_be_one_dimensional_and_finite(self):
         with pytest.raises(ValueError):
             qft_real_line(Gaussian(1.0), 1.2, np.ones((2, 2)))

@@ -25,3 +25,16 @@ def test_quadrature_checks_run_quadrature(monkeypatch):
     named = {n: c for n, c in per_check.items()
              if n.endswith("_vs_quadrature")}
     assert named and all(named.values()), per_check
+
+
+def test_a_crashed_check_is_reported_not_raised(monkeypatch):
+    # the suite goes on past a check that raises, and names the error
+    def boom(z):
+        raise RuntimeError(f"no log_gamma at {z}")
+
+    monkeypatch.setattr(verify, "log_gamma", boom)
+    results = {name: (ok, detail) for name, ok, detail
+               in verify.run_suite("special")}
+    assert results.pop("log_gamma_reflection") == (
+        False, "raised RuntimeError: no log_gamma at (0.3+0.7j)")
+    assert results and all(ok for ok, _ in results.values())
