@@ -11,12 +11,16 @@ forms and 2F1, NonFiniteError from the deformed exponentials and kernel.
 
 Every public scalar input passes through scalar: a real, integer or
 complex number of any numeric type but bool (numpy scalars and fractions
-included), finite, and returned as a Python float, int or complex.
+included), finite, and returned as a Python float, int or complex. An
+array input passes through scalars, which holds each of its elements to
+the same rule.
 """
 
 import cmath
 import math
 import numbers
+
+import numpy as np
 
 
 class QFourierError(Exception):
@@ -141,6 +145,24 @@ def scalar(name, value, kind=float, *, gt=None, ge=None):
             and (gt is None or value > gt) and (ge is None or value >= ge)):
         return value
     raise _refused(name, value, kind, gt, ge)
+
+
+# the numpy dtype kinds that scalars casts whole for each kind of element
+_NUMERIC = {float: "iuf", complex: "iufc"}
+
+
+def scalars(name, values, kind=float):
+    """values as a float or complex (kind) array. A numeric array is cast
+    whole, with the bits of np.asarray(values, dtype=kind), and its
+    non-finite values are left to the caller; any other (bool, string,
+    object) goes through scalar element by element, so its first element
+    that is not a finite number of that kind is refused as a scalar input
+    is: "<name> must be finite, got '0'"."""
+    arr = np.asarray(values)
+    if arr.dtype.kind in _NUMERIC[kind]:
+        return arr.astype(kind, copy=False)
+    return np.array([scalar(name, v, kind) for v in arr.ravel().tolist()],
+                    dtype=kind).reshape(arr.shape)
 
 
 def _refused(name, value, kind, gt, ge):

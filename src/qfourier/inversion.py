@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (AliasingError, InversionDomainError, LimitFailureError,
-                     scalar)
+                     scalar, scalars)
 from .quadrature import trapezoid_weights
 from .transform import (FunctionSpec, QuadratureConfig, _real_ks,
                         membership_check, qft_real_line)
@@ -143,9 +143,9 @@ def inverse_ft(G, k_grid, x_grid) -> np.ndarray:
     half, which gives the full grid's trig bit for bit; any other grid
     takes it on all of its points.
     """
-    G = np.asarray(G, dtype=complex)
-    k = np.asarray(k_grid, dtype=float)
-    x = np.atleast_1d(np.asarray(x_grid, dtype=float))
+    G = scalars("G", G, complex)
+    k = scalars("k_grid", k_grid)
+    x = np.atleast_1d(scalars("x_grid", x_grid))
     if k.ndim != 1 or k.size < 2 or G.shape != k.shape:
         raise ValueError("G and k_grid must be matching 1-d arrays, len >= 2")
     if x.size == 0:
@@ -265,7 +265,7 @@ def roundtrip(f: FunctionSpec, sched: EpsilonSchedule | None = None,
     _require_classical_member(f)
     x_f = _default_x_grid(f)
     x = x_f if x_grid is None \
-        else np.atleast_1d(np.asarray(x_grid, dtype=float))
+        else np.atleast_1d(scalars("x_grid", x_grid))
     if x.size == 0 or not np.all(np.isfinite(x)):
         raise ValueError("x_grid must be nonempty and finite")
     km = scalar("k_max", k_max) if k_max is not None \

@@ -3,13 +3,24 @@
 log_gamma uses a Lanczos approximation (g = 7, 9 terms) in the half-plane
 Re z >= 1.5 and climbs there by the recursion log Gamma(z) = log Gamma(z+1)
 - log z otherwise; both pieces are analytic in their regions and agree with
-the real function, so the result is the principal branch.
+the real function, so the result is the principal branch. Left of
+Re z = _CLIMB_FROM it reflects to 1 - z instead (Hare 1997, Prop. 3.1),
+in time that does not grow with |Re z|. There a real z with a +0.0
+imaginary part takes the limit from above the cut, as mpmath does, and
+one with -0.0 the limit from below.
 
-digamma differentiates that same Lanczos sum term by term.
+digamma differentiates that same Lanczos sum term by term, and left of
+the same line reflects by psi(z) = psi(1-z) - pi cot(pi z).
 
-hyp2f1 sums the Gauss series where the argument is small and otherwise
-routes through the classical connection formulas (Pfaff, 1-z, 1/z, 1/(1-z),
-1-1/z), picking whichever transformed argument has the smallest modulus.
+hyp2f1 decides its route before it computes anything for one. Off the
+cut it tries the two gamma-free series first: the Gauss series in z when
+|z| <= 0.8 and |z| <= |z/(z-1)|, else Pfaff's, (1-z)^-a times the series
+in z/(z-1), when |z/(z-1)| <= 0.8; Pfaff needs log(1-z) alone. Only when
+neither applies, or on the cut, does it build the logarithms of 1-z, -z
+and z/(1-z) (on the cut from the side the caller names) and the
+connection formulas' arguments 1-z, 1/z, 1/(1-z) and 1-1/z, and take the
+route whose argument has the smallest modulus: of z, z/(z-1) and those
+four in that order off the cut, of the four on it, the first on a tie.
 The 1/(1-z) and 1-1/z routes are Pfaff's transformation followed by the
 1-z and 1/z formulas. Each of those two pairs gamma factors Gamma(+-(m+eps))
 for an integer m: m + eps is c-a-b on the 1-z route and a-b on the 1/z
@@ -55,7 +66,12 @@ _LANCZOS_COEF = (
     9.9843695780195716e-6,
     1.5056327351493116e-7,
 )
-_HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
+_LOG_2PI = math.log(2.0 * math.pi)
+_HALF_LOG_2PI = 0.5 * _LOG_2PI
+# left of this log_gamma and digamma reflect to 1 - z: their recursion
+# climbs to Re z >= 1.5 one step at a time, in time linear in |Re z|, and
+# never arrives once |Re z| >= 2^53, where w + 1 == w
+_CLIMB_FROM = -20.0
 
 _SERIES_CAP = 100_000
 _CHUNK = 64  # terms per chunk of _series' factors
@@ -86,6 +102,14 @@ def log_gamma(z: complex) -> complex:
     z = scalar("z", z, complex)
     if _is_nonpos_int(z):
         raise PoleError(f"log_gamma pole at z={z.real:g}")
+    if z.real < _CLIMB_FROM:
+        # Hare 1997, Prop. 3.1: log Gamma(w) = log pi - log sin(pi w)
+        # - log Gamma(1-w), with log sin(pi w) continued from (0, 1) into
+        # Im w >= 0 as i pi (1/2 - w) - log 2 + log(1 - e^(2 pi i w)); the
+        # term in w carries the branch, 2 pi i floor(Re w/2 + 1/4) over
+        # the principal log sin(pi w)
+        return _reflected(z, lambda w, em1: _LOG_2PI - log_gamma(1.0 - w)
+                          + 1j * math.pi * (w - 0.5) - cmath.log(-em1))
     shift = 0j
     w = z
     while w.real < 1.5:
@@ -110,6 +134,17 @@ def _expm1(u: complex) -> complex:
     half = math.sin(0.5 * u.imag)
     return complex(em * math.cos(u.imag) - 2.0 * half * half,
                    (em + 1.0) * math.sin(u.imag))
+
+
+def _reflected(z: complex, value) -> complex:
+    """value(w, e^(2 pi i w) - 1) at the one of z and its conjugate with
+    Im w >= 0, so |e^(2 pi i w)| <= 1, and conjugated back for the other;
+    a signed zero Im z picks its side. The exponential takes w less the
+    nearest integer."""
+    lower = math.copysign(1.0, z.imag) < 0.0
+    w = z.conjugate() if lower else z
+    v = value(w, _expm1(2j * math.pi * (w - round(w.real))))
+    return v.conjugate() if lower else v
 
 
 def _dlog1p(h, v) -> complex:
@@ -153,6 +188,10 @@ def digamma(z: complex) -> complex:
     z = scalar("z", z, complex)
     if _is_nonpos_int(z):
         raise PoleError(f"digamma pole at z={z.real:g}")
+    if z.real < _CLIMB_FROM:
+        # psi(w) = psi(1-w) - pi cot(pi w), cot(pi w) = i (2 + em1) / em1
+        return _reflected(z, lambda w, em1: _log_gamma_dd(1.0 - w, 0.0)
+                          - 1j * math.pi * (2.0 + em1) / em1)
     return _log_gamma_dd(z, 0.0)
 
 
@@ -246,10 +285,12 @@ def _series(a, b, c, z):
     bits = struct.pack("6d", a.real, a.imag, b.real, b.imag, c.real, c.imag)
     for start in range(0, _SERIES_CAP, _CHUNK):
         nums, dens = _factors(bits, a, b, c, start)
-        for p, d in zip(nums[:_SERIES_CAP - start], dens):
+        if _SERIES_CAP - start < _CHUNK:
+            nums = nums[:_SERIES_CAP - start]  # the cap cuts this chunk
+        for p, d in zip(nums, dens):
             # the ratio (a+n)(b+n) z / ((c+n)(n+1)), evaluated left to right
             term *= p * z / d
-            if term == 0:
+            if not term:  # term == 0, without the int comparison
                 return s
             s += term
             if abs(term) < 1e-16 * abs(s):
@@ -305,37 +346,33 @@ def hyp2f1(p: Hyp2F1Params, cut_side: CutSide | None = None) -> complex:
 
 
 def _dispatch(a, b, c, z, side):
-    # side-aware logarithms; only the outer prefactors ever sit on a cut,
-    # transformed arguments land strictly off [1, oo)
-    if side is not None:
-        im = -1.0 if side is CutSide.ABOVE else 1.0
-        log_1mz = math.log(abs(1.0 - z)) + 1j * im * math.pi
-        log_mz = math.log(abs(z)) + 1j * im * math.pi
-        # z/(1-z) crosses the negative axis on the side opposite to z
-        log_z_1mz = math.log(abs(z / (1.0 - z))) - 1j * im * math.pi
-    else:
-        log_1mz = cmath.log(1.0 - z)
-        log_mz = cmath.log(-z)
-        log_z_1mz = cmath.log(z / (1.0 - z))
-
-    w_direct = z
     w_pfaff = z / (z - 1.0)
-    candidates = [
-        ("1-z", 1.0 - z),
-        ("1/z", 1.0 / z),
-        ("1/(1-z)", 1.0 / (1.0 - z)),
-        ("1-1/z", 1.0 - 1.0 / z),
-    ]
+    name = log_1mz = log_mz = log_z_1mz = None
     if side is None:
-        # gamma-free routes first when their argument is already small
-        if abs(w_direct) <= _SERIES_RADIUS and abs(w_direct) <= abs(w_pfaff):
-            candidates = [("z", w_direct)]
+        # the gamma-free series routes first, when their argument is
+        # already small; of the logarithms only Pfaff's log(1-z) is needed
+        if abs(z) <= _SERIES_RADIUS and abs(z) <= abs(w_pfaff):
+            name, w = "z", z
         elif abs(w_pfaff) <= _SERIES_RADIUS:
-            candidates = [("z/(z-1)", w_pfaff)]
+            name, w, log_1mz = "z/(z-1)", w_pfaff, cmath.log(1.0 - z)
+    if name is None:
+        # side-aware logarithms; only the outer prefactors ever sit on a
+        # cut, transformed arguments land strictly off [1, oo)
+        if side is not None:
+            im = -1.0 if side is CutSide.ABOVE else 1.0
+            log_1mz = math.log(abs(1.0 - z)) + 1j * im * math.pi
+            log_mz = math.log(abs(z)) + 1j * im * math.pi
+            # z/(1-z) crosses the negative axis on the side opposite to z
+            log_z_1mz = math.log(abs(z / (1.0 - z))) - 1j * im * math.pi
+            candidates = []
         else:
-            candidates = [("z", w_direct), ("z/(z-1)", w_pfaff)] + candidates
-
-    name, w = min(candidates, key=lambda item: abs(item[1]))
+            log_1mz = cmath.log(1.0 - z)
+            log_mz = cmath.log(-z)
+            log_z_1mz = cmath.log(z / (1.0 - z))
+            candidates = [("z", z), ("z/(z-1)", w_pfaff)]
+        candidates += [("1-z", 1.0 - z), ("1/z", 1.0 / z),
+                       ("1/(1-z)", 1.0 / (1.0 - z)), ("1-1/z", 1.0 - 1.0 / z)]
+        name, w = min(candidates, key=lambda item: abs(item[1]))
     with float_range(BoundaryRegimeError, _OVERFLOW, name + " route",
                      a, b, c, z):
         return _route(name, a, b, c, w, log_1mz, log_mz, log_z_1mz)

@@ -45,7 +45,8 @@ from enum import Enum
 import numpy as np
 
 from .errors import (BoundaryRegimeError, ConvergenceError, MembershipError,
-                     NonFiniteError, PoleError, float_range, scalar)
+                     NonFiniteError, PoleError, float_range, scalar,
+                     scalars)
 from .qcore import QParam, _deformed_power, as_qparam
 from .quadrature import _EPS, _XGK, adaptive_quad
 
@@ -298,8 +299,7 @@ class Sampled(FunctionSpec):
     kind = "sampled"
 
     def __post_init__(self):
-        xs = np.asarray(self.x, dtype=float)
-        ys = np.asarray(self.y, dtype=float)
+        xs, ys = scalars("x", self.x), scalars("y", self.y)
         _require(xs.ndim == 1 and xs.shape == ys.shape and len(xs) >= 2,
                  "Sampled needs matching 1-d x and y with >= 2 points")
         _require(np.all(np.isfinite(xs)) and np.all(np.isfinite(ys)),
@@ -920,11 +920,8 @@ def qft_real_line(f: FunctionSpec, q, k, cfg: QuadratureConfig | None = None):
 
 def _real_ks(kv):
     """The 1-d real k array kv as floats, each k refused as a scalar k is:
-    a bool, string or object array goes through scalar k by k, and the
-    first k that is not finite raises "k must be finite, got <k>"."""
-    if kv.dtype.kind not in "iuf":
-        return np.array([scalar("k", k) for k in kv.tolist()], dtype=float)
-    kv = kv.astype(float)
+    the first k that is not finite raises "k must be finite, got <k>"."""
+    kv = scalars("k", kv)
     bad = kv[~np.isfinite(kv)]
     if bad.size:
         raise ValueError(f"k must be finite, got {float(bad[0])!r}")

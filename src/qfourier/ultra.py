@@ -25,7 +25,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import TruncationError, scalar
+from .errors import TruncationError, scalar, scalars
 from .quadrature import graded_line_nodes, trapezoid_weights
 
 _TAIL_TOL = 1e-10
@@ -161,7 +161,7 @@ def dirac_rep(f_density, t_grid) -> AnalyticRep:
     the sums see the same d and y * y, and y flips the imaginary sum's
     sign alone.
     """
-    grid = np.asarray(t_grid, dtype=float)
+    grid = scalars("t_grid", t_grid)
     if grid.ndim != 1 or len(grid) < 2:
         raise ValueError("t_grid must be one-dimensional with >= 2 points")
     if not np.all(np.diff(grid) > 0):

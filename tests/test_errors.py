@@ -9,13 +9,14 @@ import qfourier
 from qfourier import errors
 from qfourier.closedform import (heaviside_qft, hilhorst_lambda, hilhorst_qft,
                                  powerlaw_qft_closed, regime_of)
-from qfourier.inversion import EpsilonSchedule, roundtrip
+from qfourier.inversion import EpsilonSchedule, inverse_ft, roundtrip
 from qfourier.qcore import QParam, q_exp, q_exp_complex, ultra_kernel
 from qfourier.special import Hyp2F1Params, digamma, log_gamma
 from qfourier.transform import (Constant, Gaussian, HalfPlanePoint, Heaviside,
                                 PlaneTag, PowerLaw, QGaussian,
-                                QuadratureConfig, qft_complex, qft_real_line)
-from qfourier.ultra import (AnalyticRep, ContourSpec,
+                                QuadratureConfig, Sampled, qft_complex,
+                                qft_real_line)
+from qfourier.ultra import (AnalyticRep, ContourSpec, dirac_rep,
                             pseudo_poly_invariance_check)
 
 EXPORTED = [getattr(qfourier, name) for name in qfourier.__all__
@@ -294,3 +295,84 @@ def test_ultra_kernel_k_is_a_scalar_k():
         with pytest.raises(ValueError, match=f"^k must be finite, got "
                            f"{value!r}$"):
             ultra_kernel(value, 1.0, 1.5)
+
+
+class TestScalars:
+    @pytest.mark.parametrize("values, kind", [
+        ([0, 1, 2], float), (np.arange(3, dtype=np.uint8), float),
+        (np.float32([0.5, 1.5]), float), ([[1.0, 2.0]], float),
+        ([1, 2.5], complex), (np.complex64([1j, 2]), complex),
+    ])
+    def test_numeric_array_is_cast_whole(self, values, kind):
+        got = errors.scalars("v", values, kind)
+        want = np.asarray(values, dtype=kind)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+    def test_numeric_non_finite_is_left_to_the_caller(self):
+        got = errors.scalars("v", [0.0, np.nan, np.inf])
+        assert np.isnan(got[1]) and got[2] == np.inf
+
+    def test_other_arrays_go_element_by_element(self):
+        from fractions import Fraction as Fr
+        got = errors.scalars("v", np.array([Fr(1, 2), 2], dtype=object))
+        assert got.dtype == float and got.tolist() == [0.5, 2.0]
+        assert errors.scalars("v", np.array([], dtype="U1")).shape == (0,)
+
+    @pytest.mark.parametrize("values, kind, words", [
+        (["0", "1"], float, "v must be finite, got '0'"),
+        ([True, False], float, "v must be finite, got True"),
+        (np.array([1.0, None]), float, "v must be finite, got None"),
+        (np.array([1.0, math.nan], dtype=object), float,
+         "v must be finite, got nan"),
+        (["1j"], complex, "v must be finite, got '1j'"),
+        (np.array([1j, True], dtype=object), complex,
+         "v must be finite, got True"),
+    ])
+    def test_refusal_names_the_first_bad_element(self, values, kind, words):
+        with pytest.raises(ValueError) as info:
+            errors.scalars("v", values, kind)
+        assert str(info.value) == words
+
+
+# every public array input that is not a k: (entry point, parameter name,
+# probe, good values). probe(v) calls the entry point with v for that
+# parameter (every other input valid) and returns an array that shows v's
+# conversion; good holds small integers
+ARRAY_ENTRY_POINTS = [
+    ("Sampled", "x", lambda v: Sampled(v, [0, 1, 0]).x, [0, 1, 2]),
+    ("Sampled", "y", lambda v: Sampled([0, 1, 2], v).y, [0, 1, 0]),
+    ("dirac_rep", "t_grid", lambda v: dirac_rep(
+        lambda t: np.exp(-t * t), v).evaluator(np.array([2j, 1 + 3j])),
+     [-1, 0, 1]),
+    ("inverse_ft", "G", lambda v: inverse_ft(v, [-1, 0, 1], [0, 1]),
+     [1, 2, 1]),
+    ("inverse_ft", "k_grid", lambda v: inverse_ft([1, 2, 1], v, [0, 1]),
+     [-1, 0, 1]),
+    ("inverse_ft", "x_grid", lambda v: inverse_ft([1, 2, 1], [-1, 0, 1], v),
+     [0, 1]),
+    ("roundtrip", "x_grid", lambda v: roundtrip(
+        Gaussian(1.0), x_grid=v, k_max=4.0, dk=0.5).f_rec, [0, 1]),
+]
+ARRAY_IDS = [f"{entry}-{name}" for entry, name, *_ in ARRAY_ENTRY_POINTS]
+
+
+@pytest.mark.parametrize("entry, name, probe, good", ARRAY_ENTRY_POINTS,
+                         ids=ARRAY_IDS)
+def test_numeric_arrays_keep_their_bits(entry, name, probe, good):
+    want = probe([float(v) for v in good])
+    for values in (good, np.array(good, dtype=np.int64),
+                   np.array(good, dtype=np.float32)):
+        got = probe(values)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("entry, name, probe, good", ARRAY_ENTRY_POINTS,
+                         ids=ARRAY_IDS)
+def test_bool_and_string_arrays_are_refused_by_name(entry, name, probe, good):
+    for values in ([bool(v) for v in good], [str(v) for v in good],
+                   np.array([str(v) for v in good])):
+        with pytest.raises(ValueError) as info:
+            probe(values)
+        first = np.asarray(values).tolist()[0]
+        assert str(info.value) == f"{name} must be finite, got {first!r}"

@@ -1,5 +1,6 @@
 import cmath
 import math
+import time
 
 import mpmath
 import numpy as np
@@ -111,6 +112,52 @@ class TestLogGamma:
     def test_nonfinite_rejected(self):
         with pytest.raises(ValueError):
             log_gamma(complex("nan"))
+
+    @pytest.mark.parametrize("im", [0.0, 0.1, -0.1, 3.0, -3.0, 50.0, -50.0])
+    @pytest.mark.parametrize("re", [-40.3, -1e3, -1e6 + 0.5, -1e17])
+    def test_far_left_against_mpmath(self, re, im):
+        # left of Re z = -20 both reflect to 1 - z: the climb to Re z >= 1.5
+        # took 0.13-0.28 s at -1e6 + 0.5 and never ended at -1e17
+        z = complex(re, im)
+        for fn, ref in ((log_gamma, mpmath.loggamma),
+                        (digamma, mpmath.digamma)):
+            start = time.perf_counter()
+            if im == 0.0 and re == round(re):
+                with pytest.raises(PoleError):
+                    fn(z)
+                continue
+            got = fn(z)
+            assert time.perf_counter() - start < 0.01
+            np.testing.assert_allclose(got, complex(ref(mpmath.mpc(re, im))),
+                                       rtol=1e-14)
+
+    def test_far_left_signed_zero_picks_the_side(self):
+        # -0.0 is the limit from below the cut, +0.0 (and mpmath's real
+        # argument) from above
+        above, below = log_gamma(-40.3), log_gamma(complex(-40.3, -0.0))
+        assert below == above.conjugate()
+        np.testing.assert_allclose(
+            below, complex(mpmath.loggamma(mpmath.mpc(-40.3, -1e-40))),
+            rtol=1e-14)
+
+    def test_short_climb_keeps_its_bits(self):
+        # right of Re z = -20 the value is the climb's, bit for bit
+        def climb(z):
+            shift, w = 0j, complex(z)
+            while w.real < 1.5:
+                shift += cmath.log(w)
+                w += 1.0
+            x = special._LANCZOS_COEF[0]
+            for k in range(1, 9):
+                x += special._LANCZOS_COEF[k] / (w - 1.0 + k)
+            t = w + (special._LANCZOS_G - 0.5)
+            return (0.5 * math.log(2.0 * math.pi) + (w - 0.5) * cmath.log(t)
+                    - t + cmath.log(x) - shift)
+
+        rng = np.random.default_rng(2020)
+        zs = rng.uniform(-20.0, 6.0, 300) + 1j * rng.uniform(-5.0, 5.0, 300)
+        for z in [*zs, -20.0 + 0.5j, -19.5 + 0j, -1.6 + 0j]:
+            assert bits(log_gamma(z)) == bits(climb(z))
 
 
 class TestGammaRatioCollapse:
@@ -398,3 +445,155 @@ class TestSeriesFactors:
             want = outcome(reference_series, *args)
             assert outcome(special._series, *args) == want
         assert want[0] == ("ConvergenceError" if cap == 3 else "PoleError")
+
+
+def reference_dispatch(a, b, c, z, side):
+    """_dispatch as it read before it tried the series routes first: every
+    logarithm and transformed argument built, then the smallest argument's
+    route."""
+    if side is not None:
+        im = -1.0 if side is CutSide.ABOVE else 1.0
+        log_1mz = math.log(abs(1.0 - z)) + 1j * im * math.pi
+        log_mz = math.log(abs(z)) + 1j * im * math.pi
+        log_z_1mz = math.log(abs(z / (1.0 - z))) - 1j * im * math.pi
+    else:
+        log_1mz = cmath.log(1.0 - z)
+        log_mz = cmath.log(-z)
+        log_z_1mz = cmath.log(z / (1.0 - z))
+
+    w_direct = z
+    w_pfaff = z / (z - 1.0)
+    candidates = [
+        ("1-z", 1.0 - z),
+        ("1/z", 1.0 / z),
+        ("1/(1-z)", 1.0 / (1.0 - z)),
+        ("1-1/z", 1.0 - 1.0 / z),
+    ]
+    if side is None:
+        radius = special._SERIES_RADIUS
+        if abs(w_direct) <= radius and abs(w_direct) <= abs(w_pfaff):
+            candidates = [("z", w_direct)]
+        elif abs(w_pfaff) <= radius:
+            candidates = [("z/(z-1)", w_pfaff)]
+        else:
+            candidates = [("z", w_direct), ("z/(z-1)", w_pfaff)] + candidates
+
+    name, w = min(candidates, key=lambda item: abs(item[1]))
+    with special.float_range(BoundaryRegimeError, special._OVERFLOW,
+                             name + " route", a, b, c, z):
+        return special._route(name, a, b, c, w, log_1mz, log_mz, log_z_1mz)
+
+
+def dispatch_grid():
+    """About 2,000 seeded (a, b, c, z, side) points about the route
+    boundaries: both sides of |z| = 0.8, of |z| = |z/(z-1)| (the circle
+    |z - 1| = 1) and of |z/(z-1)| = 0.8, exact float ties on each, the
+    plane beyond, and both sides of the cut; on parameter sets with plain,
+    integer and near-integer gaps, and on large ones that overflow."""
+    rng = np.random.default_rng(3402)
+    hard = (cmath.exp(1j * math.pi / 3), cmath.exp(-1j * math.pi / 3))
+
+    def ring(centre, radius, n):
+        # a circle's point scaled off it by 1e-13, 1e-3 or 5e-2 either way
+        for rel in (1e-13, 1e-3, 5e-2):
+            for t, sign in zip(rng.uniform(-math.pi, math.pi, n),
+                               rng.choice([-1.0, 1.0], n)):
+                yield centre + radius * (1.0 + sign * rel) * cmath.exp(1j * t)
+
+    def ties(n, exact, arc):
+        # points on a circle where the rule's two moduli are equal in float
+        found = []
+        while len(found) < n:
+            z = exact(cmath.exp(1j * rng.uniform(*arc)))
+            if z != 0 and abs(z) == abs(z / (z - 1.0)) or \
+                    abs(z / (z - 1.0)) == 0.8 or abs(z) == 0.8:
+                found.append(z)
+        return found
+
+    def plane_points():
+        zs = list(ring(0.0, 0.8, 22))
+        zs += ring(1.0, 1.0, 22)
+        zs += (w / (w - 1.0) for w in ring(0.0, 0.8, 22))
+        # |z - 1| = 1 inside the disc |z| <= 0.8 (the arc about z = 0) and
+        # anywhere, |z/(z-1)| = 0.8, and |z| = 0.8
+        zs += ties(10, lambda u: 1.0 + u, (0.8 * math.pi, 1.2 * math.pi))
+        zs += ties(10, lambda u: 1.0 + u, (-math.pi, math.pi))
+        zs += ties(8, lambda u: 0.8 * u / (0.8 * u - 1.0), (-math.pi, math.pi))
+        zs += [0.8, -0.8, 0.8j, -0.8j]
+        zs += list(rng.uniform(-6.0, 6.0, 12)
+                   + 1j * rng.uniform(-6.0, 6.0, 12))
+        # every transformed argument has modulus 1 at e^(+-i pi/3), where
+        # the series take their 100,000-term cap
+        return [complex(z) for z in zs if min(abs(z - h) for h in hard) > 0.2]
+
+    points = []
+    for a, b, c in [
+        (0.3, 0.7, 1.9),
+        (1.5 + 0.5j, 2.5 - 1j, 3.5),
+        (2.5, 3.75, 4.75),
+        (0.5, 1.5, 3.0),  # c - a - b = 1
+        (0.5, 1.5 + 1e-9, 3.0),
+        (1.0, 3.0, 2.5),  # a - b = -2
+        (1.0, 3.0 + 1e-7, 2.5),
+        (1 / 0.7, 1 / 0.7, 1 / 0.7 + 1),  # a = b
+    ]:
+        points += [(a, b, c, z, None) for z in plane_points()]
+        points += [(a, b, c, complex(x), side)
+                   for x in rng.uniform(1.0, 6.0, 6) for side in CutSide]
+    # gamma ratios past float range; a message names its route
+    for a, b, c in [(300.5, 200.25, 900.0), (-9999.5, 10000.25, 0.5)]:
+        points += [(a, b, c, z, None) for z in
+                   (-5j, 2 + 1j, 0.99 + 0.2j, -50 + 1j, 0.9 + 0.01j, -0.9)]
+        points += [(a, b, c, 3.0 + 0j, side) for side in CutSide]
+    # no route settles within the cap
+    points.append((0.3, 0.4, 1.9, hard[0], None))
+    return points
+
+
+def dispatch_outcome(a, b, c, z, side):
+    """A value's exact bits, or any error's type, text and value bits."""
+    try:
+        return bits(hyp2f1(Hyp2F1Params(a, b, c, z), cut_side=side))
+    except Exception as exc:
+        return type(exc).__name__, str(exc), bits(getattr(exc, "value", None))
+
+
+class TestDispatch:
+    """_dispatch tries the two series routes before it builds the
+    connection arguments, and must pick the routes, and give the bits and
+    errors, of the reference that built them all first."""
+
+    GRID = dispatch_grid()
+
+    def run_grid(self, monkeypatch):
+        """Each grid point's outcome, and the route names taken in order."""
+        routes = []
+        inner = special._route
+
+        def spy(name, *args):
+            routes.append(name)
+            return inner(name, *args)
+
+        monkeypatch.setattr(special, "_route", spy)
+        return [dispatch_outcome(*p) for p in self.GRID], routes
+
+    def test_grid_reaches_every_route_and_error(self, monkeypatch):
+        outcomes, routes = self.run_grid(monkeypatch)
+        assert 1900 <= len(self.GRID) <= 2100
+        assert set(routes) == {"z", "z/(z-1)", "1-z", "1/z", "1/(1-z)",
+                               "1-1/z"}
+        errors = [o for o in outcomes if len(o) == 3]
+        assert {o[0] for o in errors} == {"BoundaryRegimeError",
+                                          "ConvergenceError"}
+        texts = {o[1].split(" at ")[0] for o in errors}
+        for route in ("z/(z-1)", "1-z", "1/z", "1/(1-z)", "1-1/z"):
+            assert f"2F1 overflows float on the {route} route" in texts
+
+    def test_outcomes_match_the_reference(self, monkeypatch):
+        got, got_routes = self.run_grid(monkeypatch)
+        monkeypatch.undo()
+        monkeypatch.setattr(special, "_dispatch", reference_dispatch)
+        want, want_routes = self.run_grid(monkeypatch)
+        bad = [(p, g, w) for p, g, w in zip(self.GRID, got, want) if g != w]
+        assert not bad, f"{len(bad)} outcomes differ, first {bad[0]}"
+        assert got_routes == want_routes
